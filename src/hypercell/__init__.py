@@ -6,11 +6,9 @@ convex body, separation diagnostics, and Monte Carlo harnesses for
 Hausdorff-distance convergence rates, exponential tail decay, and the
 cap-starved counterexample law.
 
-The 2-d geometry kernels run on a compiled Cython core when available
-and a pure NumPy fallback otherwise; `hypercell.kernel_backend()`
-reports which one is active.
+The planar geometry kernels are plain NumPy (`hypercell._kernels`);
+`hypercell.kernel_backend()` names them for run stamps.
 """
-from hypercell._kernels import BACKEND as _KERNEL_BACKEND
 from hypercell.cell import (
     CellPolytope,
     WindowPolicy,
@@ -37,7 +35,6 @@ from hypercell.experiment import (
     CounterexampleConfig,
     RateRunConfig,
     TailRunConfig,
-    fit_loglog,
     persist,
     run_counterexample,
     run_rate,
@@ -59,6 +56,7 @@ from hypercell.geom import (
 from hypercell.metrics import (
     MuConfig,
     excess,
+    fit_loglog,
     hausdorff_cell,
     mu_estimate,
     mu_scaling,
@@ -66,7 +64,6 @@ from hypercell.metrics import (
 from hypercell.process import (
     Hyperplane,
     ProcessParams,
-    coupled_stream,
     hits,
     phi_functional,
     sample_annulus,
@@ -78,5 +75,5 @@ __version__ = "0.1.0"
 
 
 def kernel_backend() -> str:
-    """Active geometry kernel backend: "compiled" or "pure"."""
-    return _KERNEL_BACKEND
+    """Name of the geometry kernel backend; always "pure" (NumPy)."""
+    return "pure"

@@ -1,9 +1,10 @@
-"""Pure NumPy implementations of the 2-d geometry kernels.
+"""NumPy kernels for the planar geometry hot loops.
 
-Mirrors `_core.pyx`; selected automatically when the compiled extension
-is unavailable (or when HYPERCELL_PURE=1).  Same inputs give the same
-outputs as the compiled path up to floating-point associativity, which
-both paths keep identical by construction.
+Convex hull (the dual of the planar halfspace intersection), distance
+from points to a convex polygon, and the cut filter that tests which new
+halfspaces reach an existing cell.  Callers go through the module
+attribute (`_kernels.convex_hull_2d(...)`) so the kernels can be wrapped
+from outside, for example by a tracer.
 """
 from __future__ import annotations
 

@@ -17,8 +17,9 @@ vertices.
 
 The planar fast path intersects halfplanes through polar duality (the
 convex hull of the points u/t); a dimension-generic incremental vertex
-enumerator covers d >= 3, and a brute-force subset enumerator is kept as
-the oracle for both.
+enumerator covers d >= 3.  A brute-force subset enumerator is kept as the
+oracle for both: with `debug_oracle=True` every intersection a cell build
+computes, in any dimension, is checked against it.
 """
 from __future__ import annotations
 
@@ -34,6 +35,7 @@ from hypercell.process import ProcessParams, _sample_annulus_arrays
 from hypercell.rng import as_keyed_stream
 
 FEAS_TOL = 1e-9
+MERGE_TOL = 1e-9  # vertices closer than MERGE_TOL * (1 + |v|) are one vertex
 SOLVE_RESIDUAL_TOL = 1e-7
 ORACLE_CHUNK = 2048  # d-subsets per stacked solve in the brute-force oracle
 
@@ -182,22 +184,32 @@ def _intersect_dual_2d(U, T, BU, BT) -> Intersection:
     b = np.concatenate([T, BT])
     D = A / b[:, None]
     hull = _kernels.convex_hull_2d(D)
-    m = len(hull)
-    verts = []
-    defin = []
-    for i in range(m):
-        p = int(hull[i])
-        q = int(hull[(i + 1) % m])
-        a0, a1 = D[p], D[q]
-        det = a0[0] * a1[1] - a0[1] * a1[0]
-        if abs(det) < 1e-14:
-            continue  # coincident directions: tangency, no vertex
-        x = np.array([(a1[1] - a0[1]) / det, (a0[0] - a1[0]) / det])
-        verts.append(x)
-        defin.append((p, q))
-    if not verts:
-        return Intersection(np.empty((0, 2)), np.empty((0, 2), dtype=np.int64), len(T))
-    return Intersection(np.array(verts), np.array(defin, dtype=np.int64), len(T))
+    defin = np.column_stack([hull, np.concatenate([hull[1:], hull[:1]])])
+    (x0, y0), (x1, y1) = D[defin[:, 0]].T, D[defin[:, 1]].T
+    det = x0 * y1 - y0 * x1
+    edge = np.abs(det) >= 1e-14
+    if not edge.all():  # coincident directions: tangency, no vertex
+        x0, y0, x1, y1, det, defin = (z[edge] for z in (x0, y0, x1, y1, det, defin))
+    V = np.column_stack([(y1 - y0) / det, (x0 - x1) / det])
+    V, defin = _merge_adjacent(V, defin)
+    return Intersection(V, defin, len(T))
+
+
+def _merge_adjacent(V: np.ndarray, D: np.ndarray):
+    """Merge each planar vertex into its cyclic predecessor when within MERGE_TOL.
+
+    Three lines concurrent only up to rounding can leave a dual point a
+    hair outside the segment of its hull neighbours, which yields two
+    vertices a few ulps apart, next to each other in hull order.  A pair
+    across the wrap merges the last vertex into the first, so V[0] stays.
+    """
+    prev = V[np.arange(-1, len(V) - 1)]
+    dup = np.hypot(*(V - prev).T) <= MERGE_TOL * (1.0 + np.hypot(*prev.T))
+    if not dup.any():
+        return V, D
+    dup[-1] |= dup[0]
+    dup[0] = False
+    return V[~dup], D[~dup]
 
 
 def _solve_subset(A: np.ndarray, b: np.ndarray):
@@ -262,13 +274,20 @@ def _intersect_incremental(U, T, BU, BT, tol) -> Intersection:
     return Intersection(V, D, n)
 
 
-def _dedupe_vertices(V: np.ndarray, D: np.ndarray, tol: float = 1e-9):
+def _dedupe_vertices(V: np.ndarray, D: np.ndarray, tol: float = MERGE_TOL):
+    """Drop each vertex within tol * (1 + |w|) of an earlier kept vertex w.
+
+    Greedy keep-first in row order.  A vertex with no earlier vertex that
+    close is kept outright; only the rest are resolved in order, against
+    the vertices kept before them.
+    """
     if len(V) <= 1:
         return V, D
-    keep = []
-    for i in range(len(V)):
-        if not any(np.linalg.norm(V[i] - V[j]) <= tol * (1.0 + np.linalg.norm(V[j])) for j in keep):
-            keep.append(i)
+    gap = np.linalg.norm(V[:, None, :] - V[None, :, :], axis=2)
+    near = np.tril(gap <= tol * (1.0 + np.linalg.norm(V, axis=1)), -1)
+    keep = ~near.any(axis=1)
+    for i in np.flatnonzero(~keep):
+        keep[i] = not (near[i] & keep).any()
     return V[keep], D[keep]
 
 
@@ -362,7 +381,7 @@ class _CellBuilder:
         self.T = np.concatenate([self.T, T_new])
         BU, BT = _axis_box(self.body, rho)
         self.inter = halfspace_intersection(self.U, self.T, BU, BT)
-        if self.debug_oracle and self.dim == 2:
+        if self.debug_oracle:
             self._cross_check(BU, BT)
         self._compact()
 

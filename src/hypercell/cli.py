@@ -245,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--debug-oracle",
             action="store_true",
-            help="cross-check every planar intersection against the subset oracle",
+            help="cross-check every intersection against the subset oracle",
         )
         p.set_defaults(fn=fn)
     return parser

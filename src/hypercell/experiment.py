@@ -25,7 +25,8 @@ import numpy as np
 from hypercell import direction as dn
 from hypercell import geom, metrics
 from hypercell.cell import WindowPolicy, cells_along_intensity
-from hypercell.errors import AllZeroTail, ConfigError, DegenerateX, WindowOverflow
+from hypercell.errors import AllZeroTail, ConfigError, WindowOverflow
+from hypercell.metrics import FitResult, fit_loglog
 from hypercell.process import ProcessParams
 from hypercell.rng import KeyedStream
 
@@ -45,22 +46,6 @@ __all__ = [
 ]
 
 CSV_HEADER = ["rep", "n", "delta", "hyperplanes", "rounds", "overflow"]
-
-
-@dataclass(frozen=True)
-class FitResult:
-    slope: float
-    intercept: float
-    r_squared: float
-    n_points: int
-
-    def to_json(self) -> dict:
-        return {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "r2": self.r_squared,
-            "n_points": self.n_points,
-        }
 
 
 @dataclass(frozen=True)
@@ -460,30 +445,7 @@ def run_counterexample(cfg: CounterexampleConfig, threads: int = 1) -> Experimen
 
 
 # ---------------------------------------------------------------------------
-# fitting and persistence
-
-
-def fit_loglog(points) -> FitResult:
-    """Ordinary least squares through the given points.
-
-    Exact on collinear input.  Constant ordinates give slope 0 with
-    r-squared reported as 0 (zero explained variance convention).
-    """
-    pts = [(float(x), float(y)) for x, y in points]
-    if len({x for x, _ in pts}) < 2:
-        raise DegenerateX("need at least two distinct abscissae")
-    x = np.array([p[0] for p in pts])
-    y = np.array([p[1] for p in pts])
-    xm, ym = x.mean(), y.mean()
-    sxx = float(((x - xm) ** 2).sum())
-    slope = float(((x - xm) * (y - ym)).sum() / sxx)
-    intercept = float(ym - slope * xm)
-    syy = float(((y - ym) ** 2).sum())
-    if syy == 0.0:
-        return FitResult(0.0, float(ym), 0.0, len(pts))
-    resid = y - (intercept + slope * x)
-    r2 = 1.0 - float((resid**2).sum()) / syy
-    return FitResult(slope, intercept, r2, len(pts))
+# persistence
 
 
 def _format_cell(value) -> str:

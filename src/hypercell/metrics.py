@@ -22,17 +22,19 @@ import numpy as np
 
 from hypercell import direction as dn
 from hypercell import geom
-from hypercell.errors import InvalidEpsilon
+from hypercell.errors import DegenerateX, InvalidEpsilon
 from hypercell.rng import stream
 
 __all__ = [
     "MuConfig",
     "MuEstimate",
     "ScalingFit",
+    "FitResult",
     "ExcessEvaluator",
     "excess",
     "mu_estimate",
     "mu_scaling",
+    "fit_loglog",
     "hausdorff_cell",
 ]
 
@@ -490,23 +492,48 @@ def mu_scaling(body, dist, eps_grid, cfg: MuConfig | None = None) -> ScalingFit:
     for eps in eps_arr:
         est = mu_estimate(body, dist, float(eps), cfg)
         points.append((math.log(eps), math.log(est.value)))
-    slope, intercept, r2 = _ols([p[0] for p in points], [p[1] for p in points])
-    return ScalingFit(slope, intercept, r2, points)
+    fit = fit_loglog(points)
+    return ScalingFit(fit.slope, fit.intercept, fit.r_squared, points)
 
 
-def _ols(x, y) -> tuple[float, float, float]:
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+@dataclass(frozen=True)
+class FitResult:
+    slope: float
+    intercept: float
+    r_squared: float
+    n_points: int
+
+    def to_json(self) -> dict:
+        return {
+            "slope": self.slope,
+            "intercept": self.intercept,
+            "r2": self.r_squared,
+            "n_points": self.n_points,
+        }
+
+
+def fit_loglog(points) -> FitResult:
+    """Ordinary least squares through the given points.
+
+    Exact on collinear input.  Constant ordinates give slope 0 with
+    r-squared reported as 0 (zero explained variance convention).
+    Raises DegenerateX unless there are two distinct abscissae.
+    """
+    pts = [(float(x), float(y)) for x, y in points]
+    if len({x for x, _ in pts}) < 2:
+        raise DegenerateX("need at least two distinct abscissae")
+    x = np.array([p[0] for p in pts])
+    y = np.array([p[1] for p in pts])
     xm, ym = x.mean(), y.mean()
     sxx = float(((x - xm) ** 2).sum())
-    if sxx == 0.0:
-        raise ValueError("all abscissae equal")
     slope = float(((x - xm) * (y - ym)).sum() / sxx)
-    intercept = ym - slope * xm
-    resid = y - (intercept + slope * x)
+    intercept = float(ym - slope * xm)
     syy = float(((y - ym) ** 2).sum())
-    r2 = 0.0 if syy == 0.0 else 1.0 - float((resid**2).sum()) / syy
-    return slope, intercept, r2
+    if syy == 0.0:
+        return FitResult(0.0, float(ym), 0.0, len(pts))
+    resid = y - (intercept + slope * x)
+    r2 = 1.0 - float((resid**2).sum()) / syy
+    return FitResult(slope, intercept, r2, len(pts))
 
 
 def hausdorff_cell(body, cell) -> float:

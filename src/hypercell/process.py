@@ -7,9 +7,9 @@ to hyperplanes hitting a body W has total mass Phi(W) (see
 `phi_functional`) and factorizes into a direction law weighted by the
 support function and a uniform offset, which is how `sample_hitting`
 draws exact samples.  `sample_annulus` restricts to hyperplanes hitting
-an outer window but missing an inner one; `coupled_stream` realizes all
-intensities of an increasing grid on one probability space so that the
-sampled sets grow monotonically.
+an outer window but missing an inner one.  Coupling across intensities
+(birth marks on one sample at the largest intensity) lives in
+`cell.cells_along_intensity`.
 """
 from __future__ import annotations
 
@@ -29,9 +29,6 @@ __all__ = [
     "hits",
     "sample_hitting",
     "sample_annulus",
-    "coupled_stream",
-    "hyperplanes_to_rows",
-    "hyperplanes_from_rows",
 ]
 
 
@@ -191,41 +188,3 @@ def sample_annulus(params: ProcessParams, inner, outer, rng) -> list[Hyperplane]
     the support gap is constant and sampling accepts every proposal.
     """
     return _to_hyperplanes(*_sample_annulus_arrays(params, inner, outer, rng))
-
-
-def coupled_stream(
-    params_base: ProcessParams, body, gamma_grid, window, rng
-) -> list[list[Hyperplane]]:
-    """Cumulative hitting samples A_1 <= A_2 <= ... along an intensity grid.
-
-    The increment between consecutive intensities is an independent
-    sample with the intensity difference, so the k-th cumulative set is
-    distributed as a fresh hitting sample at gamma_k.  `body` is recorded
-    for downstream cell builds; hyperplanes hitting it are retained here
-    and filtered by the cell construction.
-    """
-    grid = list(gamma_grid)
-    if any(g <= 0 for g in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("gamma grid must be positive and strictly increasing")
-    out: list[list[Hyperplane]] = []
-    acc: list[Hyperplane] = []
-    prev = 0.0
-    for g in grid:
-        inc = params_base.with_gamma(g - prev)
-        acc = acc + sample_hitting(inc, window, rng)
-        out.append(acc)
-        prev = g
-    return out
-
-
-# ---------------------------------------------------------------------------
-# CSV replay helpers
-
-
-def hyperplanes_to_rows(hyperplanes) -> list[list[float]]:
-    """Rows (u components..., t) for CSV dumps."""
-    return [[*map(float, h.u), float(h.t)] for h in hyperplanes]
-
-
-def hyperplanes_from_rows(rows) -> list[Hyperplane]:
-    return [Hyperplane(np.asarray(r[:-1], dtype=np.float64), float(r[-1])) for r in rows]

@@ -91,3 +91,18 @@ def subset_vertices_loop(A, b, feas_tol, residual_tol, merge_tol=1e-9):
         verts.append(x)
         defin.append(combo)
     return np.array(verts).reshape(-1, d), np.array(defin, dtype=np.int64).reshape(-1, d)
+
+
+def dedupe_vertices_loop(V, D, tol=1e-9):
+    """Greedy keep-first merge: drop a vertex within tol * (1 + |w|) of a kept w.
+
+    One norm per pair, in row order; the reference for the vectorized
+    dedupe in the cell module.
+    """
+    if len(V) <= 1:
+        return V, D
+    keep = []
+    for i in range(len(V)):
+        if not any(np.linalg.norm(V[i] - V[j]) <= tol * (1.0 + np.linalg.norm(V[j])) for j in keep):
+            keep.append(i)
+    return V[keep], D[keep]

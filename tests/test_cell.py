@@ -5,11 +5,12 @@ import time
 import numpy as np
 import pytest
 
-from hypercell import cell, metrics, process
+from hypercell import cell, geom, metrics, process
+from hypercell import direction as dn
 from hypercell.errors import WindowOverflow
 from hypercell.rng import KeyedStream
 
-from oracles import subset_vertices_loop
+from oracles import dedupe_vertices_loop, subset_vertices_loop
 
 BOX2 = (np.vstack([np.eye(2), -np.eye(2)]), np.full(4, 50.0))
 BOX3 = (np.vstack([np.eye(3), -np.eye(3)]), np.full(6, 20.0))
@@ -31,11 +32,25 @@ def random_instance_3d(rng, max_n=14):
     return U, T
 
 
+def near_concurrent_hexagon():
+    """Regular hexagon plus a line through each vertex, normal along the vertex.
+
+    Three lines meet at every vertex, but only up to rounding, so the
+    dual hull can keep a point a hair outside its neighbours' segment.
+    """
+    th = np.arange(6) * math.pi / 3
+    W = np.column_stack([np.cos(th + math.pi / 6), np.sin(th + math.pi / 6)])
+    V = W / math.cos(math.pi / 6)
+    U = np.vstack([np.column_stack([np.cos(th), np.sin(th)]), W])
+    return U, np.concatenate([np.ones(6), np.einsum("ij,ij->i", W, V)])
+
+
 def singular_subset_instances():
     """Inputs with exactly singular d-subsets besides the box's own +-e_i pairs.
 
     Repeated normals, exactly antiparallel pairs, and three or more
-    hyperplanes through one vertex, in the plane and in space.
+    hyperplanes through one vertex, in the plane and in space; last, a
+    planar input whose triple points are concurrent only up to rounding.
     """
     e2, e3 = np.eye(2), np.eye(3)
     planar = [
@@ -60,7 +75,11 @@ def singular_subset_instances():
         # x = 1, y = 1, z = 1, x + y + z = 3 and x + y = 2 meet at (1, 1, 1)
         (np.vstack([e3, [[1.0, 1, 1], [1, 1, 0]], -e3]), np.array([1.0, 1, 1, 3, 2, 1, 1, 1])),
     ]
-    return [(U, T, BOX2) for U, T in planar] + [(U, T, BOX3) for U, T in spatial]
+    return (
+        [(U, T, BOX2) for U, T in planar]
+        + [(U, T, BOX3) for U, T in spatial]
+        + [(*near_concurrent_hexagon(), BOX2)]
+    )
 
 
 def assert_matches_subset_loop(inter, U, T, box):
@@ -145,6 +164,41 @@ class TestHalfspaceIntersection:
             slow = cell.halfspace_intersection_bruteforce(U, T, *box)
             assert_matches_subset_loop(slow, U, T, box)
 
+    def test_planar_merge_wraps_around(self):
+        # the last vertex merges into the first; a run of three into its head
+        V = np.array([[1.0, 0], [0, 1], [-1, 0], [-1, 1e-16], [-1, 2e-16], [1 + 1e-15, 0]])
+        D = np.arange(12).reshape(6, 2)
+        got_V, got_D = cell._merge_adjacent(V, D)
+        assert got_V.tolist() == V[:3].tolist()
+        assert np.array_equal(got_D, D[:3])
+
+    def test_dedupe_equals_reference_loop(self, rng, monkeypatch):
+        # record what the oracle (every d) and the 3-d fast path hand to
+        # the dedupe, then compare it on exactly those inputs
+        seen = []
+        dedupe = cell._dedupe_vertices
+
+        def record(V, D):
+            seen.append((V, D))
+            return dedupe(V, D)
+
+        monkeypatch.setattr(cell, "_dedupe_vertices", record)
+        instances = singular_subset_instances()
+        instances += [(*random_instance(rng), BOX2) for _ in range(40)]
+        instances += [(*random_instance_3d(rng), BOX3) for _ in range(15)]
+        for U, T, box in instances:
+            cell.halfspace_intersection_bruteforce(U, T, *box)
+            cell.halfspace_intersection(U, T, *box)
+        # a chain 0.6 tol apart: the middle point merges into the first,
+        # the last is kept because its only near neighbour was dropped
+        chain = np.outer([0.0, 0.6e-9, 1.2e-9, 5.0], [1.0, 0.0])
+        seen.append((chain, np.arange(8).reshape(4, 2)))
+        assert sum(len(dedupe(V, D)[0]) < len(V) for V, D in seen) >= 5
+        for V, D in seen:
+            got, want = dedupe(V, D), dedupe_vertices_loop(V, D)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert np.array_equal(got[1], want[1])
+
     def test_oracle_chunks_and_fallback_agree(self, rng, monkeypatch):
         instances = singular_subset_instances()
         instances += [(*random_instance(rng), BOX2) for _ in range(5)]
@@ -218,10 +272,18 @@ class TestKCell:
                 good += 1
         assert good / runs >= 0.99
 
-    def test_debug_oracle_mode(self, ball, iso):
+    def test_debug_oracle_mode(self, ball, iso, monkeypatch):
         params = process.ProcessParams(10.0, iso, 2)
         z = cell.k_cell(params, ball, stream_key=KeyedStream(38, 0), debug_oracle=True)
         assert len(z.vertices) >= 3
+        checks = []
+        check = cell._CellBuilder._cross_check
+        monkeypatch.setattr(
+            cell._CellBuilder, "_cross_check", lambda b, *a: checks.append(check(b, *a))
+        )
+        params3 = process.ProcessParams(2.0, dn.Isotropic(3), 3)
+        z3 = cell.k_cell(params3, geom.Ball([0, 0, 0], 1.0), stream_key=KeyedStream(38, 1), debug_oracle=True)
+        assert len(z3.vertices) >= 4 and checks
 
 
 class TestCellsAlongIntensity:

@@ -1,42 +1,24 @@
-"""Cross-backend agreement for the compiled and pure geometry kernels."""
-import math
-
+"""The NumPy geometry kernels on small inputs with known answers."""
 import numpy as np
 import pytest
 
 from hypercell import _kernels
 
-pure = _kernels.get_backend("pure")
-try:
-    compiled = _kernels.get_backend("compiled")
-    HAVE_COMPILED = True
-except ImportError:
-    compiled = None
-    HAVE_COMPILED = False
-
-needs_compiled = pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernels not built")
-
-
-def random_polygon(rng, k):
-    th = np.sort(rng.uniform(0, 2 * math.pi, k))
-    r = rng.uniform(0.5, 2.0)
-    return np.column_stack([r * np.cos(th), r * np.sin(th)])
-
 
 class TestPureBackend:
     def test_hull_square_with_interior(self):
         pts = np.array([[0, 0], [2, 0], [2, 2], [0, 2], [1, 1], [0.5, 0.7]])
-        idx = pure.convex_hull_2d(pts)
+        idx = _kernels.convex_hull_2d(pts)
         assert sorted(idx.tolist()) == [0, 1, 2, 3]
 
     def test_hull_collinear(self):
         pts = np.array([[0.0, 0], [1, 1], [2, 2], [3, 3]])
-        idx = pure.convex_hull_2d(pts)
+        idx = _kernels.convex_hull_2d(pts)
         assert sorted(idx.tolist()) == [0, 3]
 
     def test_hull_orientation_ccw(self, rng):
         pts = rng.standard_normal((40, 2))
-        idx = pure.convex_hull_2d(pts)
+        idx = _kernels.convex_hull_2d(pts)
         hull = pts[idx]
         area2 = 0.0
         for i in range(len(hull)):
@@ -46,51 +28,24 @@ class TestPureBackend:
 
     def test_distance_inside_zero(self):
         poly = np.array([[-1.0, -1], [1, -1], [1, 1], [-1, 1]])
-        d = pure.polygon_distance(poly, np.array([[0.0, 0], [0.9, 0.9], [2.0, 0.0]]))
+        d = _kernels.polygon_distance(poly, np.array([[0.0, 0], [0.9, 0.9], [2.0, 0.0]]))
         assert d[0] == 0 and d[1] == 0 and d[2] == pytest.approx(1.0)
 
     def test_segment_degenerate(self):
         seg = np.array([[-1.0, 0], [1, 0]])
-        d = pure.polygon_distance(seg, np.array([[0.0, 1.0], [2.0, 0.0], [0.5, 0.0]]))
+        d = _kernels.polygon_distance(seg, np.array([[0.0, 1.0], [2.0, 0.0], [0.5, 0.0]]))
         assert d == pytest.approx([1.0, 1.0, 0.0])
 
     def test_cut_mask(self):
         V = np.array([[1.0, 1], [-1, 1], [-1, -1], [1, -1]])
         U = np.array([[1.0, 0], [1, 0], [0, 1]])
         T = np.array([0.5, 2.0, 1.0])
-        mask = pure.cut_mask(U, T, V)
+        mask = _kernels.cut_mask(U, T, V)
         assert mask.tolist() == [True, False, False]
-
-
-@needs_compiled
-class TestBackendAgreement:
-    def test_hull_agreement(self, rng):
-        for _ in range(200):
-            n = int(rng.integers(1, 200))
-            pts = rng.standard_normal((n, 2))
-            a = pure.convex_hull_2d(pts)
-            b = compiled.convex_hull_2d(pts)
-            assert a.tolist() == b.tolist()
-
-    def test_distance_agreement(self, rng):
-        for _ in range(50):
-            poly = random_polygon(rng, int(rng.integers(2, 12)))
-            hull = poly[pure.convex_hull_2d(poly)]
-            pts = rng.uniform(-3, 3, size=(100, 2))
-            da = pure.polygon_distance(hull, pts)
-            db = compiled.polygon_distance(hull, pts)
-            assert np.abs(da - db).max() < 1e-12
-
-    def test_cut_mask_agreement(self, rng):
-        for _ in range(50):
-            m, k = int(rng.integers(1, 50)), int(rng.integers(1, 20))
-            U = rng.standard_normal((m, 2))
-            U /= np.linalg.norm(U, axis=1, keepdims=True)
-            T = rng.uniform(0.1, 3.0, m)
-            V = rng.uniform(-2, 2, size=(k, 2))
-            assert np.array_equal(pure.cut_mask(U, T, V), compiled.cut_mask(U, T, V))
 
     def test_selected_backend_reported(self):
         import hypercell
 
-        assert hypercell.kernel_backend() in ("pure", "compiled")
+        assert hypercell.kernel_backend() == "pure"
+        for name in ("convex_hull_2d", "polygon_distance", "cut_mask"):
+            assert callable(getattr(_kernels, name))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hypercell import cell, direction as dn, geom, metrics
-from hypercell.errors import InvalidEpsilon
+from hypercell.errors import DegenerateX, InvalidEpsilon
 
 from oracles import ball_excess_oracle, dense_boundary_minimum
 
@@ -120,6 +120,10 @@ class TestMuScaling:
     def test_grid_validation(self, ball, iso):
         with pytest.raises(InvalidEpsilon):
             metrics.mu_scaling(ball, iso, [0.5, 1.5])
+
+    def test_one_point_grid_is_degenerate(self, ball, iso):
+        with pytest.raises(DegenerateX):
+            metrics.mu_scaling(ball, iso, [0.5])
 
     def test_rolling_ball_upper_bound_shape(self, ball, iso):
         # bounded ratio excess/eps^{3/2} along the outward normal (no constant claim)

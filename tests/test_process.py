@@ -159,48 +159,6 @@ class TestSampleAnnulus:
                 assert process.hits(h, square)
 
 
-class TestCoupledStream:
-    def test_counts_nondecreasing(self, iso, ball):
-        params = process.ProcessParams(1.0, iso, 2)
-        rng = stream(21, "cs")
-        sets = process.coupled_stream(params, ball, [1, 2, 4, 8], geom.outer_parallel(ball, 1.0), rng)
-        sizes = [len(s) for s in sets]
-        assert sizes == sorted(sizes)
-        for small, big in zip(sets, sets[1:]):
-            assert small == big[: len(small)]
-
-    def test_increment_means(self, iso, ball):
-        params = process.ProcessParams(1.0, iso, 2)
-        window = geom.outer_parallel(ball, 1.0)
-        rng = stream(22, "inc")
-        grid = [2.0, 6.0]
-        reps = 4000
-        increments = []
-        for _ in range(reps):
-            sets = process.coupled_stream(params, ball, grid, window, rng)
-            increments.append(len(sets[1]) - len(sets[0]))
-        mean = float(np.mean(increments))
-        expected = 2 * (6.0 - 2.0) * window.radius  # Phi(window) factor per unit intensity
-        assert abs(mean - expected) < 3 * math.sqrt(expected / reps)
-
-    def test_marginal_count_distribution(self, iso, ball):
-        params = process.ProcessParams(1.0, iso, 2)
-        window = geom.outer_parallel(ball, 1.0)
-        rng = stream(23, "marg")
-        reps = 4000
-        coupled = []
-        fresh = []
-        for _ in range(reps):
-            coupled.append(len(process.coupled_stream(params, ball, [3.0, 5.0], window, rng)[1]))
-            fresh.append(len(process.sample_hitting(params.with_gamma(5.0), window, rng)))
-        top = max(max(coupled), max(fresh))
-        a = np.bincount(coupled, minlength=top + 1)
-        b = np.bincount(fresh, minlength=top + 1)
-        keep = (a + b) >= 10
-        _, pval, _, _ = chi2_contingency(np.vstack([a[keep], b[keep]]))
-        assert pval > 1e-3
-
-
 class TestDeterminism:
     def test_same_seed_identical(self, iso, ball):
         params = process.ProcessParams(10.0, iso, 2)
@@ -209,15 +167,6 @@ class TestDeterminism:
         assert len(a) == len(b)
         for x, y in zip(a, b):
             assert np.array_equal(x.u, y.u) and x.t == y.t
-
-    def test_csv_rows_round_trip(self, iso, ball):
-        params = process.ProcessParams(5.0, iso, 2)
-        hs = process.sample_hitting(params, ball, stream(25, "csv"))
-        rows = process.hyperplanes_to_rows(hs)
-        back = process.hyperplanes_from_rows(rows)
-        assert len(back) == len(hs)
-        for x, y in zip(hs, back):
-            assert np.allclose(x.u, y.u) and x.t == pytest.approx(y.t)
 
 
 class TestPoissonVariate:

@@ -16,8 +16,14 @@ property testable: building again with extra rings reproduces the same
 vertices.
 
 The planar fast path intersects halfplanes through polar duality (the
-convex hull of the points u/t); a dimension-generic incremental vertex
-enumerator covers d >= 3.  A brute-force subset enumerator is kept as the
+convex hull of the points u/t).  For d >= 3 an incremental vertex
+enumerator starts from the box corners and inserts the halfspaces by
+increasing offset.  Each halfspace that cuts a current vertex is solved
+together with every (d-1)-subset of the planes still defining vertices,
+all in one stacked `np.linalg.solve`; subsets holding both box planes
++e_j and -e_j are dropped first, since they are exactly singular, and an
+insertion whose stack still meets an exactly singular system solves its
+subsets one at a time.  A brute-force subset enumerator is kept as the
 oracle for both: with `debug_oracle=True` every intersection a cell build
 computes, in any dimension, is checked against it.
 """
@@ -164,8 +170,15 @@ def halfspace_intersection(normals, offsets, box_normals, box_offsets, tol: floa
     """Vertices of the intersection of halfspaces {<u,x> <= t} with a box.
 
     All offsets must be positive (origin interior).  The planar path uses
-    polar duality; higher dimensions run the incremental enumerator with
-    slack-sorted insertion.  Near-singular defining subsets are skipped.
+    polar duality.  Higher dimensions run the incremental enumerator:
+    halfspaces are inserted by increasing offset, exact copies of an
+    earlier halfspace are skipped, and each insertion that cuts a vertex
+    solves all its candidate plane subsets in one stacked solve.  Subsets
+    holding a box pair +e_j, -e_j are screened out beforehand; if the
+    stack still raises on an exactly singular system, that insertion
+    solves its subsets one at a time.  Subsets whose solve fails or
+    leaves a residual above SOLVE_RESIDUAL_TOL are skipped.  Box normals
+    must be [e_1, ..., e_d, -e_1, ..., -e_d] for d >= 3.
     """
     U = np.atleast_2d(np.asarray(normals, dtype=np.float64))
     T = np.asarray(offsets, dtype=np.float64)
@@ -243,35 +256,67 @@ def _intersect_incremental(U, T, BU, BT, tol) -> Intersection:
             defin.append(planes)
     V = np.array(verts)
     D = np.array(defin, dtype=np.int64)
+    # a later exact copy of a halfspace adds nothing; inserted, a vertex it
+    # cuts by rounding would come back with points solved from both copies
+    copy = np.ones(n, dtype=bool)
+    copy[np.unique(np.column_stack([U, T]), axis=0, return_index=True)[1]] = False
     order = np.argsort(T)
-    for i in order:
+    for i in order[~copy[order]]:
         u, t = A[i], b[i]
         viol = V @ u > t
         if not viol.any():
             continue
-        keep = ~viol
         active = np.unique(D)
-        new_v = []
-        new_d = []
-        for combo in itertools.combinations(active.tolist(), d - 1):
-            planes = [int(i), *combo]
-            x = _solve_subset(A[planes], b[planes])
-            if x is None:
-                continue
-            slack = b[np.concatenate([active, box_ids])] - A[np.concatenate([active, box_ids])] @ x
-            if slack.min() >= -tol * (1.0 + abs(t)) and u @ x <= t + tol:
-                new_v.append(x)
-                new_d.append(planes)
-        V = np.vstack([V[keep], np.array(new_v)]) if new_v else V[keep]
-        D = (
-            np.vstack([D[keep], np.array(new_d, dtype=np.int64)])
-            if new_d
-            else D[keep]
-        )
+        combos = itertools.combinations(active.tolist(), d - 1)
+        idx = np.fromiter(itertools.chain.from_iterable(combos), dtype=np.int64).reshape(-1, d - 1)
+        idx = idx[~_holds_box_pair(idx, n, d)]
+        idx = np.column_stack([np.full(len(idx), i), idx])
+        X, ok = _solve_subsets(A, b, idx)
+        S = np.concatenate([active, box_ids])
+        slack = b[S] - X[ok] @ A[S].T
+        ok[ok] = (slack.min(axis=1) >= -tol * (1.0 + abs(t))) & (X[ok] @ u <= t + tol)
+        V = np.vstack([V[~viol], X[ok]])
+        D = np.vstack([D[~viol], idx[ok]])
         if len(V) == 0:
             break
     V, D = _dedupe_vertices(V, D)
     return Intersection(V, D, n)
+
+
+def _holds_box_pair(idx: np.ndarray, n: int, d: int) -> np.ndarray:
+    """Rows of sorted plane ids that hold both box planes +e_j (n + j) and -e_j (n + d + j).
+
+    Such a system is exactly singular, and inconsistent besides, since
+    both offsets are positive: it defines no vertex.
+    """
+    pair = np.zeros(len(idx), dtype=bool)
+    for a, c in itertools.combinations(range(idx.shape[1]), 2):
+        pair |= (idx[:, a] >= n) & (idx[:, c] - idx[:, a] == d)
+    return pair
+
+
+def _solve_subsets(A: np.ndarray, b: np.ndarray, idx: np.ndarray):
+    """Solve A[idx[k]] x = b[idx[k]] for every row k as `_solve_subset` would.
+
+    One stacked `np.linalg.solve` covers all rows; it runs the same LAPACK
+    routine per system as a lone solve, so the solutions are the same.
+    One exactly singular system makes the stack raise, and then every row
+    takes `_solve_subset`.  Returns the solutions and a mask of those kept
+    (finite, residual within SOLVE_RESIDUAL_TOL * (1 + max|b|)).
+    """
+    M, r = A[idx], b[idx]
+    try:
+        X = np.linalg.solve(M, r[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        X = np.full(r.shape, np.nan)
+        for k, planes in enumerate(idx):
+            x = _solve_subset(A[planes], b[planes])
+            if x is not None:
+                X[k] = x
+    ok = np.all(np.isfinite(X), axis=1)
+    residual = np.abs(np.matmul(M[ok], X[ok][..., None])[..., 0] - r[ok]).max(axis=1)
+    ok[ok] = residual <= SOLVE_RESIDUAL_TOL * (1.0 + np.abs(r[ok]).max(axis=1))
+    return X, ok
 
 
 def _dedupe_vertices(V: np.ndarray, D: np.ndarray, tol: float = MERGE_TOL):
@@ -423,19 +468,24 @@ class _CellBuilder:
 
 
 def _vertex_sets_match(A: np.ndarray, B: np.ndarray, tol: float) -> bool:
+    """Whether each row a of A, in order, has a nearest unused row of B within tol * (1 + |a|).
+
+    The distance matrix is computed once.  When the rows of A have
+    distinct nearest rows of B, the greedy matching takes exactly those;
+    otherwise it is resolved row by row on the same matrix.
+    """
     if len(A) != len(B):
         return False
     if len(A) == 0:
         return True
-    used = np.zeros(len(B), dtype=bool)
-    for a in A:
-        dist = np.linalg.norm(B - a, axis=1)
-        dist[used] = np.inf
-        j = int(np.argmin(dist))
-        if dist[j] > tol * (1.0 + np.linalg.norm(a)):
-            return False
-        used[j] = True
-    return True
+    dist = np.linalg.norm(A[:, None, :] - B[None, :, :], axis=2)
+    match = dist.argmin(axis=1)
+    if len(np.unique(match)) < len(A):
+        used = np.zeros(len(B), dtype=bool)
+        for i, row in enumerate(dist):
+            match[i] = np.argmin(np.where(used, np.inf, row))
+            used[match[i]] = True
+    return not np.any(dist[np.arange(len(A)), match] > tol * (1.0 + np.linalg.norm(A, axis=1)))
 
 
 def _finalize(builder: _CellBuilder, rho: float, sampled: int, rounds: int) -> CellPolytope:

@@ -47,6 +47,7 @@ def run_all(verbose: bool = True) -> list[CheckResult]:
         _c_thinning_consistency,
         _c_determinism,
         _c_intersection_oracle,
+        _c_intersection_oracle_3d,
         _c_cell_contains_body,
         _c_cell_nesting,
         _c_certificate_stability,
@@ -266,6 +267,23 @@ def _c_intersection_oracle() -> CheckResult:
         if not cell._vertex_sets_match(fast.vertices, slow.vertices, 1e-7):
             bad += 1
     return CheckResult("planar fast path vs subset oracle", bad == 0, f"{bad}/200 mismatches")
+
+
+def _c_intersection_oracle_3d() -> CheckResult:
+    rng = stream(SEED, "oracle3d")
+    BU = np.vstack([np.eye(3), -np.eye(3)])
+    BT = np.full(6, 20.0)
+    bad = 0
+    for _ in range(100):
+        n = int(rng.integers(4, 20))
+        U = rng.standard_normal((n, 3))
+        U /= np.linalg.norm(U, axis=1, keepdims=True)
+        T = rng.uniform(0.3, 2.0, n)
+        fast = cell.halfspace_intersection(U, T, BU, BT)
+        slow = cell.halfspace_intersection_bruteforce(U, T, BU, BT)
+        if not cell._vertex_sets_match(fast.vertices, slow.vertices, 1e-7):
+            bad += 1
+    return CheckResult("3-d fast path vs subset oracle", bad == 0, f"{bad}/100 mismatches")
 
 
 def _c_cell_contains_body() -> CheckResult:

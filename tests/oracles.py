@@ -106,3 +106,93 @@ def dedupe_vertices_loop(V, D, tol=1e-9):
         if not any(np.linalg.norm(V[i] - V[j]) <= tol * (1.0 + np.linalg.norm(V[j])) for j in keep):
             keep.append(i)
     return V[keep], D[keep]
+
+
+def _solve_or_none(M, r, residual_tol):
+    try:
+        x = np.linalg.solve(M, r)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(x)):
+        return None
+    if np.abs(M @ x - r).max() > residual_tol * (1.0 + np.abs(r).max()):
+        return None
+    return x
+
+
+def incremental_vertices_loop(U, T, BU, BT, feas_tol, residual_tol, merge_tol=1e-9):
+    """Vertices of {U x <= T} inside a box {BU x <= BT}, one solve per plane subset.
+
+    The per-combination insertion loop the batched d >= 3 enumerator of
+    the cell module must reproduce: seed with the box corners (BU is
+    [e_1..e_d, -e_1..-e_d]), insert halfspaces by increasing offset, and
+    for each one that cuts a vertex, solve it together with every
+    (d-1)-subset of the planes still defining vertices.  Unlike the cell
+    module, it also inserts exact copies of an earlier halfspace.
+    Returns (vertices, defining) as arrays.
+    """
+    U, T, BU, BT = (np.asarray(z, dtype=np.float64) for z in (U, T, BU, BT))
+    d = BU.shape[1]
+    n = len(T)
+    A = np.vstack([U, BU])
+    b = np.concatenate([T, BT])
+    corners = np.array(list(itertools.product(*[(-1.0, 1.0)] * d)))
+    verts = []
+    defin = []
+    box_ids = np.arange(n, n + 2 * d)
+    for c in corners:
+        planes = [n + j if c[j] > 0 else n + d + j for j in range(d)]
+        x = _solve_or_none(A[planes], b[planes], residual_tol)
+        if x is not None:
+            verts.append(x)
+            defin.append(planes)
+    V = np.array(verts)
+    D = np.array(defin, dtype=np.int64)
+    order = np.argsort(T)
+    for i in order:
+        u, t = A[i], b[i]
+        viol = V @ u > t
+        if not viol.any():
+            continue
+        keep = ~viol
+        active = np.unique(D)
+        new_v = []
+        new_d = []
+        for combo in itertools.combinations(active.tolist(), d - 1):
+            planes = [int(i), *combo]
+            x = _solve_or_none(A[planes], b[planes], residual_tol)
+            if x is None:
+                continue
+            slack = b[np.concatenate([active, box_ids])] - A[np.concatenate([active, box_ids])] @ x
+            if slack.min() >= -feas_tol * (1.0 + abs(t)) and u @ x <= t + feas_tol:
+                new_v.append(x)
+                new_d.append(planes)
+        V = np.vstack([V[keep], np.array(new_v)]) if new_v else V[keep]
+        D = (
+            np.vstack([D[keep], np.array(new_d, dtype=np.int64)])
+            if new_d
+            else D[keep]
+        )
+        if len(V) == 0:
+            break
+    return dedupe_vertices_loop(V, D, merge_tol)
+
+
+def vertex_sets_match_loop(A, B, tol):
+    """Greedy nearest-unused matching, one norm per row of A.
+
+    The reference for the vertex-set comparison in the cell module.
+    """
+    if len(A) != len(B):
+        return False
+    if len(A) == 0:
+        return True
+    used = np.zeros(len(B), dtype=bool)
+    for a in A:
+        dist = np.linalg.norm(B - a, axis=1)
+        dist[used] = np.inf
+        j = int(np.argmin(dist))
+        if dist[j] > tol * (1.0 + np.linalg.norm(a)):
+            return False
+        used[j] = True
+    return True

@@ -1,19 +1,28 @@
+import itertools
 import json
 import math
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypercell import cell, geom, metrics, process
 from hypercell import direction as dn
 from hypercell.errors import WindowOverflow
 from hypercell.rng import KeyedStream
 
-from oracles import dedupe_vertices_loop, subset_vertices_loop
+from oracles import (
+    dedupe_vertices_loop,
+    incremental_vertices_loop,
+    subset_vertices_loop,
+    vertex_sets_match_loop,
+)
 
 BOX2 = (np.vstack([np.eye(2), -np.eye(2)]), np.full(4, 50.0))
 BOX3 = (np.vstack([np.eye(3), -np.eye(3)]), np.full(6, 20.0))
+BOX4 = (np.vstack([np.eye(4), -np.eye(4)]), np.full(8, 20.0))
 
 
 def random_instance(rng, max_n=40):
@@ -24,9 +33,9 @@ def random_instance(rng, max_n=40):
     return U, T
 
 
-def random_instance_3d(rng, max_n=14):
+def random_spatial_instance(rng, d=3, max_n=14):
     n = int(rng.integers(4, max_n))
-    U = rng.standard_normal((n, 3))
+    U = rng.standard_normal((n, d))
     U /= np.linalg.norm(U, axis=1, keepdims=True)
     T = rng.uniform(0.3, 2.0, n)
     return U, T
@@ -80,6 +89,30 @@ def singular_subset_instances():
         + [(U, T, BOX3) for U, T in spatial]
         + [(*near_concurrent_hexagon(), BOX2)]
     )
+
+
+def concurrent_integer_instances():
+    """Integer normals touching the corners of an integer box, in 3-d and 4-d.
+
+    Every plane passes through a corner of the box [-lo, hi], so several
+    planes meet at each corner, and many d-subsets of normals are
+    linearly dependent, hence exactly singular.
+    """
+    out = []
+    U3 = np.array([v for v in itertools.product((-1.0, 0.0, 1.0), repeat=3) if any(v)])
+    for lo, hi in (([1, 1, 1], [1, 1, 1]), ([1, 2, 1], [2, 1, 3])):
+        out.append((U3, np.maximum(U3 * hi, -U3 * np.array(lo)).sum(axis=1), BOX3))
+    e4 = np.eye(4)
+    U4 = np.vstack([e4, -e4, [e4[i] + e4[j] for i, j in itertools.combinations(range(4), 2)], [[1.0, -1, 0, 0]]])
+    for lo, hi in (([1, 1, 1, 1], [1, 1, 1, 1]), ([2, 1, 1, 3], [1, 2, 1, 1])):
+        out.append((U4, np.maximum(U4 * hi, -U4 * np.array(lo)).sum(axis=1), BOX4))
+    return out
+
+
+def assert_matches_incremental_loop(inter, U, T, box):
+    V, D = incremental_vertices_loop(U, T, *box, cell.FEAS_TOL, cell.SOLVE_RESIDUAL_TOL)
+    assert inter.vertices.tobytes() == V.tobytes()
+    assert np.array_equal(inter.defining, D)
 
 
 def assert_matches_subset_loop(inter, U, T, box):
@@ -159,7 +192,7 @@ class TestHalfspaceIntersection:
         # the stacked solve must reproduce the one-solve-per-subset
         # enumeration exactly: same vertices, same defining rows, same order
         instances = [(*random_instance(rng), BOX2) for _ in range(40)]
-        instances += [(*random_instance_3d(rng), BOX3) for _ in range(15)]
+        instances += [(*random_spatial_instance(rng), BOX3) for _ in range(15)]
         for U, T, box in instances:
             slow = cell.halfspace_intersection_bruteforce(U, T, *box)
             assert_matches_subset_loop(slow, U, T, box)
@@ -185,7 +218,7 @@ class TestHalfspaceIntersection:
         monkeypatch.setattr(cell, "_dedupe_vertices", record)
         instances = singular_subset_instances()
         instances += [(*random_instance(rng), BOX2) for _ in range(40)]
-        instances += [(*random_instance_3d(rng), BOX3) for _ in range(15)]
+        instances += [(*random_spatial_instance(rng), BOX3) for _ in range(15)]
         for U, T, box in instances:
             cell.halfspace_intersection_bruteforce(U, T, *box)
             cell.halfspace_intersection(U, T, *box)
@@ -202,7 +235,7 @@ class TestHalfspaceIntersection:
     def test_oracle_chunks_and_fallback_agree(self, rng, monkeypatch):
         instances = singular_subset_instances()
         instances += [(*random_instance(rng), BOX2) for _ in range(5)]
-        instances += [(*random_instance_3d(rng), BOX3) for _ in range(5)]
+        instances += [(*random_spatial_instance(rng), BOX3) for _ in range(5)]
         want = [cell.halfspace_intersection_bruteforce(U, T, *box) for U, T, box in instances]
         # small chunks split the subsets across many stacked solves
         monkeypatch.setattr(cell, "ORACLE_CHUNK", 7)
@@ -214,9 +247,133 @@ class TestHalfspaceIntersection:
         for (U, T, box), w in zip(instances, want):
             assert_same_intersection(cell.halfspace_intersection_bruteforce(U, T, *box), w)
 
+    def test_incremental_batched_equals_loop(self, rng):
+        # one stacked solve per inserted halfspace must reproduce the
+        # one-solve-per-combination loop: same vertices, defining rows, order
+        instances = [inst for inst in singular_subset_instances() if inst[2] is BOX3]
+        instances += [(*random_spatial_instance(rng), BOX3) for _ in range(40)]
+        instances += [(*random_spatial_instance(rng, d=4, max_n=11), BOX4) for _ in range(15)]
+        instances += concurrent_integer_instances()
+        for U, T, box in instances:
+            assert_matches_incremental_loop(cell.halfspace_intersection(U, T, *box), U, T, box)
+
+    def test_incremental_fallback_equals_loop(self, rng, monkeypatch):
+        instances = [inst for inst in singular_subset_instances() if inst[2] is BOX3]
+        instances += [(*random_spatial_instance(rng), BOX3) for _ in range(5)]
+        instances += [(*random_spatial_instance(rng, d=4, max_n=9), BOX4) for _ in range(3)]
+        want = [cell.halfspace_intersection(U, T, *box) for U, T, box in instances]
+        solve = np.linalg.solve
+        raised = []
+
+        def unstackable(M, r):
+            if np.ndim(M) > 2:
+                raised.append(len(M))
+                raise np.linalg.LinAlgError("stacked solve refused")
+            return solve(M, r)
+
+        # every stacked solve raises, so every insertion solves one combination at a time
+        monkeypatch.setattr(cell.np.linalg, "solve", unstackable)
+        for (U, T, box), w in zip(instances, want):
+            assert_same_intersection(cell.halfspace_intersection(U, T, *box), w)
+        monkeypatch.undo()
+        assert len(raised) >= 3 * len(instances)
+        for (U, T, box), w in zip(instances, want):
+            assert_matches_incremental_loop(w, U, T, box)
+
+    def test_incremental_ignores_exact_copies(self, rng):
+        # an exact copy of a halfspace leaves the set unchanged, and so the
+        # output; inserting the copy, when rounding let it cut a vertex,
+        # added points inside an edge, solved from both copies
+        for _ in range(40):
+            U, T = random_spatial_instance(rng)
+            want = cell.halfspace_intersection(U, T, *BOX3)
+            box_shifted = want.defining + (want.defining >= len(T))  # the copy comes before the box
+            for k in range(len(T)):
+                got = cell.halfspace_intersection(np.vstack([U, U[k]]), np.append(T, T[k]), *BOX3)
+                assert got.vertices.tobytes() == want.vertices.tobytes()
+                assert np.array_equal(got.defining, box_shifted)
+
+    def test_vertex_sets_match_equals_loop(self, rng, monkeypatch):
+        # record the vertex sets a debug-oracle build compares, then add
+        # permuted, perturbed and greedy-conflict variants of them
+        seen = []
+        match = cell._vertex_sets_match
+
+        def record(A, B, tol):
+            seen.append((A, B, tol))
+            return match(A, B, tol)
+
+        monkeypatch.setattr(cell, "_vertex_sets_match", record)
+        params = process.ProcessParams(10.0, dn.Isotropic(2), 2)
+        cell.k_cell(params, geom.Ball([0, 0], 1.0), stream_key=KeyedStream(46, 0), debug_oracle=True)
+        params3 = process.ProcessParams(2.0, dn.Isotropic(3), 3)
+        cell.k_cell(params3, geom.Ball([0, 0, 0], 1.0), stream_key=KeyedStream(46, 1), debug_oracle=True)
+        for U, T, box in singular_subset_instances():
+            fast = cell.halfspace_intersection(U, T, *box)
+            seen.append((fast.vertices, cell.halfspace_intersection_bruteforce(U, T, *box).vertices, 1e-7))
+        cases = []
+        for A, B, tol in seen:
+            perm = rng.permutation(len(B))
+            nudge = np.zeros_like(B)
+            nudge[perm[0]] = 2 * tol * (1.0 + np.linalg.norm(B[perm[0]]))
+            cases += [(A, B, tol), (A, B[perm], tol), (A, B + nudge, tol), (A, B[:-1], tol)]
+        # both rows of A lie nearest to B[0]: the greedy gives B[0] to the
+        # first row and the second must take B[1], which is too far at 1e-9
+        A = np.array([[0.0, 0.0], [1e-9, 0.0]])
+        B = np.array([[0.5e-9, 0.0], [1e-8, 0.0]])
+        cases += [(A, B, 1e-9), (A, B, 1e-8), (A[::-1], B, 1e-9), (A, B[:0], 1e-9), (A[:0], B[:0], 1e-9)]
+        got = [match(A, B, tol) for A, B, tol in cases]
+        assert got == [vertex_sets_match_loop(A, B, tol) for A, B, tol in cases]
+        assert len(seen) >= 10 and True in got and False in got
+
     def test_offsets_must_be_positive(self):
         with pytest.raises(ValueError):
             cell.halfspace_intersection(np.array([[1.0, 0]]), np.array([-0.5]), *BOX2)
+
+
+@st.composite
+def parallel_pair_instances(draw):
+    """A random 2-d or 3-d instance plus one halfspace parallel or nearly parallel to one of its own.
+
+    The extra normal repeats normal k exactly, negates it, or turns it by
+    an angle in [1e-6, 1e-3]; its offset is T[k] or T[k] scaled by a
+    factor in [0.8, 1.25].  Returns (U, T, box, duplicate), where
+    duplicate marks an exact copy of halfspace k.
+    """
+    d = draw(st.sampled_from([2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(3, 12 if d == 2 else 8))
+    U = rng.standard_normal((n, d))
+    U /= np.linalg.norm(U, axis=1, keepdims=True)
+    T = rng.uniform(0.3, 2.0, n)
+    k = draw(st.integers(0, n - 1))
+    kind = draw(st.sampled_from(["repeated", "antiparallel", "near"]))
+    t = T[k] * draw(st.just(1.0) | st.floats(0.8, 1.25))
+    if kind == "repeated":
+        v = U[k]
+    elif kind == "antiparallel":
+        v = -U[k]
+    else:
+        w = rng.standard_normal(d)
+        w -= (w @ U[k]) * U[k]
+        angle = 10.0 ** draw(st.floats(-6.0, -3.0))
+        v = math.cos(angle) * U[k] + math.sin(angle) * w / np.linalg.norm(w)
+    box = BOX2 if d == 2 else BOX3
+    return np.vstack([U, v]), np.append(T, t), box, kind == "repeated" and t == T[k]
+
+
+class TestIntersectionProperties:
+    @settings(max_examples=300)
+    @given(parallel_pair_instances())
+    def test_fast_path_matches_oracle_on_parallel_pairs(self, inst):
+        U, T, box, duplicate = inst
+        fast = cell.halfspace_intersection(U, T, *box)
+        # an exact copy of a halfspace leaves the set unchanged; the oracle
+        # runs without it, since on copies it can return a point inside an
+        # edge, solved from both copies
+        keep = slice(-1 if duplicate else None)
+        slow = cell.halfspace_intersection_bruteforce(U[keep], T[keep], *box)
+        assert cell._vertex_sets_match(fast.vertices, slow.vertices, 1e-7)
 
 
 @pytest.fixture
@@ -327,6 +484,20 @@ class TestCellsAlongIntensity:
         mean = float(np.mean(counts))
         expected = 2 * 64 * 1.0  # annulus mass at gamma=64, width = diameter/2 = 1
         assert abs(mean - expected) < 4 * math.sqrt(expected / reps) + 0.2
+
+    def test_3d_nesting_containment_and_rerun(self):
+        ball3 = geom.Ball([0, 0, 0], 1.0)
+        params = process.ProcessParams(1.0, dn.Isotropic(3), 3)
+        for rep in range(3):
+            key = KeyedStream(45, rep)
+            cells = cell.cells_along_intensity(params, ball3, [8, 16, 32], stream_key=key, debug_oracle=True)
+            for za, zb in zip(cells, cells[1:]):
+                assert np.all(zb.vertices @ za.normals.T <= za.offsets + 1e-9)
+            for z in cells:
+                assert len(z.vertices) >= 4
+                assert np.all(z.offsets > ball3.support_batch(z.normals))
+            again = cell.cells_along_intensity(params, ball3, [8, 16, 32], stream_key=key)
+            assert [z.dumps() for z in again] == [z.dumps() for z in cells]
 
     def test_atomic_directions_respected_end_to_end(self, facet_atoms, square):
         params = process.ProcessParams(1.0, facet_atoms, 2)

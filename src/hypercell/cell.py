@@ -225,37 +225,17 @@ def _merge_adjacent(V: np.ndarray, D: np.ndarray):
     return V[~dup], D[~dup]
 
 
-def _solve_subset(A: np.ndarray, b: np.ndarray):
-    try:
-        x = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(x)):
-        return None
-    residual = np.abs(A @ x - b).max()
-    if residual > SOLVE_RESIDUAL_TOL * (1.0 + np.abs(b).max()):
-        return None
-    return x
-
-
 def _intersect_incremental(U, T, BU, BT, tol) -> Intersection:
     d = BU.shape[1]
     n = len(T)
     A = np.vstack([U, BU])
     b = np.concatenate([T, BT])
-    # start from the box corners
-    corners = np.array(list(itertools.product(*[(-1.0, 1.0)] * d)))
-    verts = []
-    defin = []
+    # start from the box corners: plane n + j is +e_j, n + d + j is -e_j,
+    # and the corners run from (-1, ..., -1) to (1, ..., 1) in product order
+    corners = n + np.arange(d) + d * np.array(list(itertools.product((1, 0), repeat=d)))
+    X, ok = _solve_subsets(A, b, corners)
+    V, D = X[ok], corners[ok]
     box_ids = np.arange(n, n + 2 * d)
-    for c in corners:
-        planes = [n + j if c[j] > 0 else n + d + j for j in range(d)]
-        x = _solve_subset(A[planes], b[planes])
-        if x is not None:
-            verts.append(x)
-            defin.append(planes)
-    V = np.array(verts)
-    D = np.array(defin, dtype=np.int64)
     # a later exact copy of a halfspace adds nothing; inserted, a vertex it
     # cuts by rounding would come back with points solved from both copies
     copy = np.ones(n, dtype=bool)
@@ -296,23 +276,25 @@ def _holds_box_pair(idx: np.ndarray, n: int, d: int) -> np.ndarray:
 
 
 def _solve_subsets(A: np.ndarray, b: np.ndarray, idx: np.ndarray):
-    """Solve A[idx[k]] x = b[idx[k]] for every row k as `_solve_subset` would.
+    """Solve A[idx[k]] x = b[idx[k]] for every row k.
 
     One stacked `np.linalg.solve` covers all rows; it runs the same LAPACK
     routine per system as a lone solve, so the solutions are the same.
-    One exactly singular system makes the stack raise, and then every row
-    takes `_solve_subset`.  Returns the solutions and a mask of those kept
-    (finite, residual within SOLVE_RESIDUAL_TOL * (1 + max|b|)).
+    One exactly singular system makes the stack raise, and then the rows
+    are solved one at a time, a singular one left NaN.  Returns the
+    solutions and a mask of those kept (finite, residual within
+    SOLVE_RESIDUAL_TOL * (1 + max|b|)).
     """
     M, r = A[idx], b[idx]
     try:
         X = np.linalg.solve(M, r[..., None])[..., 0]
     except np.linalg.LinAlgError:
         X = np.full(r.shape, np.nan)
-        for k, planes in enumerate(idx):
-            x = _solve_subset(A[planes], b[planes])
-            if x is not None:
-                X[k] = x
+        for k in range(len(idx)):
+            try:
+                X[k] = np.linalg.solve(M[k], r[k])
+            except np.linalg.LinAlgError:
+                pass
     ok = np.all(np.isfinite(X), axis=1)
     residual = np.abs(np.matmul(M[ok], X[ok][..., None])[..., 0] - r[ok]).max(axis=1)
     ok[ok] = residual <= SOLVE_RESIDUAL_TOL * (1.0 + np.abs(r[ok]).max(axis=1))
@@ -470,21 +452,19 @@ class _CellBuilder:
 def _vertex_sets_match(A: np.ndarray, B: np.ndarray, tol: float) -> bool:
     """Whether each row a of A, in order, has a nearest unused row of B within tol * (1 + |a|).
 
-    The distance matrix is computed once.  When the rows of A have
-    distinct nearest rows of B, the greedy matching takes exactly those;
-    otherwise it is resolved row by row on the same matrix.
+    The distance matrix is computed once; the greedy matching then runs
+    row by row on it.
     """
     if len(A) != len(B):
         return False
     if len(A) == 0:
         return True
     dist = np.linalg.norm(A[:, None, :] - B[None, :, :], axis=2)
-    match = dist.argmin(axis=1)
-    if len(np.unique(match)) < len(A):
-        used = np.zeros(len(B), dtype=bool)
-        for i, row in enumerate(dist):
-            match[i] = np.argmin(np.where(used, np.inf, row))
-            used[match[i]] = True
+    match = np.empty(len(A), dtype=np.int64)
+    used = np.zeros(len(B), dtype=bool)
+    for i, row in enumerate(dist):
+        match[i] = np.argmin(np.where(used, np.inf, row))
+        used[match[i]] = True
     return not np.any(dist[np.arange(len(A)), match] > tol * (1.0 + np.linalg.norm(A, axis=1)))
 
 

@@ -252,37 +252,39 @@ def _c_determinism() -> CheckResult:
     return CheckResult("seeded determinism", same, f"{len(a)} hyperplanes identical")
 
 
-def _c_intersection_oracle() -> CheckResult:
-    rng = stream(SEED, "oracle")
+def _oracle_mismatches(label: str, d: int, count: int, n_max: int, box: float) -> int:
+    """Seeded random instances on which the fast path and the subset oracle differ.
+
+    Planar normals are drawn by angle, higher-dimensional ones as
+    normalised Gaussians; offsets are uniform on [0.3, 2).
+    """
+    rng = stream(SEED, label)
+    BU = np.vstack([np.eye(d), -np.eye(d)])
+    BT = np.full(2 * d, box)
     bad = 0
-    for _ in range(200):
-        n = int(rng.integers(4, 40))
-        th = rng.uniform(0, 2 * math.pi, n)
-        U = np.column_stack([np.cos(th), np.sin(th)])
+    for _ in range(count):
+        n = int(rng.integers(4, n_max))
+        if d == 2:
+            th = rng.uniform(0, 2 * math.pi, n)
+            U = np.column_stack([np.cos(th), np.sin(th)])
+        else:
+            U = rng.standard_normal((n, d))
+            U /= np.linalg.norm(U, axis=1, keepdims=True)
         T = rng.uniform(0.3, 2.0, n)
-        BU = np.vstack([np.eye(2), -np.eye(2)])
-        BT = np.full(4, 50.0)
         fast = cell.halfspace_intersection(U, T, BU, BT)
         slow = cell.halfspace_intersection_bruteforce(U, T, BU, BT)
         if not cell._vertex_sets_match(fast.vertices, slow.vertices, 1e-7):
             bad += 1
+    return bad
+
+
+def _c_intersection_oracle() -> CheckResult:
+    bad = _oracle_mismatches("oracle", 2, 200, 40, 50.0)
     return CheckResult("planar fast path vs subset oracle", bad == 0, f"{bad}/200 mismatches")
 
 
 def _c_intersection_oracle_3d() -> CheckResult:
-    rng = stream(SEED, "oracle3d")
-    BU = np.vstack([np.eye(3), -np.eye(3)])
-    BT = np.full(6, 20.0)
-    bad = 0
-    for _ in range(100):
-        n = int(rng.integers(4, 20))
-        U = rng.standard_normal((n, 3))
-        U /= np.linalg.norm(U, axis=1, keepdims=True)
-        T = rng.uniform(0.3, 2.0, n)
-        fast = cell.halfspace_intersection(U, T, BU, BT)
-        slow = cell.halfspace_intersection_bruteforce(U, T, BU, BT)
-        if not cell._vertex_sets_match(fast.vertices, slow.vertices, 1e-7):
-            bad += 1
+    bad = _oracle_mismatches("oracle3d", 3, 100, 20, 20.0)
     return CheckResult("3-d fast path vs subset oracle", bad == 0, f"{bad}/100 mismatches")
 
 

@@ -5,10 +5,9 @@ from hypothesis import settings
 from hypercell import direction as dn
 from hypercell import geom
 
-# Property tests draw the same examples on every run, so a pass or a
-# failure repeats; no example database is read or written.
+# A property test that takes this profile draws the same examples on every
+# run, so a pass or a failure repeats; no example database is read or written.
 settings.register_profile("deterministic", derandomize=True, deadline=None, max_examples=100, database=None)
-settings.load_profile("deterministic")
 
 
 @pytest.fixture

@@ -363,7 +363,7 @@ def parallel_pair_instances(draw):
 
 
 class TestIntersectionProperties:
-    @settings(max_examples=300)
+    @settings(settings.get_profile("deterministic"), max_examples=300)
     @given(parallel_pair_instances())
     def test_fast_path_matches_oracle_on_parallel_pairs(self, inst):
         U, T, box, duplicate = inst

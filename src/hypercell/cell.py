@@ -13,7 +13,11 @@ Windows grow through the fixed schedule rho_0 * growth^k and each ring
 gets its own keyed substream, so enlarging the window extends a sampled
 configuration instead of resampling it.  That makes the certificate
 property testable: building again with extra rings reproduces the same
-vertices.
+vertices.  Along an increasing intensity grid the window is certified
+once, for the cell at the smallest intensity; each further level adds an
+independent Poisson band of the intensity increment, sampled only as far
+from the body as the current cell reaches, since no hyperplane farther
+out can cut it.
 
 The planar fast path intersects halfplanes through polar duality (the
 convex hull of the points u/t).  For d >= 3 an incremental vertex
@@ -38,7 +42,7 @@ import numpy as np
 from hypercell import _kernels, geom
 from hypercell.errors import WindowOverflow
 from hypercell.process import ProcessParams, _sample_annulus_arrays
-from hypercell.rng import as_keyed_stream
+from hypercell.rng import as_keyed_stream, poisson_variate
 
 FEAS_TOL = 1e-9
 MERGE_TOL = 1e-9  # vertices closer than MERGE_TOL * (1 + |v|) are one vertex
@@ -328,7 +332,9 @@ def halfspace_intersection_bruteforce(normals, offsets, box_normals, box_offsets
     the per-subset rules: a subset that `np.linalg.solve` rejects as
     singular is skipped, a non-finite solution or one with residual above
     SOLVE_RESIDUAL_TOL * (1 + max|b|) is dropped, and a kept vertex
-    satisfies A x <= b + tol (1 + |b|).  It uses nothing from
+    satisfies A x <= b + tol (1 + |b|).  Later exact copies of a
+    halfspace are left out; `defining` indexes the full input.  It uses
+    nothing from
     `_intersect_dual_2d`, `_intersect_incremental` or `_kernels`, so it
     stays an independent check of both fast paths.
     """
@@ -336,8 +342,13 @@ def halfspace_intersection_bruteforce(normals, offsets, box_normals, box_offsets
     T = np.asarray(offsets, dtype=np.float64)
     BU = np.atleast_2d(np.asarray(box_normals, dtype=np.float64))
     BT = np.asarray(box_offsets, dtype=np.float64)
-    A = np.vstack([U, BU])
-    b = np.concatenate([T, BT])
+    # only the first of exact copies of a halfspace takes part: the system of
+    # two copies is singular only up to rounding, and its solution can be a
+    # feasible point inside an edge
+    first = np.sort(np.unique(np.column_stack([U, T]), axis=0, return_index=True)[1])
+    rows = np.concatenate([first, len(T) + np.arange(len(BT))])
+    A = np.vstack([U, BU])[rows]
+    b = np.concatenate([T, BT])[rows]
     d = A.shape[1]
     bound = b + tol * (1.0 + np.abs(b))
     combos = itertools.combinations(range(len(b)), d)
@@ -355,7 +366,7 @@ def halfspace_intersection_bruteforce(normals, offsets, box_normals, box_offsets
     if not verts:  # fewer constraints than dimensions
         return Intersection(np.empty((0, d)), np.empty((0, d), dtype=np.int64), len(T))
     V, D = _dedupe_vertices(np.concatenate(verts), np.concatenate(defin))
-    return Intersection(V, D, len(T))
+    return Intersection(V, rows[D], len(T))
 
 
 def _solve_each(M: np.ndarray, r: np.ndarray):
@@ -492,85 +503,74 @@ def cells_along_intensity(
 ) -> list[CellPolytope]:
     """Coupled K-cells for every intensity in an increasing grid.
 
-    One realization of the embedded process serves all intensities: each
-    sampled hyperplane carries a uniform birth intensity in
-    (0, gamma_max], and the cell at gamma uses those born by gamma.
-    Cells are therefore nested and share one window certificate (grown
-    until the largest cell fits strictly inside).  `stream_key` is an int
-    seed or KeyedStream; window rings use keyed substreams so enlarged
-    windows extend the configuration (`extra_rings` forces enlargement,
-    used by certificate tests).
+    One realization of the embedded process serves all intensities: the
+    process at gamma_j is the one at gamma_1 plus independent Poisson
+    bands of intensity gamma_i - gamma_{i-1}, i <= j, so the cells are
+    nested.  The cell at gamma_1 fixes the window certificate: window
+    ring r is sampled at gamma_1 from its own keyed substream, and rings
+    are added until every vertex lies strictly inside the window radius
+    rho (`extra_rings` adds more, used by certificate tests).  Band j is
+    sampled only up to reach_j, the largest vertex distance of the cell
+    at gamma_{j-1} plus FEAS_TOL: that cell lies in body + reach_j * B,
+    so a hyperplane at a larger gap misses it and cannot cut any later
+    cell.  The band's hyperplanes with gap in (reach_j, rho] are counted
+    but never placed: their Poisson counts are drawn after all bands, so
+    `stats.sampled` is still the number of process hyperplanes in the
+    window born by gamma_j, and extra rings leave every cell unchanged.
+    `stream_key` is an int seed or KeyedStream.
     """
     grid = [float(g) for g in gamma_grid]
     if any(g <= 0 for g in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("gamma grid must be positive and strictly increasing")
     policy = policy or WindowPolicy()
     key = as_keyed_stream(stream_key)
-    gamma_max = grid[-1]
-    params_max = params_base.with_gamma(gamma_max)
+    params_1 = params_base.with_gamma(grid[0])
+    rings_U, rings_T = [], []
 
-    builder = _CellBuilder(body, body.dim, debug_oracle)
-    ring_store: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (U, T, marks)
-    sampled_total = 0
-
-    def sample_ring(r: int):
-        nonlocal sampled_total
-        rng = key.child("ring", r)
+    def ring_cell(r: int) -> _CellBuilder:
         inner = body if r == 0 else geom.outer_parallel(body, policy.radius(body, r - 1))
         outer = geom.outer_parallel(body, policy.radius(body, r))
-        U, T = _sample_annulus_arrays(params_max, inner, outer, rng)
-        marks = gamma_max * (1.0 - rng.random(len(T)))  # birth intensity in (0, gamma_max]
-        ring_store.append((U, T, marks))
-        sampled_total += len(T)
+        U, T = _sample_annulus_arrays(params_1, inner, outer, key.child("ring", r))
+        rings_U.append(U)
+        rings_T.append(T)
+        builder = _CellBuilder(body, body.dim, debug_oracle)
+        builder.rebuild(np.vstack(rings_U), np.concatenate(rings_T), policy.radius(body, r))
+        return builder
 
     # phase 1: certify the largest cell (smallest intensity)
-    g1 = grid[0]
-    rounds = 0
-    certified = False
-    while rounds < policy.max_rounds:
-        sample_ring(rounds)
-        rho = policy.radius(body, rounds)
-        sel = [(U[m <= g1], T[m <= g1]) for U, T, m in ring_store]
-        builder = _CellBuilder(body, body.dim, debug_oracle)
-        builder.rebuild(
-            np.vstack([u for u, _ in sel]) if sel else np.empty((0, body.dim)),
-            np.concatenate([t for _, t in sel]) if sel else np.empty(0),
-            rho,
-        )
-        rounds += 1
+    for r in range(policy.max_rounds):
+        builder = ring_cell(r)
         margins = builder.margins()
-        if len(margins) and margins.max() < rho - FEAS_TOL:
-            certified = True
+        if len(margins) and margins.max() < policy.radius(body, r) - FEAS_TOL:
             break
-    if not certified:
-        raise WindowOverflow(rounds, policy.radius(body, rounds - 1))
-
-    for _ in range(extra_rings):
-        sample_ring(rounds)
-        rho = policy.radius(body, rounds)
-        sel = [(U[m <= g1], T[m <= g1]) for U, T, m in ring_store]
-        builder = _CellBuilder(body, body.dim, debug_oracle)
-        builder.rebuild(
-            np.vstack([u for u, _ in sel]),
-            np.concatenate([t for _, t in sel]),
-            rho,
-        )
-        rounds += 1
+    else:
+        raise WindowOverflow(policy.max_rounds, policy.radius(body, policy.max_rounds - 1))
+    rounds = r + 1 + extra_rings
+    for r in range(r + 1, rounds):
+        builder = ring_cell(r)
 
     rho_final = policy.radius(body, rounds - 1)
-    count1 = sum(int((m <= g1).sum()) for _, _, m in ring_store)
-    cells = [_finalize(builder, rho_final, count1, rounds)]
+    sampled = sum(len(T) for T in rings_T)
+    cells = [_finalize(builder, rho_final, sampled, rounds)]
 
-    # phase 2: later intensities only add constraints; cells shrink
-    prev = g1
-    running = count1
-    for g in grid[1:]:
-        for U, T, m in ring_store:
-            pick = (m > prev) & (m <= g)
-            running += int(pick.sum())
-            builder.add_incremental(U[pick], T[pick], rho_final)
-        cells.append(_finalize(builder, rho_final, running, rounds))
-        prev = g
+    # phase 2: each band only adds constraints, within the reach of the cell
+    rng = key.child("bands")
+    beyond = []
+    for g_prev, g in zip(grid, grid[1:]):
+        reach = min(builder.margins().max() + FEAS_TOL, rho_final)
+        U, T = _sample_annulus_arrays(
+            params_base.with_gamma(g - g_prev), body, geom.outer_parallel(body, reach), rng
+        )
+        sampled += len(T)
+        builder.add_incremental(U, T, rho_final)
+        cells.append(_finalize(builder, rho_final, sampled, rounds))
+        beyond.append(2.0 * (g - g_prev) * (rho_final - reach))
+    # drawn last: the masses depend on rho_final, so an extra window ring
+    # changes these counts but no placed hyperplane
+    unplaced = 0
+    for z, mass in zip(cells[1:], beyond):
+        unplaced += poisson_variate(rng, mass)
+        z.stats.sampled += unplaced
     return cells
 
 

@@ -215,6 +215,9 @@ class CapStarved:
             self._piece_masses.append(m[i] - m[i + 1])
         self._piece_angles.append((0.0, ang[-1]))
         self._piece_masses.append(m[-1])
+        # sampling table: each cap piece at twice its one-sided mass, then the outside band
+        self._draw_p = np.array([2.0 * b for b in self._piece_masses] + [self.outside_mass])
+        self._draw_lo, self._draw_hi = np.array(self._piece_angles + [(ang[0], math.pi - ang[0])]).T
         self._basis = _orthonormal_complement(self.axis)
         self._sigma_cache: dict[tuple, float] = {}
 
@@ -266,47 +269,35 @@ class CapStarved:
             total += self.outside_mass * frac
         return total
 
-    def _sample_polar(self, rng, n, lo, hi):
-        if self.dim == 2 or n == 0:
-            return rng.uniform(lo, hi, size=n)
-        # rejection against the uniform angle with sin^(d-2) weight
-        env = max(math.sin(lo), math.sin(hi), 1.0 if lo <= math.pi / 2 <= hi else 0.0)
-        env = env ** (self.dim - 2)
-        out = np.empty(n)
-        got = 0
-        while got < n:
-            m = 2 * (n - got) + 16
-            t = rng.uniform(lo, hi, size=m)
-            keep = rng.random(m) * env <= np.sin(t) ** (self.dim - 2)
-            acc = t[keep][: n - got]
-            out[got : got + len(acc)] = acc
-            got += len(acc)
+    def _sample_polar(self, rng, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """One polar angle per row in [lo_i, hi_i], with density proportional to sin^(d-2)."""
+        if self.dim == 2:
+            return rng.uniform(lo, hi)
+        # rejection against the uniform angle, each row under its own envelope
+        env = np.maximum(np.sin(lo), np.sin(hi))
+        env[(lo <= math.pi / 2) & (math.pi / 2 <= hi)] = 1.0
+        env **= self.dim - 2
+        out = np.empty(len(lo))
+        todo = np.arange(len(lo))
+        while len(todo):
+            t = rng.uniform(lo[todo], hi[todo])
+            ok = rng.random(len(todo)) * env[todo] <= np.sin(t) ** (self.dim - 2)
+            out[todo[ok]] = t[ok]
+            todo = todo[~ok]
         return out
 
     def sample_batch(self, rng, n: int) -> np.ndarray:
-        masses = [2.0 * b for b in self._piece_masses] + [self.outside_mass]
-        idx = rng.choice(len(masses), size=n, p=np.asarray(masses))
-        out = np.empty((n, self.dim))
-        for i, mass in enumerate(masses):
-            sel = np.nonzero(idx == i)[0]
-            if len(sel) == 0:
-                continue
-            if i < len(self._piece_masses):
-                lo, hi = self._piece_angles[i]
-            else:
-                lo, hi = self.cap_angles[0], math.pi - self.cap_angles[0]
-            theta = self._sample_polar(rng, len(sel), lo, hi)
-            if self.dim == 2:
-                sign = np.where(rng.random(len(sel)) < 0.5, 1.0, -1.0)
-                tang = sign[:, None] * self._basis[0]
-            else:
-                tang = _uniform_sphere(rng, len(sel), self.dim - 1) @ self._basis
-            u = np.cos(theta)[:, None] * self.axis + np.sin(theta)[:, None] * tang
-            if i < len(self._piece_masses):
-                flip = np.where(rng.random(len(sel)) < 0.5, 1.0, -1.0)
-                u = flip[:, None] * u
-            out[sel] = u
-        return out
+        idx = rng.choice(len(self._draw_p), size=n, p=self._draw_p)
+        theta = self._sample_polar(rng, self._draw_lo[idx], self._draw_hi[idx])
+        if self.dim == 2:
+            sign = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+            tang = sign[:, None] * self._basis[0]
+        else:
+            tang = _uniform_sphere(rng, n, self.dim - 1) @ self._basis
+        u = np.cos(theta)[:, None] * self.axis + np.sin(theta)[:, None] * tang
+        # a cap piece is one-sided: half its draws go to the antipodal cap
+        flip = np.where((idx < len(self._piece_masses)) & (rng.random(n) < 0.5), -1.0, 1.0)
+        return flip[:, None] * u
 
 
 class Mixture:

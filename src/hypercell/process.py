@@ -8,7 +8,8 @@ to hyperplanes hitting a body W has total mass Phi(W) (see
 support function and a uniform offset, which is how `sample_hitting`
 draws exact samples.  `sample_annulus` restricts to hyperplanes hitting
 an outer window but missing an inner one.  Coupling across intensities
-(birth marks on one sample at the largest intensity) lives in
+(the process at a higher intensity is the one at a lower intensity plus
+an independent band of the increment) lives in
 `cell.cells_along_intensity`.
 """
 from __future__ import annotations

@@ -196,3 +196,40 @@ def vertex_sets_match_loop(A, B, tol):
             return False
         used[j] = True
     return True
+
+
+def convex_hull_2d_loop(points):
+    """Monotone chain over every input point, counterclockwise hull indices.
+
+    The reference for the prefiltered planar hull kernel: collinear
+    interior points are dropped, a fully collinear input yields its two
+    lexicographic extremes and a single point yields itself.
+    """
+    pts = np.ascontiguousarray(points, dtype=np.float64)
+    n = pts.shape[0]
+    if n == 0:
+        return np.empty(0, dtype=np.int64)
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    if n == 1:
+        return order[:1]
+
+    def build(seq):
+        out = []
+        for idx in seq:
+            while len(out) >= 2:
+                ox, oy = pts[out[-2]]
+                ax, ay = pts[out[-1]]
+                bx, by = pts[idx]
+                if (ax - ox) * (by - oy) - (ay - oy) * (bx - ox) <= 0.0:
+                    out.pop()
+                else:
+                    break
+            out.append(idx)
+        return out
+
+    lower = build(order)
+    upper = build(order[::-1])
+    hull = lower[:-1] + upper[:-1]
+    if len(hull) == 0:  # all points identical
+        hull = [order[0]]
+    return np.asarray(hull, dtype=np.int64)

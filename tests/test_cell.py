@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypercell import cell, geom, metrics, process
+from hypercell import _kernels, cell, geom, metrics, process
 from hypercell import direction as dn
 from hypercell.errors import WindowOverflow
 from hypercell.rng import KeyedStream
@@ -219,6 +219,9 @@ class TestHalfspaceIntersection:
         instances = singular_subset_instances()
         instances += [(*random_instance(rng), BOX2) for _ in range(40)]
         instances += [(*random_spatial_instance(rng), BOX3) for _ in range(15)]
+        # many planes through each box corner: the oracle finds every corner
+        # from several subsets, so the dedupe merges
+        instances += concurrent_integer_instances()
         for U, T, box in instances:
             cell.halfspace_intersection_bruteforce(U, T, *box)
             cell.halfspace_intersection(U, T, *box)
@@ -293,6 +296,22 @@ class TestHalfspaceIntersection:
                 assert got.vertices.tobytes() == want.vertices.tobytes()
                 assert np.array_equal(got.defining, box_shifted)
 
+    def test_oracle_ignores_exact_copies(self):
+        # the square |x|, |y| <= 1 with its bottom side repeated: the two
+        # copies of (0, -1) once solved to a feasible point (0, -1) inside
+        # the bottom edge, a fifth vertex
+        th = np.arange(4) * math.pi / 2
+        U = np.column_stack([np.cos(th), np.sin(th)])
+        U, T = np.vstack([U, U[3]]), np.ones(5)
+        slow = cell.halfspace_intersection_bruteforce(U, T, *BOX2)
+        fast = cell.halfspace_intersection(U, T, *BOX2)
+        assert len(slow.vertices) == 4 and slow.n_halfspaces == 5
+        assert (slow.defining != 4).all()
+        assert cell._vertex_sets_match(fast.vertices, slow.vertices, 1e-7)
+        want = cell.halfspace_intersection_bruteforce(U[:4], T[:4], *BOX2)
+        assert want.vertices.tobytes() == slow.vertices.tobytes()
+        assert np.array_equal(slow.defining, want.defining + (want.defining >= 4))
+
     def test_vertex_sets_match_equals_loop(self, rng, monkeypatch):
         # record the vertex sets a debug-oracle build compares, then add
         # permuted, perturbed and greedy-conflict variants of them
@@ -337,8 +356,7 @@ def parallel_pair_instances(draw):
 
     The extra normal repeats normal k exactly, negates it, or turns it by
     an angle in [1e-6, 1e-3]; its offset is T[k] or T[k] scaled by a
-    factor in [0.8, 1.25].  Returns (U, T, box, duplicate), where
-    duplicate marks an exact copy of halfspace k.
+    factor in [0.8, 1.25].  Returns (U, T, box).
     """
     d = draw(st.sampled_from([2, 3]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -359,20 +377,16 @@ def parallel_pair_instances(draw):
         angle = 10.0 ** draw(st.floats(-6.0, -3.0))
         v = math.cos(angle) * U[k] + math.sin(angle) * w / np.linalg.norm(w)
     box = BOX2 if d == 2 else BOX3
-    return np.vstack([U, v]), np.append(T, t), box, kind == "repeated" and t == T[k]
+    return np.vstack([U, v]), np.append(T, t), box
 
 
 class TestIntersectionProperties:
     @settings(settings.get_profile("deterministic"), max_examples=300)
     @given(parallel_pair_instances())
     def test_fast_path_matches_oracle_on_parallel_pairs(self, inst):
-        U, T, box, duplicate = inst
+        U, T, box = inst
         fast = cell.halfspace_intersection(U, T, *box)
-        # an exact copy of a halfspace leaves the set unchanged; the oracle
-        # runs without it, since on copies it can return a point inside an
-        # edge, solved from both copies
-        keep = slice(-1 if duplicate else None)
-        slow = cell.halfspace_intersection_bruteforce(U[keep], T[keep], *box)
+        slow = cell.halfspace_intersection_bruteforce(U, T, *box)
         assert cell._vertex_sets_match(fast.vertices, slow.vertices, 1e-7)
 
 
@@ -470,9 +484,9 @@ class TestCellsAlongIntensity:
         assert counts == sorted(counts)
 
     def test_mark_thinning_matches_poisson_mean(self, iso, ball):
-        # hyperplanes born by the first grid level form a Poisson sample at
-        # that intensity; at gamma=64 the window almost never grows, so the
-        # sampled count is the ring-0 thinned count
+        # the window rings are sampled at the first grid level, so their
+        # count is Poisson at that intensity; at gamma=64 the window almost
+        # never grows, so the sampled count is the ring-0 count
         params = process.ProcessParams(1.0, iso, 2)
         reps = 2000
         counts = []
@@ -484,6 +498,74 @@ class TestCellsAlongIntensity:
         mean = float(np.mean(counts))
         expected = 2 * 64 * 1.0  # annulus mass at gamma=64, width = diameter/2 = 1
         assert abs(mean - expected) < 4 * math.sqrt(expected / reps) + 0.2
+
+    @pytest.mark.parametrize("body_name", ["ball", "square"])
+    def test_hyperplanes_beyond_reach_never_cut(self, body_name, iso, request, monkeypatch):
+        # band j is sampled only up to a reach; hyperplanes drawn
+        # independently with gaps between that reach and the window radius
+        # cut neither the cell before the band nor a later one
+        body = request.getfixturevalue(body_name)
+        sample = process._sample_annulus_arrays
+        outers = []
+
+        def record(params, inner, outer, rng):
+            outers.append(outer)
+            return sample(params, inner, outer, rng)
+
+        monkeypatch.setattr(cell, "_sample_annulus_arrays", record)
+        params = process.ProcessParams(1.0, iso, 2)
+        grid = [16, 64, 256, 1024]
+        tested = 0
+        for rep in range(40):
+            outers.clear()
+            cells = cell.cells_along_intensity(params, body, grid, stream_key=KeyedStream(48, rep))
+            rho = cells[0].window_radius
+            rng = np.random.default_rng(rep)
+            for j, outer in enumerate(outers[-(len(grid) - 1) :], start=1):
+                reach = geom.parallel_gap(body, outer)
+                assert reach > body.distance_batch(cells[j - 1].vertices).max()
+                U, T = sample(params.with_gamma(grid[-1]), outer, geom.outer_parallel(body, rho), rng)
+                tested += len(T)
+                for z in cells[j - 1 :]:
+                    assert not _kernels.cut_mask(U, T, z.vertices).any()
+        assert tested > 100_000
+
+    @pytest.mark.parametrize("body_name", ["ball", "square"])
+    def test_extra_ring_leaves_grid_unchanged(self, body_name, iso, request):
+        body = request.getfixturevalue(body_name)
+        params = process.ProcessParams(1.0, iso, 2)
+        grid = [8, 32, 128, 512]
+        for rep in range(15):
+            key = KeyedStream(49, rep)
+            a = cell.cells_along_intensity(params, body, grid, stream_key=key)
+            b = cell.cells_along_intensity(params, body, grid, stream_key=key, extra_rings=1)
+            for za, zb in zip(a, b):
+                assert za.vertices.tobytes() == zb.vertices.tobytes()
+                assert za.offsets.tobytes() == zb.offsets.tobytes()
+                assert zb.window_radius == 2 * za.window_radius
+                assert zb.stats.rounds == za.stats.rounds + 1
+
+    def test_sampled_count_matches_poisson_mean_at_last_level(self, iso, ball):
+        # phase-1 rings, band samples and the counts beyond each band's
+        # reach add up to the process in the window born by gamma_max:
+        # Poisson with mass 2 * gamma_max * rho
+        params = process.ProcessParams(1.0, iso, 2)
+        grid = [32, 128, 512]
+        total = 0
+        mass = 0.0
+        for rep in range(300):
+            z = cell.cells_along_intensity(params, ball, grid, stream_key=KeyedStream(50, rep))[-1]
+            total += z.stats.sampled
+            mass += 2 * grid[-1] * z.window_radius
+        assert abs(total - mass) < 4 * math.sqrt(mass)
+
+    def test_rerun_is_byte_identical(self, iso, square):
+        params = process.ProcessParams(1.0, iso, 2)
+        for rep in range(5):
+            key = KeyedStream(51, rep)
+            a = cell.cells_along_intensity(params, square, [8, 32, 128, 512], stream_key=key)
+            b = cell.cells_along_intensity(params, square, [8, 32, 128, 512], stream_key=key)
+            assert [z.dumps() for z in a] == [z.dumps() for z in b]
 
     def test_3d_nesting_containment_and_rerun(self):
         ball3 = geom.Ball([0, 0, 0], 1.0)

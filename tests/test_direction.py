@@ -207,6 +207,17 @@ class TestCapStarved:
             emp = float((U @ starved.axis >= thresh).mean())
             assert abs(emp - p) < 4 * math.sqrt(p * (1 - p) / 200_000)
 
+    def test_empirical_cap_frequency_3d(self):
+        starved3 = dn.cap_starved([0, 0, 1], lambda n: n**-0.25, 64, cap_budget, radius=1.0)
+        U = starved3.sample_batch(stream(11, "csfreq3"), 200_000)
+        assert np.allclose(np.linalg.norm(U, axis=1), 1.0)
+        for n in (2, 5, 20):
+            thresh = 1 / (1 + n**-0.25)
+            p = starved3.cap_mass(thresh)
+            for sign in (1, -1):  # both caps of the even law
+                emp = float((sign * U @ starved3.axis >= thresh).mean())
+                assert abs(emp - p) < 4 * math.sqrt(p * (1 - p) / 200_000)
+
     def test_infeasible_budget(self):
         with pytest.raises(InfeasibleBudget):
             dn.cap_starved([1, 0], lambda n: n**-0.5, 8, lambda n: -1.0)

@@ -2,7 +2,11 @@
 import numpy as np
 import pytest
 
-from hypercell import _kernels
+from hypercell import _kernels, cell, geom, process
+from hypercell import direction as dn
+from hypercell.rng import KeyedStream
+
+from oracles import convex_hull_2d_loop
 
 
 class TestPureBackend:
@@ -49,3 +53,63 @@ class TestPureBackend:
         assert hypercell.kernel_backend() == "pure"
         for name in ("convex_hull_2d", "polygon_distance", "cut_mask"):
             assert callable(getattr(_kernels, name))
+
+
+def degenerate_point_sets():
+    """Inputs where ties and collinearity decide the planar hull."""
+    grid = np.array([[x, y] for x in range(-3, 4) for y in range(-2, 3)], dtype=np.float64)
+    t = np.linspace(-1.0, 1.0, 9)
+    return [
+        np.array([[0.3, -0.2]]),
+        np.array([[0.0, 0.0], [1.0, 2.0]]),
+        np.array([[1.0, 1.0], [1.0, 1.0]]),
+        np.full((7, 2), 0.25),  # all points identical
+        np.column_stack([t, 2.0 * t + 1.0]),  # collinear
+        np.column_stack([t, np.zeros(9)])[::-1],  # collinear on an axis
+        grid,  # integer grid: collinear boundary points, many ties
+        np.vstack([grid, grid[::2]]),  # duplicates of grid points
+        np.vstack([grid * 1e-9, [[0.0, 0.0]] * 3]),  # tiny scale
+        np.vstack([np.eye(2), -np.eye(2), [[0.5, 0.5], [0.0, 0.0], [1.0, 0.0]]]),
+    ]
+
+
+class TestHullPrefilter:
+    def test_degenerate_inputs_equal_chain(self):
+        for pts in degenerate_point_sets():
+            assert np.array_equal(_kernels.convex_hull_2d(pts), convex_hull_2d_loop(pts))
+
+    def test_dual_point_sets_equal_chain(self, monkeypatch):
+        # record the dual points that planar cell builds hand to the hull
+        seen = []
+        hull = _kernels.convex_hull_2d
+
+        def record(pts):
+            seen.append(pts)
+            return hull(pts)
+
+        monkeypatch.setattr(_kernels, "convex_hull_2d", record)
+        square = geom.Polytope([[-1, -1], [1, -1], [1, 1], [-1, 1]])
+        atoms = dn.Atomic.symmetrized([[1, 0], [0, 1]], [0.5, 0.5])  # many exact ties
+        for body, law in ((geom.Ball([0, 0], 1.0), dn.Isotropic(2)), (square, atoms)):
+            params = process.ProcessParams(1.0, law, 2)
+            for rep in range(3):
+                cell.cells_along_intensity(params, body, [64, 256, 1024, 4096], stream_key=KeyedStream(47, rep))
+        assert len(seen) >= 20 and max(map(len, seen)) >= 100
+        dropped = 0
+        for pts in seen:
+            assert np.array_equal(hull(pts), convex_hull_2d_loop(pts))
+            dropped += int(_kernels._deep_inside(pts).sum())
+        assert dropped > 0
+
+    def test_random_inputs_equal_chain(self, rng):
+        for k in range(200):
+            n = int(rng.integers(2, 300))
+            pts = rng.standard_normal((n, 2))
+            if k % 2:
+                pts = np.round(pts * 4)  # grid points, with ties
+            assert np.array_equal(_kernels.convex_hull_2d(pts), convex_hull_2d_loop(pts))
+
+    def test_prefilter_keeps_hull_vertices(self):
+        # a point just inside an edge of the extreme polygon is kept
+        pts = np.array([[1.0, 0], [0, 1], [-1, 0], [0, -1], [0.5, 0.5 - 1e-15], [0.1, 0.1]])
+        assert _kernels._deep_inside(pts).tolist() == [False, False, False, False, False, True]

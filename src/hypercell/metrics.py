@@ -9,9 +9,11 @@ polytope / rolling-ball / generic regimes.
 
 Planar excess integrals are evaluated with quadrature localized to the
 support arc of the integrand (the directions in which y beats the body),
-split at the kink directions; this keeps relative accuracy flat as eps
-shrinks, which a global grid cannot do once the arc is narrower than the
-grid spacing.
+split at the body's kink directions and the law's density breaks; this
+keeps relative accuracy flat as eps shrinks, which a global grid cannot
+do once the arc is narrower than the grid spacing.  Every planar body is
+conv(V) + rB, so the arc has a closed form (h(P + rB, u) = h(P, u) + r),
+and one evaluator serves both the coarse scan and the refinement.
 """
 from __future__ import annotations
 
@@ -88,22 +90,20 @@ class ScalingFit:
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
-
-
-def _gl_panel(f, a: float, b: float) -> float:
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return half * float(_GL_WEIGHTS @ f(mid + half * _GL_NODES))
+_TWO_PI = 2.0 * math.pi
+_PANEL_BLOCK = 4096  # quadrature panels evaluated per vectorized step
 
 
 class ExcessEvaluator:
     """Support-excess integrals for one body/distribution pair.
 
-    `batch` ranks candidate points fast (exact for atoms, unsplit local
-    quadrature for planar continuous laws, common-random-number Monte
-    Carlo otherwise); `precise` refines single points with kink-split
-    panels.  Precomputing the body data here keeps minimization loops
-    cheap.
+    Atomic parts are exact sums.  Planar continuous parts go through one
+    quadrature: 32-point Gauss-Legendre panels over the closed-form
+    support arc of each point, split at the body's kink directions and
+    the law's density breaks.  Higher dimensions use common-random-number
+    Monte Carlo.  `batch` and `precise` are the same computation on many
+    points or on one; the body data and split angles are precomputed here
+    so minimization loops stay cheap.
     """
 
     def __init__(self, body, dist, cfg: dn.IntegrationConfig | None = None):
@@ -112,8 +112,17 @@ class ExcessEvaluator:
         self.cfg = cfg or dn.IntegrationConfig()
         self.dim = body.dim
         self._parts = self._flatten(dist, 1.0)
-        self._kinks = self._kink_angles()
         self._mc_nodes = None
+        if self.dim == 2:
+            self._core, self._radius = _planar_core(body)
+            kinks = self._kink_angles()
+            # per continuous component: its density (None if uniform) and split angles
+            self._panels = [
+                None
+                if isinstance(comp, dn.Atomic)
+                else (_planar_density(comp), np.concatenate([kinks, _density_breaks(comp)]))
+                for _, comp in self._parts
+            ]
 
     @staticmethod
     def _flatten(dist, weight):
@@ -125,98 +134,64 @@ class ExcessEvaluator:
         return [(weight, dist)]
 
     def _kink_angles(self) -> np.ndarray:
-        if self.dim != 2:
-            return np.empty(0)
         if isinstance(self.body, geom.Ball):
             return np.empty(0)
         hull = self.body.hull_vertices
         if len(hull) < 2:
             return np.empty(0)
-        normals = [n for _, _, n in geom._polygon_edges(hull)]
-        return np.array([math.atan2(n[1], n[0]) for n in normals])
+        normals = np.array([n for _, _, n in geom._polygon_edges(hull)])
+        return np.arctan2(normals[:, 1], normals[:, 0])
 
     # -- planar continuous part ---------------------------------------
-    def _support_arc(self, y: np.ndarray) -> tuple[float, float] | None:
-        """Angular interval where <y, u> exceeds h(body, u) (None if empty)."""
-        dist_y, p = geom.project(self.body, y)
-        if dist_y <= 0.0:
-            return None
-        n = (y - p) / dist_y
-        th0 = math.atan2(n[1], n[0])
+    def _support_arcs(self, Y: np.ndarray):
+        """Rows of Y whose arc {u : <y,u> > h(body,u)} is nonempty, and its end angles.
 
-        def f(th):
-            u = np.array([math.cos(th), math.sin(th)])
-            return float(y @ u) - self.body.support(u)
+        With body = conv(V) + rB the arc is the intersection over v in V of
+        the arcs about the direction c of y - v with half-width
+        w = arccos(r / |y - v|), each shorter than pi.  Measured from the
+        centre of one of them, every other one that meets it is the
+        interval about its centre wrapped into (-pi, pi], so the
+        intersection is [max(c - w), min(c + w)]; it is empty or reversed
+        exactly when y lies in the body.
+        """
+        D = Y[:, None, :] - self._core[None, :, :]
+        rho = np.hypot(D[..., 0], D[..., 1])
+        c = np.arctan2(D[..., 1], D[..., 0])
+        ref = c[:, 0].copy()
+        c -= ref[:, None]
+        c -= _TWO_PI * np.round(c / _TWO_PI)
+        w = np.arccos(np.divide(self._radius, rho, out=np.ones_like(rho), where=rho > self._radius))
+        lo = (c - w).max(axis=1)
+        hi = (c + w).min(axis=1)
+        rows = np.flatnonzero(lo < hi)
+        return rows, ref[rows] + lo[rows], ref[rows] + hi[rows]
 
-        lo, hi = th0 - math.pi, th0 + math.pi
-        a, b = th0, th0
-        fl = f(lo)
-        fa = f(th0)
-        if fa <= 0.0:  # numerically on the body
-            return None
-        x0, x1 = lo, th0
-        for _ in range(64):
-            mid = 0.5 * (x0 + x1)
-            if f(mid) > 0.0:
-                x1 = mid
-            else:
-                x0 = mid
-        a = 0.5 * (x0 + x1)
-        x0, x1 = th0, hi
-        for _ in range(64):
-            mid = 0.5 * (x0 + x1)
-            if f(mid) > 0.0:
-                x0 = mid
-            else:
-                x1 = mid
-        b = 0.5 * (x0 + x1)
-        return a, b
-
-    def _density_breaks(self, comp) -> np.ndarray:
-        if isinstance(comp, dn.CapStarved):
-            alpha = math.atan2(comp.axis[1], comp.axis[0])
-            angs = comp.cap_angles
-            return np.concatenate(
-                [alpha + s * angs + k for s in (1.0, -1.0) for k in (0.0, math.pi)]
-            )
-        return np.empty(0)
-
-    def _planar_continuous(self, y: np.ndarray, comp, weight: float, split: bool) -> float:
-        arc = self._support_arc(y)
-        if arc is None:
-            return 0.0
-        a, b = arc
-
-        if isinstance(comp, dn.Isotropic):
-            dens = None
-        elif isinstance(comp, dn.DensityOnSphere) or isinstance(comp, dn.CapStarved):
-            dens = comp.density
-        else:
-            raise TypeError(f"unsupported planar component {type(comp).__name__}")
-
-        def integrand(th):
-            th = np.atleast_1d(th)
-            U = np.column_stack([np.cos(th), np.sin(th)])
-            vals = np.maximum(U @ y - self.body.support_batch(U), 0.0)
-            if dens is not None:
-                vals = vals * dens(U)
-            return vals
-
-        if split:
-            breaks = [a, b]
-            all_kinks = np.concatenate([self._kinks, self._density_breaks(comp)])
-            for kink in all_kinks:
-                shifted = kink + 2.0 * math.pi * np.round((0.5 * (a + b) - kink) / (2.0 * math.pi))
-                for cand in (shifted - 2 * math.pi, shifted, shifted + 2 * math.pi):
-                    if a < cand < b:
-                        breaks.append(cand)
-            breaks = sorted(set(breaks))
-        else:
-            breaks = [a, b]
-        total = 0.0
-        for lo, hi in zip(breaks[:-1], breaks[1:]):
-            total += _gl_panel(integrand, lo, hi)
-        return weight * total / (2.0 * math.pi)
+    def _arc_quadrature(self, Y: np.ndarray, arcs, density, breaks: np.ndarray) -> np.ndarray:
+        """Integral over each point's support arc of its excess, times density / (2 pi)."""
+        rows, a, b = arcs
+        # an arc is shorter than pi, so only the copy of a break nearest its
+        # midpoint can fall inside it
+        mid = 0.5 * (a + b)
+        nearest = breaks + _TWO_PI * np.round((mid[:, None] - breaks) / _TWO_PI)
+        edges = np.sort(np.column_stack([a, np.clip(nearest, a[:, None], b[:, None]), b]), axis=1)
+        lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+        owner = np.repeat(rows, edges.shape[1] - 1)
+        keep = hi > lo
+        lo, hi, owner = lo[keep], hi[keep], owner[keep]
+        half = 0.5 * (hi - lo)
+        centre = 0.5 * (hi + lo)
+        total = np.zeros(len(Y))
+        for i in range(0, len(lo), _PANEL_BLOCK):
+            part = slice(i, i + _PANEL_BLOCK)
+            ang = centre[part, None] + half[part, None] * _GL_NODES
+            U = np.stack([np.cos(ang), np.sin(ang)], axis=-1)  # (panels, 32, 2)
+            flat = U.reshape(-1, 2)
+            vals = np.einsum("pkj,pj->pk", U, Y[owner[part]]) - self.body.support_batch(flat).reshape(ang.shape)
+            np.maximum(vals, 0.0, out=vals)
+            if density is not None:
+                vals *= density(flat).reshape(ang.shape)
+            total += np.bincount(owner[part], weights=half[part] * (vals @ _GL_WEIGHTS), minlength=len(Y))
+        return total / _TWO_PI
 
     # -- generic Monte Carlo part (d >= 3) -----------------------------
     def _mc_part(self, comp, weight):
@@ -240,81 +215,17 @@ class ExcessEvaluator:
             self._mc_nodes[key] = (U, dens, hK, hK_neg, weight)
         return self._mc_nodes[key]
 
-    def _planar_batch(self, Y: np.ndarray, comp, weight: float) -> np.ndarray:
-        """Vectorized unsplit arc quadrature over many points."""
-        n = len(Y)
-        dist, proj = geom.project_batch(self.body, Y)
-        out = np.zeros(n)
-        live = dist > 0.0
-        if not live.any():
-            return out
-        Yl = Y[live]
-        normals = (Yl - proj[live]) / dist[live][:, None]
-        th0 = np.arctan2(normals[:, 1], normals[:, 0])
-
-        def gap(phi):
-            ang = th0 + phi
-            U = np.column_stack([np.cos(ang), np.sin(ang)])
-            return np.einsum("ij,ij->i", Yl, U) - self.body.support_batch(U)
-
-        # vectorized bisection for both ends of the positive arc
-        ends = []
-        for lo0, hi0, positive_at in ((-math.pi, 0.0, "hi"), (0.0, math.pi, "lo")):
-            lo = np.full(len(Yl), lo0)
-            hi = np.full(len(Yl), hi0)
-            for _ in range(48):
-                mid = 0.5 * (lo + hi)
-                pos = gap(mid) > 0.0
-                if positive_at == "hi":
-                    hi = np.where(pos, mid, hi)
-                    lo = np.where(pos, lo, mid)
-                else:
-                    lo = np.where(pos, mid, lo)
-                    hi = np.where(pos, hi, mid)
-            ends.append(0.5 * (lo + hi))
-        a, b = ends
-        abs_a = th0 + a
-        abs_b = th0 + b
-        # split panels at the body's kink directions inside each arc
-        columns = [abs_a]
-        mid_all = 0.5 * (abs_a + abs_b)
-        for kink in self._kinks:
-            shifted = kink + 2.0 * math.pi * np.round((mid_all - kink) / (2.0 * math.pi))
-            columns.append(np.clip(shifted, abs_a, abs_b))
-        columns.append(abs_b)
-        bounds = np.sort(np.column_stack(columns), axis=1)
-        total = np.zeros(len(Yl))
-        for j in range(bounds.shape[1] - 1):
-            lo = bounds[:, j]
-            hi = bounds[:, j + 1]
-            half = 0.5 * (hi - lo)
-            mid = 0.5 * (hi + lo)
-            ang = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-            U = np.stack([np.cos(ang), np.sin(ang)], axis=-1)  # (n, 32, 2)
-            flat = U.reshape(-1, 2)
-            vals = np.einsum("nkj,nj->nk", U, Yl) - self.body.support_batch(flat).reshape(ang.shape)
-            np.maximum(vals, 0.0, out=vals)
-            if isinstance(comp, (dn.DensityOnSphere, dn.CapStarved)):
-                vals *= comp.density(flat).reshape(ang.shape)
-            elif not isinstance(comp, dn.Isotropic):
-                raise TypeError(f"unsupported planar component {type(comp).__name__}")
-            total += half * (vals @ _GL_WEIGHTS)
-        out[live] = weight * total / (2.0 * math.pi)
-        return out
-
-    def _eval(self, Y: np.ndarray, split: bool) -> np.ndarray:
+    def _eval(self, Y: np.ndarray) -> np.ndarray:
         out = np.zeros(len(Y))
-        for weight, comp in self._parts:
+        arcs = None
+        for i, (weight, comp) in enumerate(self._parts):
             if isinstance(comp, dn.Atomic):
                 gaps = np.maximum(Y @ comp.atoms.T - self.body.support_batch(comp.atoms), 0.0)
                 out += weight * gaps @ comp.weights
             elif self.dim == 2:
-                if split:
-                    out += np.array(
-                        [self._planar_continuous(y, comp, weight, split) for y in Y]
-                    )
-                else:
-                    out += self._planar_batch(Y, comp, weight)
+                if arcs is None:
+                    arcs = self._support_arcs(Y)
+                out += weight * self._arc_quadrature(Y, arcs, *self._panels[i])
             else:
                 U, dens, hK, hK_neg, w = self._mc_part(comp, weight)
                 plus = np.maximum(Y @ U.T - hK, 0.0) * dens
@@ -323,12 +234,37 @@ class ExcessEvaluator:
         return out
 
     def batch(self, Y: np.ndarray) -> np.ndarray:
-        """Fast ranking values for an array of candidate points."""
-        return self._eval(np.atleast_2d(Y), split=False)
+        """Excess at each row of Y."""
+        return self._eval(np.atleast_2d(np.asarray(Y, dtype=np.float64)))
 
     def precise(self, y) -> float:
-        """Accurate excess at a single point (kink-split quadrature)."""
-        return float(self._eval(np.atleast_2d(np.asarray(y, dtype=np.float64)), split=True)[0])
+        """Excess at a single point: `batch` on one row, as a float."""
+        return float(self._eval(np.atleast_2d(np.asarray(y, dtype=np.float64)))[0])
+
+
+def _planar_core(body) -> tuple[np.ndarray, float]:
+    """(V, r) with body = conv(V) + rB, V the hull vertices (a ball's centre)."""
+    if isinstance(body, geom.Ball):
+        return body.center[None, :], body.radius
+    if isinstance(body, geom.BallSum):
+        return body.hull_vertices, body.radius
+    return body.hull_vertices, 0.0
+
+
+def _planar_density(comp):
+    if isinstance(comp, dn.Isotropic):
+        return None
+    if isinstance(comp, (dn.DensityOnSphere, dn.CapStarved)):
+        return comp.density
+    raise TypeError(f"unsupported planar component {type(comp).__name__}")
+
+
+def _density_breaks(comp) -> np.ndarray:
+    if isinstance(comp, dn.CapStarved):
+        alpha = math.atan2(comp.axis[1], comp.axis[0])
+        angs = comp.cap_angles
+        return np.concatenate([alpha + s * angs + k for s in (1.0, -1.0) for k in (0.0, math.pi)])
+    return np.empty(0)
 
 
 def excess(body, dist, y, cfg: dn.IntegrationConfig | None = None) -> float:
@@ -379,7 +315,7 @@ def _mu_planar(body, evaluator: ExcessEvaluator, eps: float, cfg: MuConfig) -> M
     gap = math.inf
     for s0 in starts:
         val, s_ref, used, gap0 = _pattern_search_1d(
-            lambda s: evaluator.precise(path.point_at(s)[0]),
+            lambda s: evaluator.batch(path.point_at(s)),
             s0,
             path.total / m,
             path.total,
@@ -399,22 +335,27 @@ def _circ_dist(a: float, b: float, period: float) -> float:
 
 
 def _pattern_search_1d(f, s0, step, period, refine_tol, max_evals):
-    best = f(s0)
+    """Compass search on a circle of the given period; f maps arclengths to values.
+
+    Both neighbours are evaluated in one call, but s + step is taken first
+    when it improves and is then counted alone, so the visited points and
+    the evaluation count are those of trying the two in turn.
+    """
+    best = float(f(np.array([s0]))[0])
     s = s0
     evals = 1
     gap = math.inf
     while evals < max_evals and step > period * 1e-15:
-        improved = False
-        for cand in (s + step, s - step):
-            v = f(cand % period)
+        plus, minus = (s + step) % period, (s - step) % period
+        v_plus, v_minus = (float(v) for v in f(np.array([plus, minus])))
+        if v_plus < best:
             evals += 1
-            if v < best:
-                gap = best - v
-                best = v
-                s = cand % period
-                improved = True
-                break
-        if not improved:
+            gap, best, s = best - v_plus, v_plus, plus
+        elif v_minus < best:
+            evals += 2
+            gap, best, s = best - v_minus, v_minus, minus
+        else:
+            evals += 2
             step *= 0.5
             if gap < refine_tol:
                 break
@@ -451,6 +392,7 @@ def _reproject(body, eps: float, y: np.ndarray) -> np.ndarray:
         d2, p2 = geom.project(body, y + 2.0 * eps * g)
         return p2 + eps * (y + 2.0 * eps * g - p2) / max(d2, 1e-300)
     return p + eps * (y - p) / d
+
 
 def _pattern_search_boundary(body, evaluator, eps, y0, step, refine_tol, max_evals):
     y = _reproject(body, eps, y0)

@@ -10,6 +10,8 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
+from hypercell import geom
+
 
 def isotropic_integral(f, pieces=()):
     """Adaptive quadrature of f(theta)/(2*pi) over the circle."""
@@ -54,6 +56,87 @@ def dense_boundary_minimum(evaluator, path, n=1_000_000, chunk=65536):
         pts = path.point_at(s[i : i + chunk])
         best = min(best, float(evaluator.batch(pts).min()))
     return best
+
+
+def support_arc_bisect(body, y):
+    """Angular interval where <y, u> exceeds h(body, u) (None if empty).
+
+    Two scalar 64-step bisections of <y, u> - h(body, u), bracketed half
+    a turn to either side of the outward normal at the projection of y,
+    which lies inside the interval.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    dist_y, p = geom.project(body, y)
+    if dist_y <= 0.0:
+        return None
+    n = (y - p) / dist_y
+    th0 = math.atan2(n[1], n[0])
+
+    def f(th):
+        u = np.array([math.cos(th), math.sin(th)])
+        return float(y @ u) - body.support(u)
+
+    if f(th0) <= 0.0:  # numerically on the body
+        return None
+    x0, x1 = th0 - math.pi, th0
+    for _ in range(64):
+        mid = 0.5 * (x0 + x1)
+        if f(mid) > 0.0:
+            x1 = mid
+        else:
+            x0 = mid
+    a = 0.5 * (x0 + x1)
+    x0, x1 = th0, th0 + math.pi
+    for _ in range(64):
+        mid = 0.5 * (x0 + x1)
+        if f(mid) > 0.0:
+            x0 = mid
+        else:
+            x1 = mid
+    b = 0.5 * (x0 + x1)
+    return a, b
+
+
+def dense_circle_excess(body, density, y, n=1 << 22, chunk=1 << 18):
+    """Planar support excess of y by the midpoint rule on n equal steps of the circle.
+
+    `density` maps unit rows to the law's density (None for the uniform
+    law).  No arc and no kink is located: every node is summed.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    total = 0.0
+    for i in range(0, n, chunk):
+        th = (np.arange(i, min(i + chunk, n)) + 0.5) * (2 * math.pi / n)
+        U = np.column_stack([np.cos(th), np.sin(th)])
+        vals = np.maximum(U @ y - body.support_batch(U), 0.0)
+        if density is not None:
+            vals = vals * density(U)
+        total += float(vals.sum())
+    return total / n
+
+
+def pattern_search_1d_sequential(f, s0, step, period, refine_tol, max_evals):
+    """Compass search on a circle trying s + step, then s - step, one call each."""
+    best = f(s0)
+    s = s0
+    evals = 1
+    gap = math.inf
+    while evals < max_evals and step > period * 1e-15:
+        improved = False
+        for cand in (s + step, s - step):
+            v = f(cand % period)
+            evals += 1
+            if v < best:
+                gap = best - v
+                best = v
+                s = cand % period
+                improved = True
+                break
+        if not improved:
+            step *= 0.5
+            if gap < refine_tol:
+                break
+    return best, s, evals, gap
 
 
 def cube_distance_oracle(x):

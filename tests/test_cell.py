@@ -483,7 +483,7 @@ class TestCellsAlongIntensity:
         counts = [z.stats.sampled for z in cells]
         assert counts == sorted(counts)
 
-    def test_mark_thinning_matches_poisson_mean(self, iso, ball):
+    def test_window_ring_count_matches_poisson_mean(self, iso, ball):
         # the window rings are sampled at the first grid level, so their
         # count is Poisson at that intensity; at gamma=64 the window almost
         # never grows, so the sampled count is the ring-0 count

@@ -6,7 +6,52 @@ import pytest
 from hypercell import cell, direction as dn, geom, metrics
 from hypercell.errors import DegenerateX, InvalidEpsilon
 
-from oracles import ball_excess_oracle, dense_boundary_minimum
+from oracles import (
+    ball_excess_oracle,
+    dense_boundary_minimum,
+    dense_circle_excess,
+    pattern_search_1d_sequential,
+    support_arc_bisect,
+)
+
+
+def _rotated(V, th):
+    c, s = math.cos(th), math.sin(th)
+    return np.asarray(V, dtype=np.float64) @ np.array([[c, s], [-s, c]])
+
+
+def _arc_bodies():
+    rng = np.random.default_rng(7301)
+    bodies = [
+        ("ball", geom.Ball([0, 0], 1.0)),
+        ("stadium", geom.BallSum([[-1, 0], [1, 0]], 1.0)),
+        ("square", geom.Polytope([[-1, -1], [1, -1], [1, 1], [-1, 1]])),
+        ("triangle-core", geom.BallSum([[0, 0], [1.5, 0], [0.2, 1.1]], 0.3)),
+    ]
+    for k in range(4):
+        th = rng.uniform(0, 2 * math.pi)
+        bodies.append((f"random-polygon-{k}", geom.Polytope(_rotated(rng.normal(size=(9, 2)), th))))
+        core = _rotated(rng.normal(size=(5, 2)), rng.uniform(0, 2 * math.pi))
+        bodies.append((f"random-core-{k}", geom.BallSum(core, rng.uniform(0.05, 0.8))))
+    th = rng.uniform(0, 2 * math.pi)
+    bodies.append(("rotated-stadium", geom.BallSum(_rotated([[-1, 0], [1, 0]], th), 1.0)))
+    bodies.append(("rotated-square", geom.Polytope(_rotated([[-1, -1], [1, -1], [1, 1], [-1, 1]], th))))
+    return bodies
+
+
+ARC_BODIES = _arc_bodies()
+
+
+def _assert_arcs_match(body, Y, tol=1e-12):
+    ev = metrics.ExcessEvaluator(body, dn.Isotropic(2))
+    rows, a, b = ev._support_arcs(np.asarray(Y, dtype=np.float64))
+    assert list(rows) == list(range(len(Y)))
+    for y, lo, hi in zip(Y, a, b):
+        ref = support_arc_bisect(body, y)
+        assert ref is not None
+        for got, want in zip((lo, hi), ref):
+            diff = (got - want + math.pi) % (2 * math.pi) - math.pi
+            assert abs(diff) <= tol, (y, got, want)
 
 
 class TestExcess:
@@ -54,6 +99,82 @@ class TestExcess:
         assert np.abs(batch - precise).max() < 1e-3 * precise.max()
 
 
+class TestSupportArcs:
+    @pytest.mark.parametrize("body", [b for _, b in ARC_BODIES], ids=[n for n, _ in ARC_BODIES])
+    def test_closed_form_matches_bisection(self, body):
+        rng = np.random.default_rng(4471)
+        Y = []
+        while len(Y) < 60:
+            y = rng.uniform(-4.0, 4.0, size=2)
+            if geom.distance(body, y) > 0.02:
+                Y.append(y)
+        _assert_arcs_match(body, Y)
+
+    def test_square_normal_cone_boundary(self, square):
+        # points on the edges of the normal cone at vertex (1, 1): one arc end is a kink
+        Y = [[1.0 + t, 1.0] for t in (0.01, 0.3, 2.0)] + [[1.0, 1.0 + t] for t in (0.01, 0.3, 2.0)]
+        _assert_arcs_match(square, Y)
+        for y in Y:
+            want = dense_circle_excess(square, None, y, n=1 << 18)
+            assert metrics.excess(square, dn.Isotropic(2), y) == pytest.approx(want, rel=1e-6)
+
+    def test_one_vertex_hull_is_a_ball(self):
+        body = geom.BallSum([[0.2, -0.1]], 0.7)
+        assert len(body.hull_vertices) == 1
+        Y = [[1.3, 0.4], [-0.1, -2.0], [0.0, 0.75]]
+        _assert_arcs_match(body, Y)
+        for y in Y:
+            want = ball_excess_oracle(0.7, float(np.linalg.norm(y)))
+            assert metrics.excess(body, dn.Isotropic(2), y) == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("offset", [1e-15, -1e-15], ids=["outside", "inside"])
+    def test_one_ulp_off_the_boundary_without_nan(self, ball, square, stadium, iso, offset):
+        t = np.linspace(0.0, 2 * math.pi, 13)
+        s = 1.0 + offset
+        cases = [
+            (ball, np.column_stack([s * np.cos(t), s * np.sin(t)])),
+            (square, np.array([[s, 0.3], [-0.7, -s], [s, s]])),
+            (stadium, np.vstack([[[0.5, s], [-0.2, -s]], np.column_stack([1.0 + s * np.cos(t), s * np.sin(t)])])),
+        ]
+        for body, Y in cases:
+            assert (body.distance_batch(Y) <= 1e-14).all()
+            ev = metrics.ExcessEvaluator(body, iso)
+            with np.errstate(invalid="raise", divide="raise"):
+                vals = ev.batch(Y)
+            if offset < 0:
+                assert (vals == 0.0).all()
+            else:
+                # the excess is at most the offset over pi: zero at this scale
+                assert (vals >= 0.0).all() and vals.max() <= 1e-15
+
+
+_STEP64 = 2 * math.pi / 64
+
+
+class TestDensityLawExcess:
+    LAWS = {
+        "density": dn.DensityOnSphere(
+            lambda U: 1.0 + 0.5 * (U[:, 0] ** 2 - U[:, 1] ** 2) + 0.3 * U[:, 0] * U[:, 1], 1.6, 2
+        ),
+        # every density break is a multiple of 2 pi / 64, so the dense grid's
+        # cells never straddle a jump and the midpoint rule stays second order
+        "cap-starved": dn.CapStarved(
+            [math.cos(_STEP64 * 3), math.sin(_STEP64 * 3)], [_STEP64 * 5, _STEP64 * 2], [0.1, 0.02], 0.8
+        ),
+    }
+
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    def test_matches_dense_circle_quadrature(self, square, stadium, law):
+        dist = self.LAWS[law]
+        Y = [[1.4, 0.35], [1.2, 1.3], [-0.4, -1.25], [2.6, 0.9]]
+        for body in (square, stadium):
+            for y in Y:
+                if geom.distance(body, y) <= 0.0:
+                    continue
+                want = dense_circle_excess(body, dist.density, y, n=1 << 19)
+                assert metrics.excess(body, dist, y) == pytest.approx(want, rel=1e-6)
+
+
 class TestMuEstimate:
     def test_ball_isotropic_symmetry_value(self, ball, iso):
         est = metrics.mu_estimate(ball, iso, 1.0)
@@ -85,6 +206,27 @@ class TestMuEstimate:
     def test_rejects_bad_eps(self, ball, iso):
         with pytest.raises(InvalidEpsilon):
             metrics.mu_estimate(ball, iso, 0.0)
+
+    def test_paired_search_equals_sequential(self):
+        def wavy(s):
+            return (math.sin(3.0 * s) + 1.2) * (s - 2.0) ** 2 + 0.05 * abs(math.cos(11.0 * s))
+
+        def peak(s):  # from s = 3 both neighbours improve, s - step more
+            return 0.2 * s - abs(s - 3.0)
+
+        period = 2 * math.pi
+        cases = [(wavy, 0.3, 0.2, 4000), (wavy, 5.9, 0.05, 40), (wavy, 2.0, 1.0, 7), (peak, 3.0, 0.5, 200)]
+        for f, s0, step, budget in cases:
+            want = pattern_search_1d_sequential(f, s0, step, period, 1e-12, budget)
+            got = metrics._pattern_search_1d(
+                lambda S: np.array([f(float(x)) for x in S]), s0, step, period, 1e-12, budget
+            )
+            assert got == want
+
+    def test_values_are_python_floats(self, stadium, iso):
+        est = metrics.mu_estimate(stadium, iso, 0.1, metrics.MuConfig(coarse_samples=256))
+        assert type(est.value) is float
+        assert type(metrics.ExcessEvaluator(stadium, iso).precise([2.5, 0.3])) is float
 
     def test_dense_grid_oracle_gap(self, square, ball, stadium, iso, facet_atoms):
         cases = [

@@ -412,12 +412,16 @@ class _CellBuilder:
         self.U = np.empty((0, dim))
         self.T = np.empty(0)
         self.inter: Intersection | None = None
+        self._box_rho = None  # the window radius `_box` was built for
+        self._box = None
 
     def rebuild(self, U_new, T_new, rho: float):
         """Recompute from retained + new constraints inside window radius rho."""
         self.U = np.vstack([self.U, U_new])
         self.T = np.concatenate([self.T, T_new])
-        BU, BT = _axis_box(self.body, rho)
+        if rho != self._box_rho:
+            self._box_rho, self._box = rho, _axis_box(self.body, rho)
+        BU, BT = self._box
         self.inter = halfspace_intersection(self.U, self.T, BU, BT)
         if self.debug_oracle:
             self._cross_check(BU, BT)
@@ -444,9 +448,7 @@ class _CellBuilder:
         remap = -np.ones(len(self.T) + 2 * self.dim, dtype=np.int64)
         remap[act] = np.arange(len(act))
         # box plane ids shift to follow the new constraint count
-        n_old = len(self.T)
-        for j in range(2 * self.dim):
-            remap[n_old + j] = len(act) + j
+        remap[len(self.T):] = np.arange(len(act), len(act) + 2 * self.dim)
         self.inter = Intersection(
             self.inter.vertices, remap[self.inter.defining], len(act)
         )

@@ -685,10 +685,11 @@ class BoundaryPath2D:
         idx = np.searchsorted(self.cum, s, side="right") - 1
         idx = np.clip(idx, 0, len(self.pieces) - 1)
         out = np.empty((len(s), 2))
-        for i, (kind, ln, data) in enumerate(self.pieces):
+        # only the pieces some s falls on; bincount, since the first call
+        # of np.unique raises peak memory by about 1.5 MB
+        for i in np.flatnonzero(np.bincount(idx, minlength=len(self.pieces))).tolist():
+            kind, ln, data = self.pieces[i]
             sel = idx == i
-            if not sel.any():
-                continue
             local = s[sel] - self.cum[i]
             if kind == "seg":
                 a, b = data

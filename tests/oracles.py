@@ -48,6 +48,32 @@ def polygon_perimeter_numeric(path, n=200000):
     return float(np.hypot(d[:, 0], d[:, 1]).sum())
 
 
+def point_at_every_piece(path, s):
+    """`BoundaryPath2D.point_at` by a loop over every boundary piece.
+
+    The reference for the kernel, which visits only the pieces that the
+    arclengths fall on; the per-piece formulas are the same.
+    """
+    s = np.atleast_1d(np.asarray(s, dtype=np.float64)) % path.total
+    idx = np.searchsorted(path.cum, s, side="right") - 1
+    idx = np.clip(idx, 0, len(path.pieces) - 1)
+    out = np.empty((len(s), 2))
+    for i, (kind, ln, data) in enumerate(path.pieces):
+        sel = idx == i
+        if not sel.any():
+            continue
+        local = s[sel] - path.cum[i]
+        if kind == "seg":
+            a, b = data
+            t = (local / ln)[:, None]
+            out[sel] = a + t * (b - a)
+        else:
+            center, th0 = data
+            ang = th0 + local / path.radius
+            out[sel] = center + path.radius * np.column_stack([np.cos(ang), np.sin(ang)])
+    return out
+
+
 def dense_boundary_minimum(evaluator, path, n=1_000_000, chunk=65536):
     """Minimum of an excess evaluator over a dense boundary grid."""
     best = math.inf
@@ -282,11 +308,12 @@ def vertex_sets_match_loop(A, B, tol):
 
 
 def convex_hull_2d_loop(points):
-    """Monotone chain over every input point, counterclockwise hull indices.
+    """Monotone chain on NumPy scalars, counterclockwise hull indices.
 
-    The reference for the prefiltered planar hull kernel: collinear
-    interior points are dropped, a fully collinear input yields its two
-    lexicographic extremes and a single point yields itself.
+    The reference for the planar hull kernel, which runs the same chain
+    on Python floats: collinear interior points are dropped, a fully
+    collinear input yields its two lexicographic extremes and a single
+    point yields itself.
     """
     pts = np.ascontiguousarray(points, dtype=np.float64)
     n = pts.shape[0]

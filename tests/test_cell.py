@@ -412,6 +412,19 @@ class TestKCell:
         for v, d in zip(z.vertices, z.defining):
             assert np.abs(z.normals[d] @ v - z.offsets[d]).max() < 1e-9
 
+    def test_box_plane_ids_follow_compaction(self, ball):
+        # a window too small to certify, so box planes define vertices
+        builder = cell._CellBuilder(ball, 2)
+        r = 1 / math.sqrt(2)
+        for U, T in (([[r, r], [1.0, 0.0]], [1.2, 5.0]), ([[-r, r]], [1.2])):
+            builder.rebuild(np.array(U), np.array(T), 0.1)
+            BU, BT = cell._axis_box(ball, 0.1)
+            A, b = np.vstack([builder.U, BU]), np.concatenate([builder.T, BT])
+            assert (builder.inter.defining >= len(builder.T)).any()
+            for v, d in zip(builder.inter.vertices, builder.inter.defining):
+                assert np.abs(A[d] @ v - b[d]).max() < 1e-12
+        assert len(builder.T) == 2  # the halfplane x <= 5 misses the box
+
     def test_vertices_strictly_inside_window(self, params50, ball):
         for rep in range(20):
             z = cell.k_cell(params50, ball, stream_key=KeyedStream(34, rep))

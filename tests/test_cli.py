@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import hypercell
 from hypercell.cli import dispatch
 
 BALL_ISO = {
@@ -125,10 +126,15 @@ class TestOtherCommands:
 
 
 def test_console_script_runs():
+    # the child imports the same package as this process, also when only
+    # pytest's `pythonpath` setting put it on sys.path
+    root = os.path.dirname(os.path.dirname(hypercell.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "hypercell.cli", "rate", "--config", "/nonexistent.json"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 2
     assert "ConfigError" in proc.stderr

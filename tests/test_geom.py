@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypercell import geom
 from hypercell.errors import ContainmentViolated, UnsupportedBody
 
-from oracles import cube_distance_oracle, polygon_perimeter_numeric
+from oracles import cube_distance_oracle, point_at_every_piece, polygon_perimeter_numeric
 
 
 class TestSupport:
@@ -196,6 +196,21 @@ class TestBoundaryPath:
             path = geom.boundary_path(body, 0.2)
             pts = path.point_at(np.linspace(0, path.total, 5000, endpoint=False))
             assert np.abs(body.distance_batch(pts) - 0.2).max() < 1e-9
+
+    def test_point_at_equals_every_piece_loop(self, square, ball, stadium, rng):
+        for body in (square, ball, stadium):
+            path = geom.boundary_path(body, 0.3)
+            ends = path.cum.tolist()  # piece boundaries, total included
+            cases = [
+                [ends[1]],
+                ends,
+                [path.total, 2.5 * path.total, -0.25 * path.total],  # s >= total wraps
+                rng.uniform(0.0, 3.0 * path.total, 500),
+                np.nextafter(path.cum, -np.inf),
+                np.nextafter(path.cum, np.inf),
+            ]
+            for s in cases:
+                assert np.array_equal(path.point_at(s), point_at_every_piece(path, s))
 
 
 class TestParallelBodies:

@@ -1,12 +1,18 @@
 """The NumPy geometry kernels on small inputs with known answers."""
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from hypercell import _kernels, cell, geom, process
 from hypercell import direction as dn
+from hypercell import experiment as ex
 from hypercell.rng import KeyedStream
 
 from oracles import convex_hull_2d_loop
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestPureBackend:
@@ -70,10 +76,13 @@ def degenerate_point_sets():
         np.vstack([grid, grid[::2]]),  # duplicates of grid points
         np.vstack([grid * 1e-9, [[0.0, 0.0]] * 3]),  # tiny scale
         np.vstack([np.eye(2), -np.eye(2), [[0.5, 0.5], [0.0, 0.0], [1.0, 0.0]]]),
+        # a point 1e-15 and one 7e-16 inside the hull edge from (1, 0) to (0, 1)
+        np.array([[1.0, 0], [0, 1], [-1, 0], [0, -1], [0.5, 0.5 - 1e-15], [0.1, 0.1]]),
+        np.array([[1.0, 0], [0, 1], [-1, 0], [0, -1], [0.5, 0.5 - 7e-16], [0.1, 0.1]]),
     ]
 
 
-class TestHullPrefilter:
+class TestHullChain:
     def test_degenerate_inputs_equal_chain(self):
         for pts in degenerate_point_sets():
             assert np.array_equal(_kernels.convex_hull_2d(pts), convex_hull_2d_loop(pts))
@@ -95,11 +104,14 @@ class TestHullPrefilter:
             for rep in range(3):
                 cell.cells_along_intensity(params, body, [64, 256, 1024, 4096], stream_key=KeyedStream(47, rep))
         assert len(seen) >= 20 and max(map(len, seen)) >= 100
-        dropped = 0
+        # the bundled cap-starved config; its replication 237 hands the hull 82 points
+        n_iso_atomic = len(seen)
+        doc = json.loads((CONFIGS / "counterexample_ball.json").read_text())
+        body = geom.body_from_json(doc["body"])
+        ex.run_counterexample(ex.CounterexampleConfig(body, doc["beta"], doc["n_grid"], reps=240, seed=doc["seed"]))
+        assert len(seen) - n_iso_atomic >= 1000 and max(map(len, seen[n_iso_atomic:])) >= 80
         for pts in seen:
             assert np.array_equal(hull(pts), convex_hull_2d_loop(pts))
-            dropped += int(_kernels._deep_inside(pts).sum())
-        assert dropped > 0
 
     def test_random_inputs_equal_chain(self, rng):
         for k in range(200):
@@ -108,8 +120,3 @@ class TestHullPrefilter:
             if k % 2:
                 pts = np.round(pts * 4)  # grid points, with ties
             assert np.array_equal(_kernels.convex_hull_2d(pts), convex_hull_2d_loop(pts))
-
-    def test_prefilter_keeps_hull_vertices(self):
-        # a point just inside an edge of the extreme polygon is kept
-        pts = np.array([[1.0, 0], [0, 1], [-1, 0], [0, -1], [0.5, 0.5 - 1e-15], [0.1, 0.1]])
-        assert _kernels._deep_inside(pts).tolist() == [False, False, False, False, False, True]

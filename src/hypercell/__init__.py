@@ -6,7 +6,9 @@ convex body, separation diagnostics, and Monte Carlo harnesses for
 Hausdorff-distance convergence rates, exponential tail decay, and the
 cap-starved counterexample law.
 
-The planar geometry kernels are plain NumPy (`hypercell._kernels`);
+A process sample is a pair of arrays (unit normals, offsets), as
+returned by `sample_hitting` and `sample_annulus`.  The planar geometry
+kernels are plain NumPy (`hypercell._kernels`);
 `hypercell.kernel_backend()` names them for run stamps.
 """
 from hypercell.cell import (
@@ -27,7 +29,6 @@ from hypercell.direction import (
     cap_starved,
     from_surface_measure,
     integrate,
-    sample_direction,
     support_of,
     supports_approximation,
 )
@@ -62,9 +63,7 @@ from hypercell.metrics import (
     mu_scaling,
 )
 from hypercell.process import (
-    Hyperplane,
     ProcessParams,
-    hits,
     phi_functional,
     sample_annulus,
     sample_hitting,

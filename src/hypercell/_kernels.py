@@ -1,7 +1,8 @@
 """NumPy kernels for the planar geometry hot loops.
 
 Convex hull (the dual of the planar halfspace intersection; a monotone
-chain run on Python floats), distance from points to a convex polygon,
+chain run on Python floats), projection of points onto a convex polygon
+(distance and nearest point, for every planar distance and projection),
 and the cut filter that tests which new halfspaces reach an existing
 cell.  Callers go through the module attribute
 (`_kernels.convex_hull_2d(...)`) so the kernels can be wrapped from
@@ -52,28 +53,27 @@ def convex_hull_2d(points: np.ndarray) -> np.ndarray:
     return np.asarray(lower[:-1] + upper[:-1], dtype=np.int64)
 
 
-def polygon_distance(poly: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Euclidean distance from each query point to a convex CCW polygon.
+def polygon_project(poly: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distance from each row of `pts` to a convex CCW polygon, and the nearest point.
 
-    Zero for points inside or on the boundary.  `poly` may be degenerate
-    (2 vertices = segment, 1 vertex = point).
+    Points inside or on the boundary get distance zero and are their own
+    nearest point.  `poly` may be degenerate (2 vertices = segment,
+    1 vertex = point).
     """
     poly = np.ascontiguousarray(poly, dtype=np.float64)
     pts = np.ascontiguousarray(pts, dtype=np.float64)
-    single = pts.ndim == 1
-    if single:
-        pts = pts[None, :]
     k = poly.shape[0]
     if k == 0:
         raise ValueError("empty polygon")
     if k == 1:
         d = np.hypot(pts[:, 0] - poly[0, 0], pts[:, 1] - poly[0, 1])
-        return d[0] if single else d
+        return d, np.broadcast_to(poly[0], pts.shape).copy()
 
-    a = poly
-    b = np.roll(poly, -1, axis=0)
     if k == 2:
-        a, b = a[:1], b[:1]  # one segment, not two copies
+        a, b = poly[:1], poly[1:]  # one segment, not two copies
+    else:
+        # the next vertex of each edge; np.roll costs several times more
+        a, b = poly, np.concatenate((poly[1:], poly[:1]))
     e = b - a  # (m,2)
     # squared edge lengths; degenerate edges collapse to point distances
     ee = np.einsum("ij,ij->i", e, e)
@@ -82,12 +82,16 @@ def polygon_distance(poly: np.ndarray, pts: np.ndarray) -> np.ndarray:
     t = np.clip(np.einsum("nmj,mj->nm", diff, e) / ee, 0.0, 1.0)
     proj = a[None, :, :] + t[..., None] * e[None, :, :]
     seg_d = np.linalg.norm(pts[:, None, :] - proj, axis=2)
-    d = seg_d.min(axis=1)
+    rows = np.arange(len(pts))
+    j = seg_d.argmin(axis=1)
+    d = seg_d[rows, j]  # the row minimum
+    nearest = proj[rows, j]
     if k >= 3:
         crosses = diff[..., 0] * e[None, :, 1] - diff[..., 1] * e[None, :, 0]
         inside = (crosses <= 0.0).all(axis=1)
         d = np.where(inside, 0.0, d)
-    return d[0] if single else d
+        nearest[inside] = pts[inside]
+    return d, nearest
 
 
 def cut_mask(normals: np.ndarray, offsets: np.ndarray, vertices: np.ndarray) -> np.ndarray:

@@ -41,7 +41,8 @@ import numpy as np
 
 from hypercell import _kernels, geom
 from hypercell.errors import WindowOverflow
-from hypercell.process import ProcessParams, _sample_annulus_arrays
+# the sampler is a module attribute of its own, so a tracer or a test can wrap it here
+from hypercell.process import ProcessParams, sample_annulus as _sample_annulus_arrays
 from hypercell.rng import as_keyed_stream, poisson_variate
 
 FEAS_TOL = 1e-9
@@ -102,10 +103,6 @@ class CellPolytope:
     defining: np.ndarray  # (k, d) indices into the active constraints
     window_radius: float
     stats: CellStats = field(default_factory=CellStats)
-
-    @property
-    def halfspaces(self) -> list[tuple[np.ndarray, float]]:
-        return [(u, float(t)) for u, t in zip(self.normals, self.offsets)]
 
     def to_json(self) -> dict:
         return {

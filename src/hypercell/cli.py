@@ -42,13 +42,12 @@ def _require(cfg: dict, key: str):
 
 
 def _parse_common(cfg: dict, args):
+    """Body, seed and window policy of an experiment config."""
     body = geom.body_from_json(_require(cfg, "body"))
-    dist = dn.distribution_from_json(_require(cfg, "distribution"))
     seed = args.seed if args.seed is not None else cfg.get("seed")
     if seed is None:
         raise ConfigError("seed must be given in the config or with --seed")
-    policy = ex.policy_from_json(cfg.get("policy", {}))
-    return body, dist, int(seed), policy
+    return body, int(seed), ex.policy_from_json(cfg.get("policy", {}))
 
 
 def _threads(args) -> int:
@@ -65,10 +64,10 @@ def _out_path(args, name: str) -> str:
 
 def _cmd_rate(args) -> int:
     cfg = _load_config(args.config)
-    body, dist, seed, policy = _parse_common(cfg, args)
+    body, seed, policy = _parse_common(cfg, args)
     run_cfg = ex.RateRunConfig(
         body,
-        dist,
+        dn.distribution_from_json(_require(cfg, "distribution")),
         _require(cfg, "n_grid"),
         int(cfg.get("reps", 100)),
         seed,
@@ -103,10 +102,10 @@ def _cmd_rate(args) -> int:
 
 def _cmd_tail(args) -> int:
     cfg = _load_config(args.config)
-    body, dist, seed, policy = _parse_common(cfg, args)
+    body, seed, policy = _parse_common(cfg, args)
     run_cfg = ex.TailRunConfig(
         body,
-        dist,
+        dn.distribution_from_json(_require(cfg, "distribution")),
         float(_require(cfg, "eps")),
         _require(cfg, "gamma_grid"),
         int(cfg.get("reps", 1000)),
@@ -134,20 +133,13 @@ def _cmd_tail(args) -> int:
 
 def _cmd_counterexample(args) -> int:
     cfg = _load_config(args.config)
-    body, _, seed, policy = (
-        geom.body_from_json(_require(cfg, "body")),
-        None,
-        args.seed if args.seed is not None else cfg.get("seed"),
-        ex.policy_from_json(cfg.get("policy", {})),
-    )
-    if seed is None:
-        raise ConfigError("seed must be given in the config or with --seed")
+    body, seed, policy = _parse_common(cfg, args)
     run_cfg = ex.CounterexampleConfig(
         body,
         float(cfg.get("beta", 0.25)),
         _require(cfg, "n_grid"),
         int(cfg.get("reps", 2000)),
-        int(seed),
+        seed,
         policy=policy,
         control=bool(cfg.get("control", False)),
         debug_oracle=args.debug_oracle,
@@ -176,10 +168,8 @@ def _cmd_mu_curve(args) -> int:
     mu_cfg = metrics.MuConfig(
         coarse_samples=int(cfg.get("coarse_samples", 4096)), seed=int(seed)
     )
-    ests = [metrics.mu_estimate(body, dist, e, mu_cfg) for e in grid]
-    points = [(math.log(e), math.log(est.value)) for e, est in zip(grid, ests)]
-    ols = ex.fit_loglog(points)
-    fit = metrics.ScalingFit(ols.slope, ols.intercept, ols.r_squared, points)
+    fit = metrics.mu_scaling(body, dist, grid, mu_cfg)
+    ests = fit.estimates
     csv_path = _out_path(args, "mu.csv")
     with open(csv_path, "w") as fh:
         fh.write("epsilon,mu,evaluations\n")

@@ -35,7 +35,6 @@ __all__ = [
     "CapStarved",
     "Mixture",
     "MeasureSupport",
-    "sample_direction",
     "integrate",
     "support_of",
     "supports_approximation",
@@ -61,14 +60,14 @@ class IntegralResult(NamedTuple):
 
 
 def _eval_batch(f, U: np.ndarray) -> np.ndarray:
-    """Evaluate f on rows of U, accepting batch or per-vector callables."""
-    try:
-        vals = np.asarray(f(U), dtype=np.float64)
-        if vals.shape == (U.shape[0],):
-            return vals
-    except Exception:
-        pass
-    return np.array([float(f(u)) for u in U], dtype=np.float64)
+    """Evaluate the batch callable f on the rows of U: one value per row."""
+    vals = np.asarray(f(U), dtype=np.float64)
+    if vals.shape != (U.shape[0],):
+        raise ValueError(
+            f"batch callable on {U.shape[0]} directions returned shape {vals.shape}, "
+            f"expected ({U.shape[0]},)"
+        )
+    return vals
 
 
 def _rejection_batch(rng, n, propose, accept_prob):
@@ -156,9 +155,10 @@ class Atomic:
 class DensityOnSphere:
     """Distribution with density g relative to the uniform distribution.
 
-    g is symmetrized at construction, so evenness holds regardless of the
-    callable supplied.  `sup_bound` must dominate g; it is the rejection
-    envelope.
+    g maps an (n, d) array of unit vectors to n values.  It is
+    symmetrized where it is evaluated, so evenness holds regardless of
+    the callable supplied.  `sup_bound` must dominate g; it is the
+    rejection envelope.
     """
 
     def __init__(self, g: Callable, sup_bound: float, dim: int):
@@ -343,16 +343,6 @@ def _orthonormal_complement(axis: np.ndarray) -> np.ndarray:
 # operations
 
 
-def sample_direction(dist: DirectionalDistribution, rng) -> np.ndarray:
-    """Draw one direction from the distribution."""
-    return dist.sample_batch(rng, 1)[0]
-
-
-def sample_directions(dist: DirectionalDistribution, rng, n: int) -> np.ndarray:
-    """Draw n directions (vectorized)."""
-    return dist.sample_batch(rng, n)
-
-
 def _simpson_circle(f, nodes: int) -> float:
     """Composite Simpson average of f over the unit circle."""
     n = nodes if nodes % 2 == 0 else nodes + 1
@@ -373,8 +363,10 @@ def _mc_indices(cfg: IntegrationConfig):
 def integrate(dist: DirectionalDistribution, f, cfg: IntegrationConfig | None = None) -> IntegralResult:
     """Integral of f against the distribution.
 
-    Exact for atoms, composite Simpson in the plane, antithetic Monte
-    Carlo otherwise (stderr reported; 0 for the deterministic paths).
+    f maps an (n, d) array of unit vectors to n values (ValueError on any
+    other shape).  Exact for atoms, composite Simpson in the plane,
+    antithetic Monte Carlo otherwise (stderr reported; 0 for the
+    deterministic paths).
     """
     cfg = cfg or IntegrationConfig()
     if isinstance(dist, Atomic):

@@ -17,6 +17,7 @@ import csv
 import json
 import math
 import warnings
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -73,10 +74,7 @@ class RateRunConfig:
     debug_oracle: bool = False
 
     def __post_init__(self):
-        grid = tuple(self.n_grid)
-        object.__setattr__(self, "n_grid", grid)
-        if any(b <= a for a, b in zip(grid, grid[1:])) or not grid:
-            raise ConfigError("n_grid must be nonempty and strictly increasing")
+        object.__setattr__(self, "n_grid", _increasing_grid("n_grid", self.n_grid))
         if self.reps < 1:
             raise ConfigError("reps must be >= 1")
 
@@ -113,8 +111,7 @@ class TailRunConfig:
             raise ConfigError("tail eps must lie in (0, 1]")
         if any(g < 1 for g in grid):
             raise ConfigError("tail gamma grid assumes gamma >= 1")
-        if any(b <= a for a, b in zip(grid, grid[1:])) or not grid:
-            raise ConfigError("gamma_grid must be nonempty and strictly increasing")
+        _increasing_grid("gamma_grid", grid)
 
     def to_json(self) -> dict:
         return {
@@ -141,7 +138,9 @@ class CounterexampleConfig:
     debug_oracle: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "n_grid", tuple(self.n_grid))
+        object.__setattr__(self, "n_grid", _increasing_grid("n_grid", self.n_grid))
+        if self.reps < 1:
+            raise ConfigError("reps must be >= 1")
         if not isinstance(self.body, (geom.Ball, geom.BallSum)):
             raise ConfigError(
                 "counterexample body must carry a rolling ball (Ball or BallSum)"
@@ -160,6 +159,13 @@ class CounterexampleConfig:
             "policy": _policy_to_json(self.policy),
             "control": self.control,
         }
+
+
+def _increasing_grid(name: str, grid) -> tuple:
+    grid = tuple(grid)
+    if any(b <= a for a, b in zip(grid, grid[1:])) or not grid:
+        raise ConfigError(f"{name} must be nonempty and strictly increasing")
+    return grid
 
 
 def _policy_to_json(policy: WindowPolicy) -> dict:
@@ -199,33 +205,16 @@ class ExperimentResult:
 
 
 # ---------------------------------------------------------------------------
-# single-replication workers (top level so process pools can pickle them)
+# the single-replication worker (top level so process pools can pickle it)
 
 
-def _rate_rep(cfg: RateRunConfig, rep: int) -> list[RunRecord]:
-    params = ProcessParams(1.0, cfg.distribution, cfg.body.dim)
-    key = KeyedStream(cfg.seed, rep)
-    try:
-        cells = cells_along_intensity(
-            params, cfg.body, cfg.n_grid, cfg.policy, key, debug_oracle=cfg.debug_oracle
-        )
-    except WindowOverflow:
-        return [
-            RunRecord(rep, float(n), math.nan, 0, cfg.policy.max_rounds, 1)
-            for n in cfg.n_grid
-        ]
-    out = []
-    prev = math.inf
-    for n, z in zip(cfg.n_grid, cells):
-        delta = metrics.hausdorff_cell(cfg.body, z)
-        if delta > prev + 1e-12:
-            raise AssertionError("coupled deltas must be nonincreasing in the intensity")
-        prev = delta
-        out.append(RunRecord(rep, float(n), delta, z.stats.sampled, z.stats.rounds, 0))
-    return out
+def _coupled_rep(args) -> list[tuple[RunRecord, bool | None]]:
+    """One replication: coupled cells along cfg.n_grid, one row per level.
 
-
-def _counterexample_rep(args) -> list:
+    A row is the RunRecord and, when probe points y_n are given, whether
+    a sampled hyperplane of the cell separates y_n from the body (None
+    otherwise, and on window overflow).
+    """
     cfg, rep, dist, y_points = args
     params = ProcessParams(1.0, dist, cfg.body.dim)
     key = KeyedStream(cfg.seed, rep)
@@ -235,31 +224,44 @@ def _counterexample_rep(args) -> list:
         )
     except WindowOverflow:
         return [
-            (RunRecord(rep, float(n), math.nan, 0, cfg.policy.max_rounds, 1), 0, 0)
+            (RunRecord(rep, float(n), math.nan, 0, cfg.policy.max_rounds, 1), None)
             for n in cfg.n_grid
         ]
     out = []
-    for n, z, y in zip(cfg.n_grid, cells, y_points):
+    prev = math.inf
+    for n, z, y in zip(cfg.n_grid, cells, y_points or [None] * len(cells)):
         delta = metrics.hausdorff_cell(cfg.body, z)
-        eps_n = float(n) ** (-cfg.beta)
-        separated = bool(len(z.offsets)) and bool(
-            (z.normals @ y - z.offsets).max() > 0.0
-        )
-        exceeded = delta >= eps_n
-        rec = RunRecord(rep, float(n), delta, z.stats.sampled, z.stats.rounds, 0)
-        out.append((rec, int(exceeded), int(separated)))
+        if delta > prev + 1e-12:
+            raise AssertionError("coupled deltas must be nonincreasing in the intensity")
+        prev = delta
+        separated = None
+        if y is not None:
+            separated = bool(len(z.offsets)) and bool((z.normals @ y - z.offsets).max() > 0.0)
+        out.append((RunRecord(rep, float(n), delta, z.stats.sampled, z.stats.rounds, 0), separated))
     return out
 
 
-def _run_reps(worker, tasks, threads: int):
+def _run_reps(cfg, dist, y_points, threads: int) -> list[tuple[RunRecord, bool | None]]:
+    """Rows of every replication, sorted by (rep, n)."""
+    tasks = [(cfg, rep, dist, y_points) for rep in range(cfg.reps)]
     if threads <= 1:
-        return [worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, tasks, chunksize=max(1, len(tasks) // (4 * threads))))
+        chunks = [_coupled_rep(t) for t in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            chunks = list(
+                pool.map(_coupled_rep, tasks, chunksize=max(1, len(tasks) // (4 * threads)))
+            )
+    rows = [row for chunk in chunks for row in chunk]
+    rows.sort(key=lambda row: (row[0].rep, row[0].n))
+    return rows
 
 
-def _rate_rep_star(args):
-    return _rate_rep(*args)
+def _levels(grid, rows):
+    """Per grid level: n, the rows that did not overflow, and the overflow count."""
+    for n in grid:
+        level = [row for row in rows if row[0].n == float(n)]
+        kept = [row for row in level if not row[0].overflow]
+        yield n, kept, len(level) - len(kept)
 
 
 # ---------------------------------------------------------------------------
@@ -288,23 +290,11 @@ def run_rate(cfg: RateRunConfig, threads: int = 1) -> ExperimentResult:
     and reported per n in `overflow_count`.
     """
     _check_rate_hypotheses(cfg)
-    rep_results = _run_reps(
-        _rate_rep_star, [(cfg, rep) for rep in range(cfg.reps)], threads
-    )
-    records = [r for chunk in rep_results for r in chunk]
-    records.sort(key=lambda r: (r.rep, r.n))
-    per_n, fit = _aggregate_rate(cfg.n_grid, records)
-    return ExperimentResult(cfg.to_json(), records, per_n, fit)
-
-
-def _aggregate_rate(n_grid, records):
+    rows = _run_reps(cfg, cfg.distribution, None, threads)
     per_n = []
     xs, ys = [], []
-    for n in n_grid:
-        deltas = np.array(
-            [r.delta for r in records if r.n == float(n) and not r.overflow]
-        )
-        overflow = sum(1 for r in records if r.n == float(n) and r.overflow)
+    for n, kept, overflow in _levels(cfg.n_grid, rows):
+        deltas = np.array([r.delta for r, _ in kept])
         entry = {"n": float(n), "overflow_count": overflow}
         if len(deltas):
             entry["median_delta"] = float(np.median(deltas))
@@ -315,7 +305,7 @@ def _aggregate_rate(n_grid, records):
                 ys.append(math.log(entry["median_delta"]))
         per_n.append(entry)
     fit = fit_loglog(list(zip(xs, ys))) if len(set(xs)) >= 2 else None
-    return per_n, fit
+    return ExperimentResult(cfg.to_json(), [r for r, _ in rows], per_n, fit)
 
 
 def run_tail(cfg: TailRunConfig, threads: int = 1) -> ExperimentResult:
@@ -335,18 +325,11 @@ def run_tail(cfg: TailRunConfig, threads: int = 1) -> ExperimentResult:
         debug_oracle=cfg.debug_oracle,
     )
     _check_rate_hypotheses(rate_cfg)
-    rep_results = _run_reps(
-        _rate_rep_star, [(rate_cfg, rep) for rep in range(cfg.reps)], threads
-    )
-    records = [r for chunk in rep_results for r in chunk]
-    records.sort(key=lambda r: (r.rep, r.n))
+    rows = _run_reps(rate_cfg, cfg.distribution, None, threads)
     per_n = []
     xs, ys = [], []
-    for g in cfg.gamma_grid:
-        flags = np.array(
-            [r.delta > cfg.eps for r in records if r.n == float(g) and not r.overflow]
-        )
-        overflow = sum(1 for r in records if r.n == float(g) and r.overflow)
+    for g, kept, overflow in _levels(cfg.gamma_grid, rows):
+        flags = np.array([r.delta > cfg.eps for r, _ in kept])
         p_hat = float(flags.mean()) if len(flags) else math.nan
         per_n.append(
             {"n": float(g), "p_hat": p_hat, "count": int(len(flags)), "overflow_count": overflow}
@@ -364,7 +347,7 @@ def run_tail(cfg: TailRunConfig, threads: int = 1) -> ExperimentResult:
             "mu": mu.value,
             "abs_slope_over_mu": abs(fit.slope) / mu.value if mu.value > 0 else math.nan,
         }
-    return ExperimentResult(cfg.to_json(), records, per_n, fit, extras)
+    return ExperimentResult(cfg.to_json(), [r for r, _ in rows], per_n, fit, extras)
 
 
 def _counterexample_distribution(cfg: CounterexampleConfig):
@@ -411,37 +394,29 @@ def run_counterexample(cfg: CounterexampleConfig, threads: int = 1) -> Experimen
     keeps that frequency below n^-2.
     """
     dist, y_points = _counterexample_distribution(cfg)
-    tasks = [(cfg, rep, dist, y_points) for rep in range(cfg.reps)]
-    rep_results = _run_reps(_counterexample_rep, tasks, threads)
-    triples = [t for chunk in rep_results for t in chunk]
-    triples.sort(key=lambda t: (t[0].rep, t[0].n))
-    records = [t[0] for t in triples]
+    rows = _run_reps(cfg, dist, y_points, threads)
     per_n = []
-    for n in cfg.n_grid:
-        rows = [t for t in triples if t[0].n == float(n) and not t[0].overflow]
+    violations = Counter()
+    for n, kept, overflow in _levels(cfg.n_grid, rows):
         eps_n = float(n) ** (-cfg.beta)
-        count = len(rows)
+        exceeded = [r.delta >= eps_n for r, _ in kept]
+        violations.update(r.rep for (r, _), e in zip(kept, exceeded) if not e)
+        count = len(kept)
         per_n.append(
             {
                 "n": float(n),
                 "eps_n": eps_n,
                 "count": count,
-                "overflow_count": sum(
-                    1 for t in triples if t[0].n == float(n) and t[0].overflow
-                ),
-                "exceed_freq": (sum(t[1] for t in rows) / count) if count else math.nan,
-                "separated_freq": (sum(t[2] for t in rows) / count) if count else math.nan,
+                "overflow_count": overflow,
+                "exceed_freq": (sum(exceeded) / count) if count else math.nan,
+                "separated_freq": (sum(s for _, s in kept) / count) if count else math.nan,
             }
         )
-    violations = {}
-    for rec, exceeded, _ in triples:
-        if not rec.overflow and not exceeded:
-            violations[rec.rep] = violations.get(rec.rep, 0) + 1
     extras = {
         "distribution": dn.distribution_to_json(dist),
         "violations_per_rep": {str(k): v for k, v in sorted(violations.items())},
     }
-    return ExperimentResult(cfg.to_json(), records, per_n, None, extras)
+    return ExperimentResult(cfg.to_json(), [r for r, _ in rows], per_n, None, extras)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,9 @@ arcs and segments, which the rest of the package leans on heavily.
 
 Constructors translate each body so the vertex centroid (or ball center)
 sits at the origin; all downstream code assumes an interior origin.
+Planar distances and projections go through one kernel,
+`_kernels.polygon_project`, which returns the distance and the nearest
+point of the core polygon together.
 """
 from __future__ import annotations
 
@@ -35,7 +38,6 @@ __all__ = [
     "surface_measure",
     "hausdorff_containing",
     "project",
-    "project_batch",
     "outer_parallel",
     "parallel_gap",
     "boundary_path",
@@ -156,7 +158,7 @@ class Polytope(_BodyBase):
 
     def distance_batch(self, X: np.ndarray) -> np.ndarray:
         if self.dim == 2:
-            return _kernels.polygon_distance(self.hull_vertices, X)
+            return _kernels.polygon_project(self.hull_vertices, X)[0]
         return np.array([_projection_distance(self.vertices, x)[0] for x in X])
 
     def inradius_origin(self) -> float:
@@ -222,7 +224,7 @@ class BallSum(_BodyBase):
 
     def distance_batch(self, X: np.ndarray) -> np.ndarray:
         if self.dim == 2:
-            core = _kernels.polygon_distance(self.hull_vertices, X)
+            core = _kernels.polygon_project(self.hull_vertices, X)[0]
         else:
             core = np.array([_projection_distance(self.vertices, x)[0] for x in X])
         return np.maximum(0.0, core - self.radius)
@@ -400,24 +402,27 @@ def _support_point(body: Body, v: np.ndarray, rng, face_tol: float = 1e-12):
 
 
 def _polygon_edges(hull: np.ndarray):
-    """Directed boundary edges (a, b, outward normal) of a CCW hull.
+    """Directed boundary edges (a, b, outward normal, length) of a CCW hull.
 
-    A 2-point hull (segment) contributes both sides.
+    A 2-point hull (segment) contributes both sides.  The length is the
+    norm the normal was divided by.
     """
     if len(hull) == 2:
-        n = _segment_normal(hull, 0)
-        return [(hull[0], hull[1], n), (hull[1], hull[0], -n)]
+        e = hull[1] - hull[0]
+        ln = np.linalg.norm(e)
+        n = np.array([e[1], -e[0]]) / ln
+        return [(hull[0], hull[1], n, float(ln)), (hull[1], hull[0], -n, float(ln))]
     b = np.roll(hull, -1, axis=0)
     e = b - hull
     ln = np.linalg.norm(e, axis=1)
     normals = np.column_stack([e[:, 1], -e[:, 0]]) / ln[:, None]
-    return [(hull[i], b[i], normals[i]) for i in range(len(hull))]
+    return [(hull[i], b[i], normals[i], float(ln[i])) for i in range(len(hull))]
 
 
 def _random_facet_point(body: Body, rng):
     if body.dim == 2:
         edges = _polygon_edges(body.hull_vertices)
-        a, b, n = edges[int(rng.integers(len(edges)))]
+        a, b, n, _ = edges[int(rng.integers(len(edges)))]
         x = a + rng.random() * (b - a)
     else:
         facets = body.facets if isinstance(body, Polytope) else Polytope(body.vertices).facets
@@ -428,12 +433,6 @@ def _random_facet_point(body: Body, rng):
     if isinstance(body, BallSum):
         return x + body.radius * n, n
     return x, n
-
-
-def _segment_normal(hull: np.ndarray, i: int) -> np.ndarray:
-    e = hull[1] - hull[0]
-    n = np.array([e[1], -e[0]]) / np.linalg.norm(e)
-    return n if i == 0 else -n
 
 
 @dataclass
@@ -472,19 +471,7 @@ def surface_measure(body: Body) -> SurfaceMeasure:
         if body.dim != 2:
             raise UnsupportedBody("surface measure of polytope+ball sums is only available in d = 2")
         hull = body.hull_vertices
-        if len(hull) == 1:
-            return SurfaceMeasure(atoms=[], sphere_density=body.radius, dim=2)
-        atoms = []
-        if len(hull) == 2:
-            n = _segment_normal(hull, 0)
-            ln = float(np.linalg.norm(hull[1] - hull[0]))
-            atoms = [(n, ln), (-n, ln)]
-        else:
-            a, b = hull, np.roll(hull, -1, axis=0)
-            e = b - a
-            ln = np.linalg.norm(e, axis=1)
-            normals = np.column_stack([e[:, 1], -e[:, 0]]) / ln[:, None]
-            atoms = [(normals[i].copy(), float(ln[i])) for i in range(len(hull))]
+        atoms = [] if len(hull) == 1 else [(n.copy(), ln) for _, _, n, ln in _polygon_edges(hull)]
         return SurfaceMeasure(atoms=atoms, sphere_density=body.radius, dim=2)
     raise TypeError(f"not a body: {body!r}")
 
@@ -518,92 +505,18 @@ def project(body: Body, x) -> tuple[float, np.ndarray]:
         if n <= body.radius:
             return 0.0, x.copy()
         return n - body.radius, body.center + body.radius * v / n
-    if isinstance(body, Polytope):
-        if body.dim == 2:
-            return _polygon_project(body.hull_vertices, x)
-        return _projection_distance(body.vertices, x)
-    if isinstance(body, BallSum):
-        if body.dim == 2:
-            dc, pc = _polygon_project(body.hull_vertices, x)
-        else:
-            dc, pc = _projection_distance(body.vertices, x)
-        if dc <= body.radius:
-            return 0.0, x.copy()
-        return dc - body.radius, pc + body.radius * (x - pc) / dc
-    raise TypeError(f"not a body: {body!r}")
-
-
-def project_batch(body: Body, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized `project` over rows of Y."""
-    Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
-    if isinstance(body, Ball):
-        V = Y - body.center
-        n = np.linalg.norm(V, axis=1)
-        outside = n > body.radius
-        pts = Y.copy()
-        safe = np.where(n > 0, n, 1.0)
-        pts[outside] = body.center + body.radius * (V[outside] / safe[outside, None])
-        return np.maximum(0.0, n - body.radius), pts
+    if not isinstance(body, (Polytope, BallSum)):
+        raise TypeError(f"not a body: {body!r}")
     if body.dim == 2:
-        d, p = _polygon_project_batch(body.hull_vertices, Y)
-        if isinstance(body, BallSum):
-            inside = d <= body.radius
-            out_d = np.maximum(0.0, d - body.radius)
-            safe = np.where(d > 0, d, 1.0)
-            pts = p + body.radius * (Y - p) / safe[:, None]
-            pts[inside] = Y[inside]
-            return out_d, pts
-        return d, p
-    pairs = [project(body, y) for y in Y]
-    return np.array([a for a, _ in pairs]), np.array([b for _, b in pairs])
-
-
-def _polygon_project_batch(hull: np.ndarray, Y: np.ndarray):
-    if len(hull) == 1:
-        d = np.linalg.norm(Y - hull[0], axis=1)
-        return d, np.broadcast_to(hull[0], Y.shape).copy()
-    edges = _polygon_edges(hull)
-    A = np.array([a for a, _, _ in edges])
-    B = np.array([b for _, b, _ in edges])
-    E = B - A
-    ee = np.einsum("ij,ij->i", E, E)
-    ee = np.where(ee == 0, 1.0, ee)
-    diff = Y[:, None, :] - A[None, :, :]
-    t = np.clip(np.einsum("nmj,mj->nm", diff, E) / ee, 0.0, 1.0)
-    proj = A[None, :, :] + t[..., None] * E[None, :, :]
-    d2 = ((Y[:, None, :] - proj) ** 2).sum(-1)
-    j = np.argmin(d2, axis=1)
-    rows = np.arange(len(Y))
-    pts = proj[rows, j]
-    d = np.sqrt(d2[rows, j])
-    if len(hull) >= 3:
-        crosses = diff[..., 0] * E[None, :, 1] - diff[..., 1] * E[None, :, 0]
-        inside = (crosses <= 0.0).all(axis=1)
-        d = np.where(inside, 0.0, d)
-        pts[inside] = Y[inside]
-    return d, pts
-
-
-def _polygon_project(hull: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray]:
-    if len(hull) == 1:
-        return float(np.linalg.norm(x - hull[0])), hull[0].copy()
-    best_d2 = np.inf
-    best_p = None
-    inside = len(hull) >= 3
-    for a, b, _ in _polygon_edges(hull):
-        e = b - a
-        ee = float(e @ e)
-        t = 0.0 if ee == 0 else min(1.0, max(0.0, float((x - a) @ e) / ee))
-        p = a + t * e
-        d2 = float((x - p) @ (x - p))
-        if d2 < best_d2:
-            best_d2 = d2
-            best_p = p
-        if inside and (x[0] - a[0]) * e[1] - (x[1] - a[1]) * e[0] > 0.0:
-            inside = False
-    if inside:
+        d, p = _kernels.polygon_project(body.hull_vertices, x[None, :])
+        dc, pc = float(d[0]), p[0]
+    else:
+        dc, pc = _projection_distance(body.vertices, x)
+    if isinstance(body, Polytope):
+        return dc, pc
+    if dc <= body.radius:
         return 0.0, x.copy()
-    return math.sqrt(best_d2), best_p
+    return dc - body.radius, pc + body.radius * (x - pc) / dc
 
 
 def outer_parallel(body: Body, rho: float) -> Body:
@@ -667,7 +580,9 @@ class BoundaryPath2D:
             edges = _polygon_edges(core)
             k = len(edges)
             for i in range(k):
-                a, b, n = edges[i]
+                a, b, n, _ = edges[i]
+                # the vector norm of b - a, not the edge's row norm: the two can
+                # differ in the last bit, and arclengths are fixed by this one
                 pieces.append(("seg", float(np.linalg.norm(b - a)), (a + radius * n, b + radius * n)))
                 n_next = edges[(i + 1) % k][2]
                 th0 = math.atan2(n[1], n[0])

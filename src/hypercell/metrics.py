@@ -79,6 +79,7 @@ class ScalingFit:
     intercept: float
     r_squared: float
     points: list
+    estimates: list = field(default_factory=list)  # MuEstimate per eps; not serialized
 
     def to_json(self) -> dict:
         return {
@@ -139,7 +140,7 @@ class ExcessEvaluator:
         hull = self.body.hull_vertices
         if len(hull) < 2:
             return np.empty(0)
-        normals = np.array([n for _, _, n in geom._polygon_edges(hull)])
+        normals = np.array([n for _, _, n, _ in geom._polygon_edges(hull)])
         return np.arctan2(normals[:, 1], normals[:, 0])
 
     # -- planar continuous part ---------------------------------------
@@ -430,12 +431,10 @@ def mu_scaling(body, dist, eps_grid, cfg: MuConfig | None = None) -> ScalingFit:
     if np.any(eps_arr > limit + 1e-12):
         raise InvalidEpsilon(f"eps grid must stay within (0, {limit:g}]")
     cfg = cfg or MuConfig()
-    points = []
-    for eps in eps_arr:
-        est = mu_estimate(body, dist, float(eps), cfg)
-        points.append((math.log(eps), math.log(est.value)))
+    estimates = [mu_estimate(body, dist, float(eps), cfg) for eps in eps_arr]
+    points = [(math.log(eps), math.log(est.value)) for eps, est in zip(eps_arr, estimates)]
     fit = fit_loglog(points)
-    return ScalingFit(fit.slope, fit.intercept, fit.r_squared, points)
+    return ScalingFit(fit.slope, fit.intercept, fit.r_squared, points, estimates)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,9 @@
 
 Hyperplanes use the positive-offset parametrization: H(u, t) is the set
 of points with <x, u> = t for a unit normal u and t > 0, which is unique
-for hyperplanes avoiding the origin.  The intensity measure restricted
+for hyperplanes avoiding the origin.  A sample is a pair of arrays
+(normals, offsets): the rows of the (n, d) normals U with the n offsets
+T, one hyperplane per row.  The intensity measure restricted
 to hyperplanes hitting a body W has total mass Phi(W) (see
 `phi_functional`) and factorizes into a direction law weighted by the
 support function and a uniform offset, which is how `sample_hitting`
@@ -24,26 +26,11 @@ from hypercell.errors import NotNested, OriginOutside
 from hypercell.rng import poisson_variate
 
 __all__ = [
-    "Hyperplane",
     "ProcessParams",
     "phi_functional",
-    "hits",
     "sample_hitting",
     "sample_annulus",
 ]
-
-
-@dataclass(frozen=True)
-class Hyperplane:
-    """H(u, t) = {x : <x, u> = t} with unit normal u and offset t > 0."""
-
-    u: np.ndarray
-    t: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "u", geom.as_unit_vector(self.u))
-        if self.t <= 0:
-            raise ValueError(f"hyperplane offset must be positive, got {self.t}")
 
 
 @dataclass(frozen=True)
@@ -88,12 +75,6 @@ def phi_functional(params: ProcessParams, body, cfg: dn.IntegrationConfig | None
     return 2.0 * params.gamma * res.value
 
 
-def hits(hyperplane: Hyperplane, body) -> bool:
-    """Whether the hyperplane meets the body (tangency counts: closed sets)."""
-    _require_interior_origin(body)
-    return hyperplane.t <= body.support(hyperplane.u)
-
-
 # ---------------------------------------------------------------------------
 # direction sampling weighted by support-function gaps
 
@@ -115,8 +96,12 @@ def _weighted_directions(dist, weight_fn, envelope: float, rng, n: int) -> np.nd
     )
 
 
-def _sample_hitting_arrays(params: ProcessParams, window, rng):
-    """(normals, offsets) of a Poisson sample of hyperplanes hitting window."""
+def sample_hitting(params: ProcessParams, window, rng):
+    """Poisson sample of the process restricted to hyperplanes hitting window.
+
+    Returns (normals, offsets): an (n, d) array of unit normals and an
+    (n,) array of offsets in (0, h(window, u)].
+    """
     _require_interior_origin(window)
     mass = phi_functional(params, window)
     n = poisson_variate(rng, mass)
@@ -130,8 +115,14 @@ def _sample_hitting_arrays(params: ProcessParams, window, rng):
     return U, t
 
 
-def _sample_annulus_arrays(params: ProcessParams, inner, outer, rng):
-    """(normals, offsets) of hyperplanes hitting `outer` but missing `inner`."""
+def sample_annulus(params: ProcessParams, inner, outer, rng):
+    """Poisson sample of hyperplanes hitting `outer` while missing `inner`.
+
+    Returns (normals, offsets) with offsets in (h(inner, u), h(outer, u)].
+    Raises NotNested unless the inner support function is dominated by
+    the outer one.  When `outer` is an outer parallel body of `inner`
+    the support gap is constant and sampling accepts every proposal.
+    """
     _require_interior_origin(inner)
     gap = geom.parallel_gap(inner, outer)
     if gap is None:
@@ -170,22 +161,3 @@ def _probe_directions(dim: int, n: int) -> np.ndarray:
         return np.column_stack([np.cos(th), np.sin(th)])
     g = np.random.Generator(np.random.Philox(key=7)).standard_normal((n, dim))
     return g / np.linalg.norm(g, axis=1, keepdims=True)
-
-
-def _to_hyperplanes(U: np.ndarray, T: np.ndarray) -> list[Hyperplane]:
-    return [Hyperplane(u, float(t)) for u, t in zip(U, T)]
-
-
-def sample_hitting(params: ProcessParams, window, rng) -> list[Hyperplane]:
-    """Poisson sample of the process restricted to hyperplanes hitting window."""
-    return _to_hyperplanes(*_sample_hitting_arrays(params, window, rng))
-
-
-def sample_annulus(params: ProcessParams, inner, outer, rng) -> list[Hyperplane]:
-    """Poisson sample of hyperplanes hitting `outer` while missing `inner`.
-
-    Raises NotNested unless the inner support function is dominated by
-    the outer one.  When `outer` is an outer parallel body of `inner`
-    the support gap is constant and sampling accepts every proposal.
-    """
-    return _to_hyperplanes(*_sample_annulus_arrays(params, inner, outer, rng))

@@ -175,8 +175,8 @@ def _c_hitting_contract() -> CheckResult:
     ok = True
     for W in (square, ball):
         for _ in range(50):
-            for h in process.sample_hitting(params, W, rng):
-                ok &= h.t > 0 and process.hits(h, W)
+            U, T = process.sample_hitting(params, W, rng)
+            ok &= bool(np.all(T > 0) and np.all(T <= W.support_batch(U)))
     return CheckResult("hitting sample contract", ok, "all t>0 and hit the window")
 
 
@@ -188,7 +188,7 @@ def _c_offset_uniformity() -> CheckResult:
     params = process.ProcessParams(30.0, dn.Isotropic(2), 2)
     ts = []
     while len(ts) < 20000:
-        ts.extend(h.t for h in process.sample_hitting(params, ball, rng))
+        ts.extend(process.sample_hitting(params, ball, rng)[1].tolist())
     stat = kstest(np.array(ts[:20000]), "uniform").statistic
     crit = 1.63 / math.sqrt(20000)
     return CheckResult("offset uniformity (KS)", stat < crit, f"KS {stat:.5f} < {crit:.5f}")
@@ -204,7 +204,7 @@ def _c_cap_fraction() -> CheckResult:
     hits_in_cap = 0
     total = 0
     while total < 100000:
-        U, T = process._sample_hitting_arrays(params, square, rng)
+        U, T = process.sample_hitting(params, square, rng)
         hits_in_cap += int(((U @ cap_axis) >= cos_thresh).sum())
         total += len(T)
     # expected fraction: integral of h over the cap / integral of h
@@ -228,9 +228,9 @@ def _c_thinning_consistency() -> CheckResult:
     filtered = []
     direct = []
     for _ in range(reps):
-        hs = process.sample_hitting(params, W, rng)
-        filtered.append(sum(1 for h in hs if not process.hits(h, ball)))
-        direct.append(len(process.sample_annulus(params, ball, W, rng)))
+        U, T = process.sample_hitting(params, W, rng)
+        filtered.append(int((T > ball.support_batch(U)).sum()))
+        direct.append(len(process.sample_annulus(params, ball, W, rng)[1]))
     top = max(max(filtered), max(direct))
     bins = np.arange(top + 2)
     f_counts = np.bincount(filtered, minlength=top + 1)
@@ -244,12 +244,10 @@ def _c_thinning_consistency() -> CheckResult:
 def _c_determinism() -> CheckResult:
     ball = geom.Ball([0, 0], 1.0)
     params = process.ProcessParams(10.0, dn.Isotropic(2), 2)
-    a = process.sample_hitting(params, ball, stream(SEED, "det"))
-    b = process.sample_hitting(params, ball, stream(SEED, "det"))
-    same = len(a) == len(b) and all(
-        np.array_equal(x.u, y.u) and x.t == y.t for x, y in zip(a, b)
-    )
-    return CheckResult("seeded determinism", same, f"{len(a)} hyperplanes identical")
+    Ua, Ta = process.sample_hitting(params, ball, stream(SEED, "det"))
+    Ub, Tb = process.sample_hitting(params, ball, stream(SEED, "det"))
+    same = np.array_equal(Ua, Ub) and np.array_equal(Ta, Tb)
+    return CheckResult("seeded determinism", same, f"{len(Ta)} hyperplanes identical")
 
 
 def _oracle_mismatches(label: str, d: int, count: int, n_max: int, box: float) -> int:

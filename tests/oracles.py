@@ -343,3 +343,31 @@ def convex_hull_2d_loop(points):
     if len(hull) == 0:  # all points identical
         hull = [order[0]]
     return np.asarray(hull, dtype=np.int64)
+
+
+def polygon_project_loop(hull, x):
+    """Distance from x to a convex CCW polygon and the nearest point, one edge at a time.
+
+    A 2-vertex hull is a segment, a 1-vertex hull a point.  Scalar squared
+    distances per edge; x is inside when it is on the inner side of every edge.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    m = len(hull)
+    if m == 1:
+        return float(np.linalg.norm(x - hull[0])), hull[0].copy()
+    edges = [(hull[0], hull[1])] if m == 2 else [(hull[i], hull[(i + 1) % m]) for i in range(m)]
+    best_d2, best_p = math.inf, None
+    inside = m >= 3
+    for a, b in edges:
+        e = b - a
+        ee = float(e @ e)
+        t = 0.0 if ee == 0 else min(1.0, max(0.0, float((x - a) @ e) / ee))
+        p = a + t * e
+        d2 = float((x - p) @ (x - p))
+        if d2 < best_d2:
+            best_d2, best_p = d2, p
+        if (x[0] - a[0]) * e[1] - (x[1] - a[1]) * e[0] > 0.0:
+            inside = False
+    if inside:
+        return 0.0, x.copy()
+    return math.sqrt(best_d2), best_p

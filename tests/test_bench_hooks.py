@@ -1,0 +1,35 @@
+"""The benchmark tracer's hooks name attributes that exist, and come off cleanly.
+
+`perfbench/tracer.py` wraps hypercell's layer boundaries by attribute name.
+A rename in the package must fail here, not first in a traced benchmark pass.
+"""
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_tracer_install_uninstall_restores_every_hook(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracer import Tracer
+
+    from hypercell import _kernels, cell, direction, experiment, geom, metrics, rng
+
+    owners = [_kernels, cell, experiment, metrics, rng, geom.Ball, geom.Polytope, geom.BallSum,
+              metrics.ExcessEvaluator, direction.Isotropic, direction.Atomic,
+              direction.DensityOnSphere, direction.CapStarved, direction.Mixture]
+    before = {owner: dict(vars(owner)) for owner in owners}
+    tracer = Tracer()
+    try:
+        tracer.install()
+        patched = list(tracer._patches)
+        assert len({(id(owner), attr) for owner, attr, _ in patched}) == len(patched) >= 27
+        for owner, attr, original in patched:
+            assert owner in before, owner
+            assert before[owner][attr] is original
+            assert vars(owner)[attr].__wrapped__ is original
+    finally:
+        tracer.uninstall()
+    for owner in owners:
+        after = vars(owner)
+        assert after.keys() == before[owner].keys()
+        assert all(after[k] is v for k, v in before[owner].items()), owner

@@ -518,7 +518,7 @@ class TestCellsAlongIntensity:
         # independently with gaps between that reach and the window radius
         # cut neither the cell before the band nor a later one
         body = request.getfixturevalue(body_name)
-        sample = process._sample_annulus_arrays
+        sample = process.sample_annulus
         outers = []
 
         def record(params, inner, outer, rng):

@@ -84,6 +84,11 @@ class TestIntegrate:
             res = dn.integrate(dist, lambda U: np.ones(len(U)))
             assert res.value == pytest.approx(1.0, abs=1e-9)
 
+    def test_integrand_must_return_one_value_per_row(self, iso, facet_atoms):
+        for dist in (iso, facet_atoms):
+            with pytest.raises(ValueError, match=r"shape \(\d+, 2\)"):
+                dn.integrate(dist, lambda U: np.ones((len(U), 2)))
+
     def test_atomic_equals_bruteforce(self, square):
         at = dn.Atomic.symmetrized([[1, 0], [0, 1]], [0.7, 0.3])
         res = dn.integrate(at, square.support_batch)

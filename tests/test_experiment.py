@@ -103,6 +103,18 @@ class TestRunCounterexample:
         with pytest.raises(ConfigError):
             ex.CounterexampleConfig(square, 0.25, [4, 16], reps=5, seed=1)
 
+    def test_zero_reps_rejected(self, ball):
+        with pytest.raises(ConfigError, match="reps"):
+            ex.CounterexampleConfig(ball, 0.25, [4, 16], reps=0, seed=1)
+
+    def test_empty_grid_rejected(self, ball):
+        with pytest.raises(ConfigError, match="n_grid"):
+            ex.CounterexampleConfig(ball, 0.25, [], reps=5, seed=1)
+
+    def test_decreasing_grid_rejected(self, ball):
+        with pytest.raises(ConfigError, match="n_grid"):
+            ex.CounterexampleConfig(ball, 0.25, [16, 4], reps=5, seed=1)
+
     def test_starved_law_keeps_distance_large(self, ball):
         cfg = ex.CounterexampleConfig(ball, 0.25, [4, 16, 64], reps=150, seed=13)
         res = ex.run_counterexample(cfg)

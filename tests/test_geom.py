@@ -5,10 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypercell import geom
+from hypercell import _kernels, geom
 from hypercell.errors import ContainmentViolated, UnsupportedBody
 
-from oracles import cube_distance_oracle, point_at_every_piece, polygon_perimeter_numeric
+from oracles import (
+    cube_distance_oracle,
+    point_at_every_piece,
+    polygon_perimeter_numeric,
+    polygon_project_loop,
+)
 
 
 class TestSupport:
@@ -96,6 +101,28 @@ class TestDistance:
                 if d > 0:
                     assert np.linalg.norm(x - p) == pytest.approx(d, abs=1e-9)
 
+    def test_planar_projection_returns_its_distance(self, rng):
+        # one kernel serves distance_batch and project: the distance is the
+        # norm of the offset to the returned point, bit for bit (a hypot for
+        # a one-point core)
+        point = geom.BallSum([[0.3, -0.2]], 0.5)
+        bodies = [geom.Polytope(rng.standard_normal((8, 2))), geom.BallSum([[-1, 0], [1, 0]], 1.0), point]
+        for body in bodies:
+            X = rng.uniform(-3, 3, size=(200, 2))
+            d, p = _kernels.polygon_project(body.hull_vertices, X)
+            offset = np.hypot(*(X - p).T) if body is point else np.linalg.norm(X - p, axis=1)
+            assert np.array_equal(d[d > 0], offset[d > 0])
+            assert np.array_equal(p[d == 0], X[d == 0])
+            assert np.abs(_kernels.polygon_project(body.hull_vertices, p)[0]).max() <= 1e-12
+            for x, dx, px in zip(X, d, p):
+                d_loop, p_loop = polygon_project_loop(body.hull_vertices, x)
+                assert abs(dx - d_loop) <= 1e-12 * (1.0 + d_loop)
+                assert np.abs(px - p_loop).max() <= 1e-12 * (1.0 + np.abs(p_loop).max())
+            core = d if isinstance(body, geom.Polytope) else np.maximum(0.0, d - body.radius)
+            assert np.array_equal(body.distance_batch(X), core)
+            for x, dx in zip(X[:20], core[:20]):
+                assert geom.project(body, x)[0] == dx
+
 
 class TestParallelBoundarySample:
     def test_sphere_radius_exact(self, ball, rng):
@@ -153,6 +180,31 @@ class TestSurfaceMeasure:
         body = geom.BallSum([[0, 0, 0], [1, 0, 0]], 0.5)
         with pytest.raises(UnsupportedBody):
             geom.surface_measure(body)
+
+    def test_ballsum_atoms_equal_explicit_edges(self, stadium, rng):
+        # the atoms come from _polygon_edges; a length recomputed per edge as
+        # a vector norm can differ from the row norm in the last bit
+        def explicit(hull):
+            if len(hull) == 2:
+                e = hull[1] - hull[0]
+                n = np.array([e[1], -e[0]]) / np.linalg.norm(e)
+                ln = float(np.linalg.norm(hull[1] - hull[0]))
+                return [(n, ln), (-n, ln)]
+            e = np.roll(hull, -1, axis=0) - hull
+            ln = np.linalg.norm(e, axis=1)
+            normals = np.column_stack([e[:, 1], -e[:, 0]]) / ln[:, None]
+            return [(normals[i], float(ln[i])) for i in range(len(hull))]
+
+        bodies = [stadium] + [
+            geom.BallSum(rng.standard_normal((int(rng.integers(2, 9)), 2)) * rng.uniform(0.1, 10), rng.uniform(0.1, 2))
+            for _ in range(60)
+        ]
+        for body in bodies:
+            got = geom.surface_measure(body).atoms
+            want = explicit(body.hull_vertices)
+            assert len(got) == len(want)
+            for (u, w), (u2, w2) in zip(got, want):
+                assert np.array_equal(u, u2) and w == w2
 
     def test_atoms_even_for_symmetric_bodies(self, square, stadium):
         for body in (square, stadium):

@@ -38,13 +38,16 @@ class TestPureBackend:
 
     def test_distance_inside_zero(self):
         poly = np.array([[-1.0, -1], [1, -1], [1, 1], [-1, 1]])
-        d = _kernels.polygon_distance(poly, np.array([[0.0, 0], [0.9, 0.9], [2.0, 0.0]]))
+        pts = np.array([[0.0, 0], [0.9, 0.9], [2.0, 0.0]])
+        d, p = _kernels.polygon_project(poly, pts)
         assert d[0] == 0 and d[1] == 0 and d[2] == pytest.approx(1.0)
+        assert np.array_equal(p[:2], pts[:2]) and p[2] == pytest.approx([1.0, 0.0])
 
     def test_segment_degenerate(self):
         seg = np.array([[-1.0, 0], [1, 0]])
-        d = _kernels.polygon_distance(seg, np.array([[0.0, 1.0], [2.0, 0.0], [0.5, 0.0]]))
+        d, p = _kernels.polygon_project(seg, np.array([[0.0, 1.0], [2.0, 0.0], [0.5, 0.0]]))
         assert d == pytest.approx([1.0, 1.0, 0.0])
+        assert p == pytest.approx(np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.0]]))
 
     def test_cut_mask(self):
         V = np.array([[1.0, 1], [-1, 1], [-1, -1], [1, -1]])
@@ -57,7 +60,7 @@ class TestPureBackend:
         import hypercell
 
         assert hypercell.kernel_backend() == "pure"
-        for name in ("convex_hull_2d", "polygon_distance", "cut_mask"):
+        for name in ("convex_hull_2d", "polygon_project", "cut_mask"):
             assert callable(getattr(_kernels, name))
 
 

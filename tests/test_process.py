@@ -15,16 +15,6 @@ def params_iso(iso):
     return process.ProcessParams(1.0, iso, 2)
 
 
-class TestHyperplane:
-    def test_offset_must_be_positive(self):
-        with pytest.raises(ValueError):
-            process.Hyperplane(np.array([1.0, 0.0]), 0.0)
-
-    def test_normal_must_be_unit(self):
-        with pytest.raises(ValueError):
-            process.Hyperplane(np.array([1.0, 1.0]), 1.0)
-
-
 class TestProcessParams:
     def test_rejects_nonpositive_intensity(self, iso):
         with pytest.raises(ValueError):
@@ -50,23 +40,11 @@ class TestPhiFunctional:
         assert process.phi_functional(params, square) == pytest.approx(2.0, abs=1e-12)
 
 
-class TestHits:
-    def test_inside_offset(self, ball):
-        assert process.hits(process.Hyperplane(np.array([0.0, 1.0]), 0.5), ball)
-
-    def test_outside_offset(self, ball):
-        assert not process.hits(process.Hyperplane(np.array([0.0, 1.0]), 1.5), ball)
-
-    def test_tangent_counts(self, square):
-        u = np.array([1.0, 0.0])
-        assert process.hits(process.Hyperplane(u, geom.support(square, u)), square)
-
-
 class TestSampleHitting:
     def test_count_mean(self, iso, ball):
         params = process.ProcessParams(3.0, iso, 2)
         rng = stream(11, "mean")
-        counts = [len(process.sample_hitting(params, ball, rng)) for _ in range(10_000)]
+        counts = [len(process.sample_hitting(params, ball, rng)[1]) for _ in range(10_000)]
         mean = float(np.mean(counts))
         sigma = math.sqrt(6.0 / 10_000)
         assert abs(mean - 6.0) < 3 * sigma
@@ -74,16 +52,18 @@ class TestSampleHitting:
     def test_every_sample_hits(self, params_iso, square):
         rng = stream(12, "hit")
         for _ in range(200):
-            for h in process.sample_hitting(params_iso, square, rng):
-                assert h.t > 0
-                assert process.hits(h, square)
+            U, T = process.sample_hitting(params_iso, square, rng)
+            assert U.shape == (len(T), 2)
+            assert np.all(np.abs(np.linalg.norm(U, axis=1) - 1.0) <= 1e-12)
+            assert np.all(T > 0)
+            assert np.all(T <= square.support_batch(U))
 
     def test_offsets_uniform(self, iso, ball):
         params = process.ProcessParams(40.0, iso, 2)
         rng = stream(13, "t")
         ts = []
         while len(ts) < 30_000:
-            ts.extend(h.t for h in process.sample_hitting(params, ball, rng))
+            ts.extend(process.sample_hitting(params, ball, rng)[1].tolist())
         assert kstest(np.array(ts[:30_000]), "uniform").statistic < 1.63 / math.sqrt(30_000)
 
     def test_direction_cap_fraction(self, square, iso):
@@ -93,7 +73,7 @@ class TestSampleHitting:
         thresh = math.cos(0.5)
         in_cap = total = 0
         while total < 100_000:
-            U, T = process._sample_hitting_arrays(params, square, rng)
+            U, T = process.sample_hitting(params, square, rng)
             in_cap += int((U @ axis >= thresh).sum())
             total += len(T)
         cfg = dn.IntegrationConfig(nodes=8192)
@@ -114,7 +94,7 @@ class TestSampleAnnulus:
         params = process.ProcessParams(1.0, iso, 2)
         outer = geom.outer_parallel(ball, 1.0)
         rng = stream(16, "ann")
-        counts = [len(process.sample_annulus(params, ball, outer, rng)) for _ in range(10_000)]
+        counts = [len(process.sample_annulus(params, ball, outer, rng)[1]) for _ in range(10_000)]
         sigma = math.sqrt(2.0 / 10_000)
         assert abs(float(np.mean(counts)) - 2.0) < 3 * sigma
 
@@ -122,9 +102,10 @@ class TestSampleAnnulus:
         outer = geom.outer_parallel(square, 0.8)
         rng = stream(17, "miss")
         for _ in range(300):
-            for h in process.sample_annulus(params_iso, square, outer, rng):
-                assert h.t > geom.support(square, h.u) - 1e-12
-                assert h.t <= geom.support(outer, h.u) + 1e-12
+            U, T = process.sample_annulus(params_iso, square, outer, rng)
+            assert np.all(np.abs(np.linalg.norm(U, axis=1) - 1.0) <= 1e-12)
+            assert np.all(T > square.support_batch(U) - 1e-12)
+            assert np.all(T <= outer.support_batch(U) + 1e-12)
 
     def test_superposition_vs_thinning(self, iso, ball):
         # filtering a hitting sample of the outer window to the annulus must
@@ -133,11 +114,11 @@ class TestSampleAnnulus:
         outer = geom.outer_parallel(ball, 1.0)
         rng = stream(18, "thin")
         reps = 4000
-        filtered = [
-            sum(1 for h in process.sample_hitting(params, outer, rng) if not process.hits(h, ball))
-            for _ in range(reps)
-        ]
-        direct = [len(process.sample_annulus(params, ball, outer, rng)) for _ in range(reps)]
+        filtered = []
+        for _ in range(reps):
+            U, T = process.sample_hitting(params, outer, rng)
+            filtered.append(int((T > ball.support_batch(U)).sum()))
+        direct = [len(process.sample_annulus(params, ball, outer, rng)[1]) for _ in range(reps)]
         top = max(max(filtered), max(direct))
         f = np.bincount(filtered, minlength=top + 1)
         d = np.bincount(direct, minlength=top + 1)
@@ -154,19 +135,19 @@ class TestSampleAnnulus:
         # ball inside square: no constant-gap fast path, rejection envelope route
         rng = stream(20, "gen")
         for _ in range(200):
-            for h in process.sample_annulus(params_iso, ball, square, rng):
-                assert h.t > geom.support(ball, h.u) - 1e-12
-                assert process.hits(h, square)
+            U, T = process.sample_annulus(params_iso, ball, square, rng)
+            assert np.all(np.abs(np.linalg.norm(U, axis=1) - 1.0) <= 1e-12)
+            assert np.all(T > ball.support_batch(U) - 1e-12)
+            assert np.all(T <= square.support_batch(U))
 
 
 class TestDeterminism:
     def test_same_seed_identical(self, iso, ball):
         params = process.ProcessParams(10.0, iso, 2)
-        a = process.sample_hitting(params, ball, stream(24, "det"))
-        b = process.sample_hitting(params, ball, stream(24, "det"))
-        assert len(a) == len(b)
-        for x, y in zip(a, b):
-            assert np.array_equal(x.u, y.u) and x.t == y.t
+        Ua, Ta = process.sample_hitting(params, ball, stream(24, "det"))
+        Ub, Tb = process.sample_hitting(params, ball, stream(24, "det"))
+        assert len(Ta) > 0
+        assert np.array_equal(Ua, Ub) and np.array_equal(Ta, Tb)
 
 
 class TestPoissonVariate:

@@ -77,6 +77,8 @@ class RateRunConfig:
         object.__setattr__(self, "n_grid", _increasing_grid("n_grid", self.n_grid))
         if self.reps < 1:
             raise ConfigError("reps must be >= 1")
+        if self.n_grid[0] <= 1:
+            raise ConfigError("rate n_grid values must exceed 1 (the fit uses log(log n / n))")
 
     def to_json(self) -> dict:
         out = {
@@ -112,6 +114,8 @@ class TailRunConfig:
         if any(g < 1 for g in grid):
             raise ConfigError("tail gamma grid assumes gamma >= 1")
         _increasing_grid("gamma_grid", grid)
+        if self.reps < 1:
+            raise ConfigError("reps must be >= 1")
 
     def to_json(self) -> dict:
         return {
@@ -141,6 +145,8 @@ class CounterexampleConfig:
         object.__setattr__(self, "n_grid", _increasing_grid("n_grid", self.n_grid))
         if self.reps < 1:
             raise ConfigError("reps must be >= 1")
+        if self.n_grid[0] <= 0:
+            raise ConfigError("counterexample n_grid values must be positive")
         if not isinstance(self.body, (geom.Ball, geom.BallSum)):
             raise ConfigError(
                 "counterexample body must carry a rolling ball (Ball or BallSum)"
@@ -209,27 +215,27 @@ class ExperimentResult:
 
 
 def _coupled_rep(args) -> list[tuple[RunRecord, bool | None]]:
-    """One replication: coupled cells along cfg.n_grid, one row per level.
+    """One replication: coupled cells along the intensity grid, one row per level.
 
     A row is the RunRecord and, when probe points y_n are given, whether
     a sampled hyperplane of the cell separates y_n from the body (None
     otherwise, and on window overflow).
     """
-    cfg, rep, dist, y_points = args
+    cfg, grid, rep, dist, y_points = args
     params = ProcessParams(1.0, dist, cfg.body.dim)
     key = KeyedStream(cfg.seed, rep)
     try:
         cells = cells_along_intensity(
-            params, cfg.body, cfg.n_grid, cfg.policy, key, debug_oracle=cfg.debug_oracle
+            params, cfg.body, grid, cfg.policy, key, debug_oracle=cfg.debug_oracle
         )
     except WindowOverflow:
         return [
             (RunRecord(rep, float(n), math.nan, 0, cfg.policy.max_rounds, 1), None)
-            for n in cfg.n_grid
+            for n in grid
         ]
     out = []
     prev = math.inf
-    for n, z, y in zip(cfg.n_grid, cells, y_points or [None] * len(cells)):
+    for n, z, y in zip(grid, cells, y_points or [None] * len(cells)):
         delta = metrics.hausdorff_cell(cfg.body, z)
         if delta > prev + 1e-12:
             raise AssertionError("coupled deltas must be nonincreasing in the intensity")
@@ -241,9 +247,9 @@ def _coupled_rep(args) -> list[tuple[RunRecord, bool | None]]:
     return out
 
 
-def _run_reps(cfg, dist, y_points, threads: int) -> list[tuple[RunRecord, bool | None]]:
-    """Rows of every replication, sorted by (rep, n)."""
-    tasks = [(cfg, rep, dist, y_points) for rep in range(cfg.reps)]
+def _run_reps(cfg, grid, dist, y_points, threads: int) -> list[tuple[RunRecord, bool | None]]:
+    """Rows of every replication along the grid, sorted by (rep, n)."""
+    tasks = [(cfg, grid, rep, dist, y_points) for rep in range(cfg.reps)]
     if threads <= 1:
         chunks = [_coupled_rep(t) for t in tasks]
     else:
@@ -290,7 +296,7 @@ def run_rate(cfg: RateRunConfig, threads: int = 1) -> ExperimentResult:
     and reported per n in `overflow_count`.
     """
     _check_rate_hypotheses(cfg)
-    rows = _run_reps(cfg, cfg.distribution, None, threads)
+    rows = _run_reps(cfg, cfg.n_grid, cfg.distribution, None, threads)
     per_n = []
     xs, ys = [], []
     for n, kept, overflow in _levels(cfg.n_grid, rows):
@@ -315,17 +321,8 @@ def run_tail(cfg: TailRunConfig, threads: int = 1) -> ExperimentResult:
     estimates; the coupled construction makes P nonincreasing by
     construction.  Raises AllZeroTail when no exceedances occur at all.
     """
-    rate_cfg = RateRunConfig(
-        cfg.body,
-        cfg.distribution,
-        cfg.gamma_grid,
-        cfg.reps,
-        cfg.seed,
-        policy=cfg.policy,
-        debug_oracle=cfg.debug_oracle,
-    )
-    _check_rate_hypotheses(rate_cfg)
-    rows = _run_reps(rate_cfg, cfg.distribution, None, threads)
+    _check_rate_hypotheses(cfg)
+    rows = _run_reps(cfg, cfg.gamma_grid, cfg.distribution, None, threads)
     per_n = []
     xs, ys = [], []
     for g, kept, overflow in _levels(cfg.gamma_grid, rows):
@@ -394,7 +391,7 @@ def run_counterexample(cfg: CounterexampleConfig, threads: int = 1) -> Experimen
     keeps that frequency below n^-2.
     """
     dist, y_points = _counterexample_distribution(cfg)
-    rows = _run_reps(cfg, dist, y_points, threads)
+    rows = _run_reps(cfg, cfg.n_grid, dist, y_points, threads)
     per_n = []
     violations = Counter()
     for n, kept, overflow in _levels(cfg.n_grid, rows):

@@ -14,6 +14,12 @@ keeps relative accuracy flat as eps shrinks, which a global grid cannot
 do once the arc is narrower than the grid spacing.  Every planar body is
 conv(V) + rB, so the arc has a closed form (h(P + rB, u) = h(P, u) + r),
 and one evaluator serves both the coarse scan and the refinement.
+
+In the plane a row's excess is the same bits whatever else shares its
+batch: every product and sum is taken one row at a time, never by a BLAS
+call whose blocking depends on the row count.  That lets the planar
+search run its restarts in lockstep, one evaluator call per round for
+all of them, and still visit exactly the points each would visit alone.
 """
 from __future__ import annotations
 
@@ -103,8 +109,15 @@ class ExcessEvaluator:
     support arc of each point, split at the body's kink directions and
     the law's density breaks.  Higher dimensions use common-random-number
     Monte Carlo.  `batch` and `precise` are the same computation on many
-    points or on one; the body data and split angles are precomputed here
-    so minimization loops stay cheap.
+    points or on one; the body data, split angles and the body's support
+    at atoms are precomputed here so minimization loops stay cheap.
+
+    Atomic and planar parts are row-independent (the Monte Carlo part
+    is not): a row's value is bit-identical in any batch, alone, and
+    through `precise`.  Supports and inner products are built coordinate
+    by coordinate, weighted sums are per-row `einsum` reductions, and
+    quadrature blocks end only between rows, so no row's panels are
+    summed in two pieces.
     """
 
     def __init__(self, body, dist, cfg: dn.IntegrationConfig | None = None):
@@ -113,6 +126,11 @@ class ExcessEvaluator:
         self.cfg = cfg or dn.IntegrationConfig()
         self.dim = body.dim
         self._parts = self._flatten(dist, 1.0)
+        # h(K, atoms) of each atomic component, fixed for the evaluator's life
+        self._atom_support = [
+            body.support_batch(comp.atoms) if isinstance(comp, dn.Atomic) else None
+            for _, comp in self._parts
+        ]
         self._mc_nodes = None
         if self.dim == 2:
             self._core, self._radius = _planar_core(body)
@@ -167,6 +185,19 @@ class ExcessEvaluator:
         rows = np.flatnonzero(lo < hi)
         return rows, ref[rows] + lo[rows], ref[rows] + hi[rows]
 
+    def _core_support(self, cos: np.ndarray, sin: np.ndarray):
+        """h(body, u) at u = (cos, sin), one entry at a time, from body = conv(V) + rB."""
+        V = self._core
+        if len(V) == 1 and not V.any():  # bodies are recentred, so a ball's core is the origin
+            return self._radius
+        h = None
+        for vx, vy in V.tolist():
+            t = cos * vx
+            t += sin * vy
+            h = t if h is None else np.maximum(h, t, out=h)
+        h += self._radius
+        return h
+
     def _arc_quadrature(self, Y: np.ndarray, arcs, density, breaks: np.ndarray) -> np.ndarray:
         """Integral over each point's support arc of its excess, times density / (2 pi)."""
         rows, a, b = arcs
@@ -182,16 +213,19 @@ class ExcessEvaluator:
         half = 0.5 * (hi - lo)
         centre = 0.5 * (hi + lo)
         total = np.zeros(len(Y))
-        for i in range(0, len(lo), _PANEL_BLOCK):
-            part = slice(i, i + _PANEL_BLOCK)
+        for part in _row_blocks(owner):
             ang = centre[part, None] + half[part, None] * _GL_NODES
-            U = np.stack([np.cos(ang), np.sin(ang)], axis=-1)  # (panels, 32, 2)
-            flat = U.reshape(-1, 2)
-            vals = np.einsum("pkj,pj->pk", U, Y[owner[part]]) - self.body.support_batch(flat).reshape(ang.shape)
+            cos = np.cos(ang)
+            sin = np.sin(ang, out=ang)
+            Yp = Y[owner[part]]
+            vals = cos * Yp[:, :1]
+            vals += sin * Yp[:, 1:]
+            vals -= self._core_support(cos, sin)
             np.maximum(vals, 0.0, out=vals)
             if density is not None:
-                vals *= density(flat).reshape(ang.shape)
-            total += np.bincount(owner[part], weights=half[part] * (vals @ _GL_WEIGHTS), minlength=len(Y))
+                vals *= density(np.stack([cos, sin], axis=-1).reshape(-1, 2)).reshape(vals.shape)
+            sums = np.einsum("pk,k->p", vals, _GL_WEIGHTS)
+            total += np.bincount(owner[part], weights=half[part] * sums, minlength=len(Y))
         return total / _TWO_PI
 
     # -- generic Monte Carlo part (d >= 3) -----------------------------
@@ -221,8 +255,8 @@ class ExcessEvaluator:
         arcs = None
         for i, (weight, comp) in enumerate(self._parts):
             if isinstance(comp, dn.Atomic):
-                gaps = np.maximum(Y @ comp.atoms.T - self.body.support_batch(comp.atoms), 0.0)
-                out += weight * gaps @ comp.weights
+                gaps = np.maximum(_dots(Y, comp.atoms) - self._atom_support[i], 0.0)
+                out += weight * np.einsum("pk,k->p", gaps, comp.weights)
             elif self.dim == 2:
                 if arcs is None:
                     arcs = self._support_arcs(Y)
@@ -241,6 +275,25 @@ class ExcessEvaluator:
     def precise(self, y) -> float:
         """Excess at a single point: `batch` on one row, as a float."""
         return float(self._eval(np.atleast_2d(np.asarray(y, dtype=np.float64)))[0])
+
+
+def _dots(Y: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Y @ A.T one coordinate at a time, so no entry depends on the row count."""
+    out = Y[:, :1] * A[:, 0]
+    for j in range(1, Y.shape[1]):
+        out += Y[:, j : j + 1] * A[:, j]
+    return out
+
+
+def _row_blocks(owner: np.ndarray):
+    """Slices of about _PANEL_BLOCK panels of a sorted owner array, cut only between rows."""
+    i, n = 0, len(owner)
+    while i < n:
+        j = i + _PANEL_BLOCK
+        if j < n:
+            j = max(int(np.searchsorted(owner, owner[j])), int(np.searchsorted(owner, owner[i], "right")))
+        yield slice(i, j)
+        i = j
 
 
 def _planar_core(body) -> tuple[np.ndarray, float]:
@@ -294,6 +347,14 @@ def mu_estimate(body, dist, eps: float, cfg: MuConfig | None = None) -> MuEstima
 
 
 def _mu_planar(body, evaluator: ExcessEvaluator, eps: float, cfg: MuConfig) -> MuEstimate:
+    """Arclength scan of the offset boundary, then compass searches from its best basins.
+
+    Up to `cfg.restarts` well-separated scan minima start a compass search
+    each, with an equal share of `cfg.max_refine`.  The searches run in
+    lockstep, sharing one `batch` call per round; row independence makes
+    each one the search it would be alone.  The first best result in
+    start order wins.
+    """
     path = geom.boundary_path(body, eps)
     m = cfg.coarse_samples
     s_grid = (np.arange(m) + 0.5) * (path.total / m)
@@ -311,18 +372,18 @@ def _mu_planar(body, evaluator: ExcessEvaluator, eps: float, cfg: MuConfig) -> M
         if len(starts) >= cfg.restarts:
             break
 
+    searches = _pattern_search_1d(
+        lambda s: evaluator.batch(path.point_at(s)),
+        starts,
+        path.total / m,
+        path.total,
+        cfg.refine_tol,
+        cfg.max_refine // max(1, len(starts)),
+    )
     best_val = math.inf
     best_s = starts[0]
     gap = math.inf
-    for s0 in starts:
-        val, s_ref, used, gap0 = _pattern_search_1d(
-            lambda s: evaluator.batch(path.point_at(s)),
-            s0,
-            path.total / m,
-            path.total,
-            cfg.refine_tol,
-            cfg.max_refine // max(1, len(starts)),
-        )
+    for val, s_ref, used, gap0 in searches:
         evals += used
         if val < best_val:
             best_val, best_s, gap = val, s_ref, gap0
@@ -335,32 +396,48 @@ def _circ_dist(a: float, b: float, period: float) -> float:
     return min(d, period - d)
 
 
-def _pattern_search_1d(f, s0, step, period, refine_tol, max_evals):
-    """Compass search on a circle of the given period; f maps arclengths to values.
+def _pattern_search_1d(f, starts, step, period, refine_tol, max_evals):
+    """Compass searches on a circle of the given period, one per start, in lockstep.
 
-    Both neighbours are evaluated in one call, but s + step is taken first
-    when it improves and is then counted alone, so the visited points and
-    the evaluation count are those of trying the two in turn.
+    f maps an array of arclengths to values.  The starts share one call,
+    and so do both neighbours of every search still running in a round.
+    A search takes s + step first when it improves and then counts it
+    alone, so its visited points and evaluation count are those of
+    trying the two in turn on its own.  It stops on its budget, on step
+    underflow, or when it shrinks the step after a gain below refine_tol.
+    Returns (value, s, evaluations, gap) per start, in start order.
     """
-    best = float(f(np.array([s0]))[0])
-    s = s0
-    evals = 1
-    gap = math.inf
-    while evals < max_evals and step > period * 1e-15:
-        plus, minus = (s + step) % period, (s - step) % period
-        v_plus, v_minus = (float(v) for v in f(np.array([plus, minus])))
-        if v_plus < best:
-            evals += 1
-            gap, best, s = best - v_plus, v_plus, plus
-        elif v_minus < best:
-            evals += 2
-            gap, best, s = best - v_minus, v_minus, minus
-        else:
-            evals += 2
-            step *= 0.5
-            if gap < refine_tol:
-                break
-    return best, s, evals, gap
+    best = [float(v) for v in f(np.array(starts, dtype=np.float64))]
+    s = [float(s0) for s0 in starts]
+    evals = [1] * len(s)
+    gap = [math.inf] * len(s)
+    steps = [step] * len(s)
+
+    def running(k):
+        return evals[k] < max_evals and steps[k] > period * 1e-15
+
+    live = [k for k in range(len(s)) if running(k)]
+    while live:
+        pairs = [((s[k] + steps[k]) % period, (s[k] - steps[k]) % period) for k in live]
+        vals = f(np.array(pairs).ravel()).tolist()
+        still = []
+        for i, k in enumerate(live):
+            (plus, minus), v_plus, v_minus = pairs[i], vals[2 * i], vals[2 * i + 1]
+            if v_plus < best[k]:
+                evals[k] += 1
+                gap[k], best[k], s[k] = best[k] - v_plus, v_plus, plus
+            elif v_minus < best[k]:
+                evals[k] += 2
+                gap[k], best[k], s[k] = best[k] - v_minus, v_minus, minus
+            else:
+                evals[k] += 2
+                steps[k] *= 0.5
+                if gap[k] < refine_tol:
+                    continue
+            if running(k):
+                still.append(k)
+        live = still
+    return list(zip(best, s, evals, gap))
 
 
 def _mu_generic(body, evaluator: ExcessEvaluator, eps: float, cfg: MuConfig) -> MuEstimate:

@@ -165,6 +165,40 @@ def pattern_search_1d_sequential(f, s0, step, period, refine_tol, max_evals):
     return best, s, evals, gap
 
 
+def mu_planar_sequential(evaluator, path, cfg):
+    """The planar mu search with its restarts run one after another.
+
+    The coarse scan is one batch over the arclength grid; the restart
+    basins are picked from it as the package does, written out here.
+    Each restart is `pattern_search_1d_sequential` on one-row `precise`
+    calls, and the first best restart in start order wins.  Returns
+    (value, argmin point, evaluations, gap).
+    """
+    total, m = path.total, cfg.coarse_samples
+    s_grid = (np.arange(m) + 0.5) * (total / m)
+    coarse = evaluator.batch(path.point_at(s_grid))
+    starts = []
+    for idx in np.argsort(coarse):
+        s = float(s_grid[idx])
+        if all(min(abs(s - t) % total, total - abs(s - t) % total) >= total / 16.0 for t in starts):
+            starts.append(s)
+        if len(starts) >= cfg.restarts:
+            break
+    runs = [
+        pattern_search_1d_sequential(
+            lambda s: evaluator.precise(path.point_at(s)[0]),
+            s0,
+            total / m,
+            total,
+            cfg.refine_tol,
+            cfg.max_refine // len(starts),
+        )
+        for s0 in starts
+    ]
+    value, s, _, gap = min(runs, key=lambda run: run[0])
+    return value, path.point_at(s)[0], m + sum(run[2] for run in runs), gap
+
+
 def cube_distance_oracle(x):
     """Distance from a point to [-1,1]^3 in closed form."""
     x = np.asarray(x, dtype=np.float64)

@@ -56,7 +56,7 @@ class TestRateCommand:
     def test_experiment_error_exits_3(self, tmp_path):
         cfg = dict(BALL_ISO)
         cfg["policy"] = {"initial_radius": 0.01, "max_rounds": 1}
-        cfg["n_grid"] = [1]
+        cfg["n_grid"] = [2]
         # every replication overflows; aggregation finds no finite deltas
         path = tmp_path / "overflow.json"
         path.write_text(json.dumps(cfg))
@@ -102,6 +102,24 @@ class TestOtherCommands:
         assert header == "epsilon,mu,evaluations"
         doc = json.loads(open(os.path.join(out, "mu.json")).read())
         assert abs(doc["fit"]["slope"] - 1.0) < 0.1
+
+    def test_mu_curve_rerun_byte_identical(self, tmp_path):
+        # the isotropic stadium's flat sides make a plateau of near-equal coarse values
+        cfg = {
+            "body": {"type": "ballsum", "vertices": [[-1, 0], [1, 0]], "radius": 1.0},
+            "distribution": {"type": "isotropic", "dim": 2},
+            "eps_grid": [0.0009765625, 0.0625],
+            "coarse_samples": 512,
+            "seed": 3,
+        }
+        path = tmp_path / "mu.json"
+        path.write_text(json.dumps(cfg))
+        outs = [str(tmp_path / "o1"), str(tmp_path / "o2")]
+        for out in outs:
+            assert dispatch(["mu-curve", "--config", str(path), "--out", out]) == 0
+        for name in ("mu.csv", "mu.json"):
+            b1, b2 = (open(os.path.join(out, name), "rb").read() for out in outs)
+            assert b1 == b2
 
     def test_counterexample(self, tmp_path):
         cfg = {

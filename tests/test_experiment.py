@@ -72,12 +72,18 @@ class TestRunRate:
         from hypercell.cell import WindowPolicy
 
         cfg = ex.RateRunConfig(
-            ball, iso, [1], reps=6, seed=5,
+            ball, iso, [2], reps=6, seed=5,
             policy=WindowPolicy(initial_radius=0.01, max_rounds=1),
         )
         res = ex.run_rate(cfg)
         assert all(e["overflow_count"] == 6 for e in res.per_n)
         assert all(math.isnan(r.delta) for r in res.records)
+
+    def test_grid_at_or_below_one_rejected(self, ball, iso):
+        # log(log n / n) is undefined for n <= 1; the run would fail after every replication
+        for grid in ([0.5, 4], [1, 4]):
+            with pytest.raises(ConfigError, match="n_grid"):
+                ex.RateRunConfig(ball, iso, grid, reps=2, seed=1)
 
 
 class TestRunTail:
@@ -97,6 +103,15 @@ class TestRunTail:
         with pytest.raises(ConfigError):
             ex.TailRunConfig(ball, iso, 1.5, [2, 4], reps=5, seed=9)
 
+    def test_zero_reps_rejected(self, ball, iso):
+        with pytest.raises(ConfigError, match="reps"):
+            ex.TailRunConfig(ball, iso, 0.5, [2, 4], reps=0, seed=9)
+
+    def test_gamma_one_allowed(self, ball, iso):
+        # the tail fit is linear in gamma, so gamma = 1 is a valid level
+        res = ex.run_tail(ex.TailRunConfig(ball, iso, 0.5, [1, 2, 8], reps=20, seed=7))
+        assert [e["n"] for e in res.per_n] == [1.0, 2.0, 8.0]
+
 
 class TestRunCounterexample:
     def test_polytope_rejected(self, square):
@@ -114,6 +129,11 @@ class TestRunCounterexample:
     def test_decreasing_grid_rejected(self, ball):
         with pytest.raises(ConfigError, match="n_grid"):
             ex.CounterexampleConfig(ball, 0.25, [16, 4], reps=5, seed=1)
+
+    def test_nonpositive_grid_rejected(self, ball):
+        # n^(-beta) is undefined at n = 0
+        with pytest.raises(ConfigError, match="n_grid"):
+            ex.CounterexampleConfig(ball, 0.25, [0, 4], reps=5, seed=1)
 
     def test_starved_law_keeps_distance_large(self, ball):
         cfg = ex.CounterexampleConfig(ball, 0.25, [4, 16, 64], reps=150, seed=13)

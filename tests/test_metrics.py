@@ -1,15 +1,18 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hypercell import cell, direction as dn, geom, metrics
+from hypercell import cell, direction as dn, experiment, geom, metrics
 from hypercell.errors import DegenerateX, InvalidEpsilon
 
 from oracles import (
     ball_excess_oracle,
     dense_boundary_minimum,
     dense_circle_excess,
+    mu_planar_sequential,
     pattern_search_1d_sequential,
     support_arc_bisect,
 )
@@ -40,6 +43,28 @@ def _arc_bodies():
 
 
 ARC_BODIES = _arc_bodies()
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+MU_CONFIGS = ("mu_square_atomic", "mu_stadium_isotropic", "mu_stadium_adapted")
+
+
+def _bundled(name):
+    return json.loads((CONFIGS / f"{name}.json").read_text())
+
+
+def _counterexample_law():
+    doc = _bundled("counterexample_ball")
+    cfg = experiment.CounterexampleConfig(
+        geom.body_from_json(doc["body"]), doc["beta"], doc["n_grid"], doc["reps"], doc["seed"]
+    )
+    return experiment._counterexample_distribution(cfg)[0]
+
+
+def _offset_points(body, rng, size, reach=2.0):
+    return np.array([geom.parallel_boundary_sample(body, e, rng) for e in rng.uniform(1e-3, reach, size)])
+
+
+def _batched(f):
+    return lambda S: np.array([f(float(x)) for x in S])
 
 
 def _assert_arcs_match(body, Y, tol=1e-12):
@@ -97,6 +122,58 @@ class TestExcess:
         batch = ev.batch(Y)
         precise = np.array([ev.precise(y) for y in Y])
         assert np.abs(batch - precise).max() < 1e-3 * precise.max()
+
+
+class TestBatchIndependence:
+    """A row's excess is the same bits in any batch, alone, and through `precise`."""
+
+    LAWS = {
+        "isotropic": lambda: dn.Isotropic(2),
+        # oblique atoms and uneven weights: products and sums that round
+        "atomic": lambda: dn.Atomic.symmetrized(
+            [[math.cos(t), math.sin(t)] for t in (0.3, 1.1, 2.0)], [0.2, 0.5, 0.3]
+        ),
+        "stadium-adapted": lambda: dn.distribution_from_json(_bundled("mu_stadium_adapted")["distribution"]),
+        "cap-starved": _counterexample_law,
+        "density": lambda: dn.DensityOnSphere(
+            lambda U: 1.0 + 0.5 * (U[:, 0] ** 2 - U[:, 1] ** 2) + 0.3 * U[:, 0] * U[:, 1], 1.6, 2
+        ),
+    }
+    # the three fixtures' shapes plus the first two seeded random polygons and BallSums
+    BODIES = [(n, b) for n, b in ARC_BODIES if n in ("ball", "square", "stadium") or n.endswith(("-0", "-1"))]
+
+    @staticmethod
+    def _assert_rows_independent(ev, Y, rows):
+        batch = ev.batch(Y)
+        alone = np.array([ev.batch(Y[i : i + 1])[0] for i in rows])
+        precise = np.array([ev.precise(Y[i]) for i in rows])
+        assert batch[rows].tobytes() == alone.tobytes() == precise.tobytes()
+
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    def test_small_batches(self, law):
+        dist = self.LAWS[law]()
+        rng = np.random.default_rng(6151)
+        for _, body in self.BODIES:
+            ev = metrics.ExcessEvaluator(body, dist)
+            for size in (1, 2, 7, 10):
+                self._assert_rows_independent(ev, _offset_points(body, rng, size), np.arange(size))
+
+    def test_cap_starved_batch_spans_panel_blocks(self, ball, monkeypatch):
+        blocks = []
+        row_blocks = metrics._row_blocks
+
+        def counted(owner):
+            parts = list(row_blocks(owner))
+            blocks.extend(parts)
+            return parts
+
+        monkeypatch.setattr(metrics, "_row_blocks", counted)
+        ev = metrics.ExcessEvaluator(ball, _counterexample_law())
+        Y = _offset_points(ball, np.random.default_rng(6152), 1600, reach=0.5)
+        ev.batch(Y)
+        assert len(blocks) >= 3
+        # every eighth row: a lone row of this law costs milliseconds
+        self._assert_rows_independent(ev, Y, np.arange(0, len(Y), 8))
 
 
 class TestSupportArcs:
@@ -218,10 +295,48 @@ class TestMuEstimate:
         cases = [(wavy, 0.3, 0.2, 4000), (wavy, 5.9, 0.05, 40), (wavy, 2.0, 1.0, 7), (peak, 3.0, 0.5, 200)]
         for f, s0, step, budget in cases:
             want = pattern_search_1d_sequential(f, s0, step, period, 1e-12, budget)
-            got = metrics._pattern_search_1d(
-                lambda S: np.array([f(float(x)) for x in S]), s0, step, period, 1e-12, budget
-            )
-            assert got == want
+            got = metrics._pattern_search_1d(_batched(f), [s0], step, period, 1e-12, budget)
+            assert got == [want]
+
+    def test_lockstep_searches_equal_sequential_ones(self):
+        def f(s):
+            if s < 1.0:
+                return 1.0  # flat: only step underflow stops a search here
+            if s < 3.0:
+                return (s - 2.0) ** 2  # a bowl: the gap falls below refine_tol
+            return 10.0 - s  # a slope that improves on every step until the budget
+
+        period, step, tol, budget = 2 * math.pi, 0.01, 1e-6, 150
+        starts = [0.5, 2.3, 4.0, 2.9]
+        want = [pattern_search_1d_sequential(f, s0, step, period, tol, budget) for s0 in starts]
+        sizes = []
+
+        def g(S):
+            sizes.append(len(S))
+            return _batched(f)(S)
+
+        got = metrics._pattern_search_1d(g, starts, step, period, tol, budget)
+        assert got == want
+        (_, _, e_flat, gap_flat), (_, _, e_bowl, gap_bowl), (_, _, e_slope, _), _ = got
+        assert e_flat < budget and gap_flat == math.inf
+        assert e_bowl < budget and gap_bowl < tol
+        assert e_slope >= budget
+        # one call for the starts, then both neighbours of every live search per call
+        assert sizes[:2] == [len(starts), 2 * len(starts)]
+        assert sorted(sizes[1:], reverse=True) == sizes[1:] and sizes[-1] == 2
+
+    @pytest.mark.parametrize("name", MU_CONFIGS)
+    def test_restarts_equal_sequential_reference(self, name):
+        doc = _bundled(name)
+        body = geom.body_from_json(doc["body"])
+        dist = dn.distribution_from_json(doc["distribution"])
+        cfg = metrics.MuConfig()
+        for eps in (doc["eps_grid"]["start"], doc["eps_grid"]["stop"]):
+            est = metrics.mu_estimate(body, dist, eps, cfg)
+            ev = metrics.ExcessEvaluator(body, dist, cfg.integration)
+            value, point, evals, gap = mu_planar_sequential(ev, geom.boundary_path(body, eps), cfg)
+            assert (est.value, est.evaluations, est.refinement_gap) == (value, evals, gap)
+            assert est.argmin_point.tobytes() == point.tobytes()
 
     def test_values_are_python_floats(self, stadium, iso):
         est = metrics.mu_estimate(stadium, iso, 0.1, metrics.MuConfig(coarse_samples=256))

@@ -9,11 +9,13 @@ hyperplane outside the window can cut the cell, so the result equals the
 K-cell of the full process exactly; the final window radius is the
 certificate.
 
-Windows grow through the fixed schedule rho_0 * growth^k and each ring
-gets its own keyed substream, so enlarging the window extends a sampled
-configuration instead of resampling it.  That makes the certificate
-property testable: building again with extra rings reproduces the same
-vertices.  Along an increasing intensity grid the window is certified
+Windows grow through the fixed schedule rho_0 * growth^k.  Ring k holds
+the hyperplanes whose offset t exceeds h(body, u) by a gap in
+(rho_{k-1}, rho_k] ((0, rho_0] for k = 0), so it is sampled from the body
+and its two radii alone.  Each ring gets its own keyed substream, so
+enlarging the window extends a sampled configuration instead of
+resampling it.  That makes the certificate property testable: building
+again with extra rings reproduces the same vertices.  Along an increasing intensity grid the window is certified
 once, for the cell at the smallest intensity; each further level adds an
 independent Poisson band of the intensity increment, sampled only as far
 from the body as the current cell reaches, since no hyperplane farther
@@ -39,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from hypercell import _kernels, geom
+from hypercell import _kernels
 from hypercell.errors import WindowOverflow
 # the sampler is a module attribute of its own, so a tracer or a test can wrap it here
 from hypercell.process import ProcessParams, sample_annulus as _sample_annulus_arrays
@@ -76,6 +78,8 @@ class WindowPolicy:
     max_rounds: int = 40
 
     def __post_init__(self):
+        if self.initial_radius is not None and not self.initial_radius > 0:
+            raise ValueError(f"initial radius must be positive, got {self.initial_radius}")
         if self.growth_factor <= 1.0:
             raise ValueError("growth factor must exceed 1")
         if self.max_rounds < 1:
@@ -154,10 +158,6 @@ class Intersection:
     defining: np.ndarray
     n_halfspaces: int
 
-    @property
-    def box_supported(self) -> np.ndarray:
-        return (self.defining >= self.n_halfspaces).any(axis=1)
-
 
 def _axis_box(body, rho: float):
     """Axis-aligned bounding halfspaces of the window body + rho*B."""
@@ -167,7 +167,7 @@ def _axis_box(body, rho: float):
     return U, T
 
 
-def halfspace_intersection(normals, offsets, box_normals, box_offsets, tol: float = FEAS_TOL) -> Intersection:
+def halfspace_intersection(normals, offsets, box_normals, box_offsets) -> Intersection:
     """Vertices of the intersection of halfspaces {<u,x> <= t} with a box.
 
     All offsets must be positive (origin interior).  The planar path uses
@@ -190,7 +190,7 @@ def halfspace_intersection(normals, offsets, box_normals, box_offsets, tol: floa
     d = BU.shape[1]
     if d == 2:
         return _intersect_dual_2d(U, T, BU, BT)
-    return _intersect_incremental(U, T, BU, BT, tol)
+    return _intersect_incremental(U, T, BU, BT)
 
 
 def _intersect_dual_2d(U, T, BU, BT) -> Intersection:
@@ -226,7 +226,7 @@ def _merge_adjacent(V: np.ndarray, D: np.ndarray):
     return V[~dup], D[~dup]
 
 
-def _intersect_incremental(U, T, BU, BT, tol) -> Intersection:
+def _intersect_incremental(U, T, BU, BT) -> Intersection:
     d = BU.shape[1]
     n = len(T)
     A = np.vstack([U, BU])
@@ -255,7 +255,7 @@ def _intersect_incremental(U, T, BU, BT, tol) -> Intersection:
         X, ok = _solve_subsets(A, b, idx)
         S = np.concatenate([active, box_ids])
         slack = b[S] - X[ok] @ A[S].T
-        ok[ok] = (slack.min(axis=1) >= -tol * (1.0 + abs(t))) & (X[ok] @ u <= t + tol)
+        ok[ok] = (slack.min(axis=1) >= -FEAS_TOL * (1.0 + abs(t))) & (X[ok] @ u <= t + FEAS_TOL)
         V = np.vstack([V[~viol], X[ok]])
         D = np.vstack([D[~viol], idx[ok]])
         if len(V) == 0:
@@ -302,8 +302,8 @@ def _solve_subsets(A: np.ndarray, b: np.ndarray, idx: np.ndarray):
     return X, ok
 
 
-def _dedupe_vertices(V: np.ndarray, D: np.ndarray, tol: float = MERGE_TOL):
-    """Drop each vertex within tol * (1 + |w|) of an earlier kept vertex w.
+def _dedupe_vertices(V: np.ndarray, D: np.ndarray):
+    """Drop each vertex within MERGE_TOL * (1 + |w|) of an earlier kept vertex w.
 
     Greedy keep-first in row order.  A vertex with no earlier vertex that
     close is kept outright; only the rest are resolved in order, against
@@ -312,14 +312,14 @@ def _dedupe_vertices(V: np.ndarray, D: np.ndarray, tol: float = MERGE_TOL):
     if len(V) <= 1:
         return V, D
     gap = np.linalg.norm(V[:, None, :] - V[None, :, :], axis=2)
-    near = np.tril(gap <= tol * (1.0 + np.linalg.norm(V, axis=1)), -1)
+    near = np.tril(gap <= MERGE_TOL * (1.0 + np.linalg.norm(V, axis=1)), -1)
     keep = ~near.any(axis=1)
     for i in np.flatnonzero(~keep):
         keep[i] = not (near[i] & keep).any()
     return V[keep], D[keep]
 
 
-def halfspace_intersection_bruteforce(normals, offsets, box_normals, box_offsets, tol: float = FEAS_TOL) -> Intersection:
+def halfspace_intersection_bruteforce(normals, offsets, box_normals, box_offsets) -> Intersection:
     """Oracle: enumerate every d-subset, solve, filter by feasibility.
 
     Every d-subset of the halfspace and box planes is enumerated, in
@@ -329,7 +329,7 @@ def halfspace_intersection_bruteforce(normals, offsets, box_normals, box_offsets
     the per-subset rules: a subset that `np.linalg.solve` rejects as
     singular is skipped, a non-finite solution or one with residual above
     SOLVE_RESIDUAL_TOL * (1 + max|b|) is dropped, and a kept vertex
-    satisfies A x <= b + tol (1 + |b|).  Later exact copies of a
+    satisfies A x <= b + FEAS_TOL (1 + |b|).  Later exact copies of a
     halfspace are left out; `defining` indexes the full input.  It uses
     nothing from
     `_intersect_dual_2d`, `_intersect_incremental` or `_kernels`, so it
@@ -347,7 +347,7 @@ def halfspace_intersection_bruteforce(normals, offsets, box_normals, box_offsets
     A = np.vstack([U, BU])[rows]
     b = np.concatenate([T, BT])[rows]
     d = A.shape[1]
-    bound = b + tol * (1.0 + np.abs(b))
+    bound = b + FEAS_TOL * (1.0 + np.abs(b))
     combos = itertools.combinations(range(len(b)), d)
     verts = []
     defin = []
@@ -506,17 +506,18 @@ def cells_along_intensity(
     process at gamma_j is the one at gamma_1 plus independent Poisson
     bands of intensity gamma_i - gamma_{i-1}, i <= j, so the cells are
     nested.  The cell at gamma_1 fixes the window certificate: window
-    ring r is sampled at gamma_1 from its own keyed substream, and rings
-    are added until every vertex lies strictly inside the window radius
-    rho (`extra_rings` adds more, used by certificate tests).  Band j is
-    sampled only up to reach_j, the largest vertex distance of the cell
-    at gamma_{j-1} plus FEAS_TOL: that cell lies in body + reach_j * B,
-    so a hyperplane at a larger gap misses it and cannot cut any later
-    cell.  The band's hyperplanes with gap in (reach_j, rho] are counted
-    but never placed: their Poisson counts are drawn after all bands, so
-    `stats.sampled` is still the number of process hyperplanes in the
-    window born by gamma_j, and extra rings leave every cell unchanged.
-    `stream_key` is an int seed or KeyedStream.
+    ring r (gaps in (rho_{r-1}, rho_r]) is sampled at gamma_1 from its
+    own keyed substream, and rings are added until every vertex lies
+    strictly inside the window radius rho (`extra_rings` adds more, used
+    by certificate tests).  Band j is sampled only up to reach_j, the
+    largest vertex distance of the cell at gamma_{j-1} plus FEAS_TOL:
+    that cell lies in body + reach_j * B, so a hyperplane at a larger gap
+    misses it and cannot cut any later cell.  The band's hyperplanes with
+    gap in (reach_j, rho] are counted but never placed: their Poisson
+    counts are drawn after all bands, so `stats.sampled` is still the
+    number of process hyperplanes in the window born by gamma_j, and
+    extra rings leave every cell unchanged.  `stream_key` is an int seed
+    or KeyedStream.
     """
     grid = [float(g) for g in gamma_grid]
     if any(g <= 0 for g in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
@@ -527,9 +528,9 @@ def cells_along_intensity(
     rings_U, rings_T = [], []
 
     def ring_cell(r: int) -> _CellBuilder:
-        inner = body if r == 0 else geom.outer_parallel(body, policy.radius(body, r - 1))
-        outer = geom.outer_parallel(body, policy.radius(body, r))
-        U, T = _sample_annulus_arrays(params_1, inner, outer, key.child("ring", r))
+        r_in = 0.0 if r == 0 else policy.radius(body, r - 1)
+        r_out = policy.radius(body, r)
+        U, T = _sample_annulus_arrays(params_1, body, r_in, r_out, key.child("ring", r))
         rings_U.append(U)
         rings_T.append(T)
         builder = _CellBuilder(body, body.dim, debug_oracle)
@@ -557,9 +558,7 @@ def cells_along_intensity(
     beyond = []
     for g_prev, g in zip(grid, grid[1:]):
         reach = min(builder.margins().max() + FEAS_TOL, rho_final)
-        U, T = _sample_annulus_arrays(
-            params_base.with_gamma(g - g_prev), body, geom.outer_parallel(body, reach), rng
-        )
+        U, T = _sample_annulus_arrays(params_base.with_gamma(g - g_prev), body, 0.0, reach, rng)
         sampled += len(T)
         builder.add_incremental(U, T, rho_final)
         cells.append(_finalize(builder, rho_final, sampled, rounds))

@@ -220,6 +220,19 @@ class CapStarved:
         self._draw_lo, self._draw_hi = np.array(self._piece_angles + [(ang[0], math.pi - ang[0])]).T
         self._basis = _orthonormal_complement(self.axis)
         self._sigma_cache: dict[tuple, float] = {}
+        # density lookup: theta in [edges[k-1], edges[k]) reads _density_table[k]
+        # for edges [0, ang[-1], ..., ang[0]]; below 0 and from ang[0] on, the outside band
+        outside = (
+            self.outside_mass
+            / (self._band_sigma(self.cap_angles[0], math.pi - self.cap_angles[0]))
+            * sphere_area(self.dim)
+        )
+        pieces = [
+            mass / self._band_sigma(lo, hi) * sphere_area(self.dim)
+            for (lo, hi), mass in zip(self._piece_angles, self._piece_masses)
+        ]
+        self._density_edges = np.concatenate([[0.0], ang[::-1]])
+        self._density_table = np.array([outside] + pieces[::-1] + [outside])
 
     # -- geometry of polar pieces -------------------------------------
     def _band_sigma(self, lo: float, hi: float) -> float:
@@ -241,16 +254,7 @@ class CapStarved:
         U = np.atleast_2d(U)
         cosines = np.abs(U @ self.axis)
         theta = np.arccos(np.clip(cosines, -1.0, 1.0))
-        out = np.full(
-            len(U),
-            self.outside_mass
-            / (self._band_sigma(self.cap_angles[0], math.pi - self.cap_angles[0]))
-            * sphere_area(self.dim),
-        )
-        for (lo, hi), mass in zip(self._piece_angles, self._piece_masses):
-            sel = (theta >= lo) & (theta < hi)
-            out[sel] = mass / self._band_sigma(lo, hi) * sphere_area(self.dim)
-        return out
+        return self._density_table[np.searchsorted(self._density_edges, theta, side="right")]
 
     def cap_mass(self, threshold: float) -> float:
         """Exact one-sided mass of {<u, axis> >= threshold}."""

@@ -17,10 +17,6 @@ class OriginOutside(HypercellError):
     """The origin is not an interior point of the body, so the t > 0 parametrization breaks."""
 
 
-class NotNested(HypercellError):
-    """Inner window is not contained in the outer window (support dominance fails)."""
-
-
 class RejectionStall(HypercellError):
     """Rejection sampler acceptance rate collapsed; the supplied envelope is wrong."""
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import warnings
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -79,6 +78,7 @@ class RateRunConfig:
             raise ConfigError("reps must be >= 1")
         if self.n_grid[0] <= 1:
             raise ConfigError("rate n_grid values must exceed 1 (the fit uses log(log n / n))")
+        _require_serializable(self.distribution)
 
     def to_json(self) -> dict:
         out = {
@@ -116,6 +116,7 @@ class TailRunConfig:
         _increasing_grid("gamma_grid", grid)
         if self.reps < 1:
             raise ConfigError("reps must be >= 1")
+        _require_serializable(self.distribution)
 
     def to_json(self) -> dict:
         return {
@@ -147,6 +148,10 @@ class CounterexampleConfig:
             raise ConfigError("reps must be >= 1")
         if self.n_grid[0] <= 0:
             raise ConfigError("counterexample n_grid values must be positive")
+        if not all(float(n).is_integer() for n in self.n_grid):
+            raise ConfigError("counterexample n_grid values must be integers")
+        if self.n_grid[-1] < 2:
+            raise ConfigError("counterexample n_grid must reach n >= 2")
         if not isinstance(self.body, (geom.Ball, geom.BallSum)):
             raise ConfigError(
                 "counterexample body must carry a rolling ball (Ball or BallSum)"
@@ -172,6 +177,14 @@ def _increasing_grid(name: str, grid) -> tuple:
     if any(b <= a for a, b in zip(grid, grid[1:])) or not grid:
         raise ConfigError(f"{name} must be nonempty and strictly increasing")
     return grid
+
+
+def _require_serializable(dist) -> None:
+    """Refuse a law the result document cannot echo, before any replication runs."""
+    try:
+        dn.distribution_to_json(dist)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _policy_to_json(policy: WindowPolicy) -> dict:
@@ -279,13 +292,6 @@ def _check_rate_hypotheses(cfg) -> None:
         raise ConfigError(
             "directional distribution cannot approximate this body "
             "(surface measure support is not covered)"
-        )
-    parts = metrics.ExcessEvaluator._flatten(cfg.distribution, 1.0)
-    if any(isinstance(c, dn.DensityOnSphere) for _, c in parts):
-        warnings.warn(
-            "density distribution: no verified uniform lower bound against the "
-            "sphere or the surface measure; rate guarantees may not apply",
-            stacklevel=3,
         )
 
 

@@ -39,7 +39,6 @@ __all__ = [
     "hausdorff_containing",
     "project",
     "outer_parallel",
-    "parallel_gap",
     "boundary_path",
     "sphere_area",
     "body_to_json",
@@ -90,9 +89,6 @@ class _BodyBase:
 
     def distance(self, x) -> float:
         return float(self.distance_batch(np.asarray(x, dtype=np.float64)[None, :])[0])
-
-    def contains(self, x, tol: float = FEASIBILITY_TOL) -> bool:
-        return self.distance(x) <= tol
 
 
 class Polytope(_BodyBase):
@@ -528,23 +524,6 @@ def outer_parallel(body: Body, rho: float) -> Body:
     if isinstance(body, Polytope):
         return BallSum(body.vertices, rho)
     return BallSum(body.vertices, body.radius + rho)
-
-
-def parallel_gap(inner: Body, outer: Body) -> float | None:
-    """Return rho if outer == inner + rho*B (same core), else None."""
-    if isinstance(inner, Ball) and isinstance(outer, Ball):
-        if np.array_equal(inner.center, outer.center) and outer.radius > inner.radius:
-            return outer.radius - inner.radius
-        return None
-    if isinstance(outer, BallSum) and isinstance(inner, (Polytope, BallSum)):
-        r_in = inner.radius if isinstance(inner, BallSum) else 0.0
-        if (
-            inner.vertices.shape == outer.vertices.shape
-            and np.array_equal(inner.vertices, outer.vertices)
-            and outer.radius > r_in
-        ):
-            return outer.radius - r_in
-    return None
 
 
 # ---------------------------------------------------------------------------

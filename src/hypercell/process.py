@@ -9,20 +9,20 @@ to hyperplanes hitting a body W has total mass Phi(W) (see
 `phi_functional`) and factorizes into a direction law weighted by the
 support function and a uniform offset, which is how `sample_hitting`
 draws exact samples.  `sample_annulus` restricts to hyperplanes hitting
-an outer window but missing an inner one.  Coupling across intensities
-(the process at a higher intensity is the one at a lower intensity plus
-an independent band of the increment) lives in
-`cell.cells_along_intensity`.
+K + r_out*B but missing K + r_in*B; the support gap of these two
+parallel bodies is the constant r_out - r_in, so it needs only the body
+K and the two distances.  Coupling across intensities (the process at a
+higher intensity is the one at a lower intensity plus an independent
+band of the increment) lives in `cell.cells_along_intensity`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from hypercell import direction as dn
-from hypercell import geom
-from hypercell.errors import NotNested, OriginOutside
+from hypercell.errors import OriginOutside
 from hypercell.rng import poisson_variate
 
 __all__ = [
@@ -45,7 +45,6 @@ class ProcessParams:
     gamma: float
     dist: object
     dim: int
-    integration: dn.IntegrationConfig = field(default_factory=dn.IntegrationConfig)
 
     def __post_init__(self):
         if self.gamma <= 0:
@@ -56,7 +55,7 @@ class ProcessParams:
             raise ValueError("directional distribution is concentrated on a great subsphere")
 
     def with_gamma(self, gamma: float) -> "ProcessParams":
-        return ProcessParams(gamma, self.dist, self.dim, self.integration)
+        return ProcessParams(gamma, self.dist, self.dim)
 
 
 def _require_interior_origin(body) -> None:
@@ -64,14 +63,14 @@ def _require_interior_origin(body) -> None:
         raise OriginOutside("body must contain the origin in its interior")
 
 
-def phi_functional(params: ProcessParams, body, cfg: dn.IntegrationConfig | None = None) -> float:
+def phi_functional(params: ProcessParams, body) -> float:
     """Expected number of process hyperplanes hitting the body.
 
     Equals 2 * gamma * integral of the support function against the
     directional distribution.
     """
     _require_interior_origin(body)
-    res = dn.integrate(params.dist, body.support_batch, cfg or params.integration)
+    res = dn.integrate(params.dist, body.support_batch)
     return 2.0 * params.gamma * res.value
 
 
@@ -115,49 +114,23 @@ def sample_hitting(params: ProcessParams, window, rng):
     return U, t
 
 
-def sample_annulus(params: ProcessParams, inner, outer, rng):
-    """Poisson sample of hyperplanes hitting `outer` while missing `inner`.
+def sample_annulus(params: ProcessParams, body, r_in: float, r_out: float, rng):
+    """Poisson sample of hyperplanes between body + r_in*B and body + r_out*B.
 
-    Returns (normals, offsets) with offsets in (h(inner, u), h(outer, u)].
-    Raises NotNested unless the inner support function is dominated by
-    the outer one.  When `outer` is an outer parallel body of `inner`
-    the support gap is constant and sampling accepts every proposal.
+    Returns (normals, offsets) with offsets in (h(body, u) + r_in,
+    h(body, u) + r_out].  The support gap is the constant r_out - r_in,
+    so the mass is 2 * gamma * (r_out - r_in) and the normals follow the
+    bare directional law.  Needs 0 <= r_in < r_out, both finite.
     """
-    _require_interior_origin(inner)
-    gap = geom.parallel_gap(inner, outer)
-    if gap is None:
-        _check_nested(inner, outer)
-        mass = phi_functional(params, outer) - phi_functional(params, inner)
-    else:
-        mass = 2.0 * params.gamma * gap
-    n = poisson_variate(rng, max(mass, 0.0))
+    if not (0.0 <= r_in < r_out < np.inf):
+        raise ValueError(f"annulus radii must satisfy 0 <= r_in < r_out < inf, got {r_in}, {r_out}")
+    _require_interior_origin(body)
+    n = poisson_variate(rng, 2.0 * params.gamma * (r_out - r_in))
     if n == 0:
         return np.empty((0, params.dim)), np.empty(0)
-    if gap is not None:
-        # constant support gap: direction law is the bare distribution
-        U = params.dist.sample_batch(rng, n)
-    else:
-        envelope = outer.circumradius - inner.inradius_origin()
-
-        def weight(V):
-            return outer.support_batch(V) - inner.support_batch(V)
-
-        U = _weighted_directions(params.dist, weight, envelope, rng, n)
-    h_in = inner.support_batch(U)
-    h_out = outer.support_batch(U)
+    U = params.dist.sample_batch(rng, n)
+    h = body.support_batch(U)
+    h_in = h + r_in
+    h_out = h + r_out
     t = h_out - (h_out - h_in) * rng.random(n)  # uniform on (h_in, h_out]
     return U, t
-
-
-def _check_nested(inner, outer, probes: int = 512) -> None:
-    U = _probe_directions(inner.dim, probes)
-    if np.any(inner.support_batch(U) > outer.support_batch(U) + 1e-12):
-        raise NotNested("inner window support exceeds outer window support")
-
-
-def _probe_directions(dim: int, n: int) -> np.ndarray:
-    if dim == 2:
-        th = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-        return np.column_stack([np.cos(th), np.sin(th)])
-    g = np.random.Generator(np.random.Philox(key=7)).standard_normal((n, dim))
-    return g / np.linalg.norm(g, axis=1, keepdims=True)

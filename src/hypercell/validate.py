@@ -230,7 +230,7 @@ def _c_thinning_consistency() -> CheckResult:
     for _ in range(reps):
         U, T = process.sample_hitting(params, W, rng)
         filtered.append(int((T > ball.support_batch(U)).sum()))
-        direct.append(len(process.sample_annulus(params, ball, W, rng)[1]))
+        direct.append(len(process.sample_annulus(params, ball, 0.0, 1.0, rng)[1]))
     top = max(max(filtered), max(direct))
     bins = np.arange(top + 2)
     f_counts = np.bincount(filtered, minlength=top + 1)

@@ -11,6 +11,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from hypercell import geom
+from hypercell.rng import poisson_variate
 
 
 def isotropic_integral(f, pieces=()):
@@ -405,3 +406,40 @@ def polygon_project_loop(hull, x):
     if inside:
         return 0.0, x.copy()
     return math.sqrt(best_d2), best_p
+
+
+def cap_starved_density_loop(dist, U):
+    """`CapStarved.density` by a loop over every cap piece.
+
+    Starts every row at the outside band's density and overwrites the
+    rows whose polar angle falls in each piece [lo, hi), one piece at a
+    time; the per-piece expression is the one the package tabulates.
+    """
+    U = np.atleast_2d(U)
+    theta = np.arccos(np.clip(np.abs(U @ dist.axis), -1.0, 1.0))
+    out = np.full(
+        len(U),
+        dist.outside_mass
+        / (dist._band_sigma(dist.cap_angles[0], math.pi - dist.cap_angles[0]))
+        * geom.sphere_area(dist.dim),
+    )
+    for (lo, hi), mass in zip(dist._piece_angles, dist._piece_masses):
+        sel = (theta >= lo) & (theta < hi)
+        out[sel] = mass / dist._band_sigma(lo, hi) * geom.sphere_area(dist.dim)
+    return out
+
+
+def sample_annulus_two_bodies(params, inner, outer, gap, rng):
+    """Annulus sample between two window bodies whose support gap is the constant `gap`.
+
+    The reference for `process.sample_annulus`: the caller builds both
+    windows (`geom.outer_parallel`) and the offsets are drawn between
+    their own support functions, in the same draw order.
+    """
+    n = poisson_variate(rng, 2.0 * params.gamma * gap)
+    if n == 0:
+        return np.empty((0, params.dim)), np.empty(0)
+    U = params.dist.sample_batch(rng, n)
+    h_in = inner.support_batch(U)
+    h_out = outer.support_batch(U)
+    return U, h_out - (h_out - h_in) * rng.random(n)

@@ -33,3 +33,22 @@ def test_tracer_install_uninstall_restores_every_hook(monkeypatch):
         after = vars(owner)
         assert after.keys() == before[owner].keys()
         assert all(after[k] is v for k, v in before[owner].items()), owner
+
+
+def test_tracer_counts_every_annulus_sample(monkeypatch):
+    # the window rings and the one band of a two-level grid each sample once
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracer import Tracer
+
+    from hypercell import cell, direction, geom, process
+    from hypercell.rng import KeyedStream
+
+    params = process.ProcessParams(1.0, direction.Isotropic(2), 2)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        cells = cell.cells_along_intensity(params, geom.Ball([0, 0], 1.0), [4, 16], stream_key=KeyedStream(3, 0))
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["process.sample"] == cells[0].stats.rounds + 1
+    assert tracer.counts["process.hyperplanes"] > 0

@@ -436,6 +436,12 @@ class TestKCell:
         with pytest.raises(WindowOverflow):
             cell.k_cell(params, ball, policy, stream_key=KeyedStream(35, 0))
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])
+    def test_nonpositive_initial_radius_rejected(self, radius):
+        # a zero or negative first window would fail only inside the first replication
+        with pytest.raises(ValueError, match="initial radius"):
+            cell.WindowPolicy(initial_radius=radius)
+
     def test_certificate_stability_under_window_doubling(self, params50, ball):
         changed = 0
         for rep in range(100):
@@ -519,25 +525,24 @@ class TestCellsAlongIntensity:
         # cut neither the cell before the band nor a later one
         body = request.getfixturevalue(body_name)
         sample = process.sample_annulus
-        outers = []
+        reaches = []
 
-        def record(params, inner, outer, rng):
-            outers.append(outer)
-            return sample(params, inner, outer, rng)
+        def record(params, body, r_in, r_out, rng):
+            reaches.append(r_out)
+            return sample(params, body, r_in, r_out, rng)
 
         monkeypatch.setattr(cell, "_sample_annulus_arrays", record)
         params = process.ProcessParams(1.0, iso, 2)
         grid = [16, 64, 256, 1024]
         tested = 0
         for rep in range(40):
-            outers.clear()
+            reaches.clear()
             cells = cell.cells_along_intensity(params, body, grid, stream_key=KeyedStream(48, rep))
             rho = cells[0].window_radius
             rng = np.random.default_rng(rep)
-            for j, outer in enumerate(outers[-(len(grid) - 1) :], start=1):
-                reach = geom.parallel_gap(body, outer)
+            for j, reach in enumerate(reaches[-(len(grid) - 1) :], start=1):
                 assert reach > body.distance_batch(cells[j - 1].vertices).max()
-                U, T = sample(params.with_gamma(grid[-1]), outer, geom.outer_parallel(body, rho), rng)
+                U, T = sample(params.with_gamma(grid[-1]), body, reach, rho, rng)
                 tested += len(T)
                 for z in cells[j - 1 :]:
                     assert not _kernels.cut_mask(U, T, z.vertices).any()

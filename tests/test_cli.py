@@ -63,6 +63,15 @@ class TestRateCommand:
         rc = dispatch(["rate", "--config", str(path), "--out", str(tmp_path / "o")])
         assert rc == 0  # overflow is recorded per replication, not fatal
 
+    def test_nonpositive_initial_radius_exits_2(self, tmp_path):
+        for radius in (0.0, -1.0):
+            cfg = dict(BALL_ISO, policy={"initial_radius": radius})
+            path = tmp_path / "radius.json"
+            path.write_text(json.dumps(cfg))
+            out = tmp_path / "o"
+            assert dispatch(["rate", "--config", str(path), "--out", str(out)]) == 2
+            assert not out.exists()
+
     def test_tail_all_zero_exits_3(self, tmp_path):
         cfg = {
             "experiment": "tail",

@@ -10,7 +10,7 @@ from hypercell import geom
 from hypercell.errors import InfeasibleBudget, RejectionStall
 from hypercell.rng import stream
 
-from oracles import square_mean_support_oracle
+from oracles import cap_starved_density_loop, square_mean_support_oracle
 
 
 def cap_budget(n):
@@ -226,6 +226,21 @@ class TestCapStarved:
     def test_infeasible_budget(self):
         with pytest.raises(InfeasibleBudget):
             dn.cap_starved([1, 0], lambda n: n**-0.5, 8, lambda n: -1.0)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_density_equals_piece_loop(self, dim):
+        # the counterexample's law: 256 pieces, random directions plus
+        # directions at, and one ulp either side of, every piece boundary
+        axis = np.eye(dim)[0]
+        law = dn.cap_starved(axis, lambda n: n**-0.25, 256, cap_budget, radius=1.0)
+        U = stream(12, "dens", dim).standard_normal((200_000, dim))
+        U /= np.linalg.norm(U, axis=1, keepdims=True)
+        edges = np.concatenate([[0.0], law.cap_angles, np.pi - law.cap_angles, [np.pi / 2, np.pi]])
+        theta = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+        tang = np.eye(dim)[1]
+        B = np.cos(theta)[:, None] * axis + np.sin(theta)[:, None] * tang
+        for V in (U, B, -B):
+            assert law.density(V).tobytes() == cap_starved_density_loop(law, V).tobytes()
 
     def test_full_support_density_positive(self, starved):
         rng = stream(9, "pos")

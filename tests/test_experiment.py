@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from hypercell import direction as dn
 from hypercell import experiment as ex
 from hypercell.errors import AllZeroTail, ConfigError, DegenerateX
 
@@ -42,6 +43,12 @@ class TestFitLoglog:
 @pytest.fixture
 def small_rate_cfg(ball, iso):
     return ex.RateRunConfig(ball, iso, [8, 16, 32, 64], reps=8, seed=2024)
+
+
+def _density_law(wrap: str):
+    """A law with a density, alone or inside a mixture; it has no JSON form."""
+    law = dn.DensityOnSphere(lambda U: 1 + 0.5 * U[:, 0] ** 2, 2.0, 2)
+    return law if wrap == "plain" else dn.Mixture([(0.5, law), (0.5, dn.Isotropic(2))])
 
 
 class TestRunRate:
@@ -85,6 +92,12 @@ class TestRunRate:
             with pytest.raises(ConfigError, match="n_grid"):
                 ex.RateRunConfig(ball, iso, grid, reps=2, seed=1)
 
+    @pytest.mark.parametrize("wrap", ["plain", "mixture"])
+    def test_density_law_rejected(self, ball, wrap):
+        # the result document cannot echo the law; the run would fail after every replication
+        with pytest.raises(ConfigError, match="DensityOnSphere"):
+            ex.RateRunConfig(ball, _density_law(wrap), [4, 16], reps=3, seed=1)
+
 
 class TestRunTail:
     def test_monotone_and_fit(self, ball, iso):
@@ -106,6 +119,11 @@ class TestRunTail:
     def test_zero_reps_rejected(self, ball, iso):
         with pytest.raises(ConfigError, match="reps"):
             ex.TailRunConfig(ball, iso, 0.5, [2, 4], reps=0, seed=9)
+
+    @pytest.mark.parametrize("wrap", ["plain", "mixture"])
+    def test_density_law_rejected(self, ball, wrap):
+        with pytest.raises(ConfigError, match="DensityOnSphere"):
+            ex.TailRunConfig(ball, _density_law(wrap), 0.5, [2, 4], reps=3, seed=1)
 
     def test_gamma_one_allowed(self, ball, iso):
         # the tail fit is linear in gamma, so gamma = 1 is a valid level
@@ -134,6 +152,16 @@ class TestRunCounterexample:
         # n^(-beta) is undefined at n = 0
         with pytest.raises(ConfigError, match="n_grid"):
             ex.CounterexampleConfig(ball, 0.25, [0, 4], reps=5, seed=1)
+
+    def test_fractional_grid_rejected(self, ball):
+        # the starved law is built for n_max = int(max n), whose budget misses n = 16.5
+        with pytest.raises(ConfigError, match="integers"):
+            ex.CounterexampleConfig(ball, 0.25, [4, 16.5], reps=5, seed=1)
+
+    def test_grid_below_two_rejected(self, ball):
+        # the starved law needs n_max >= 2
+        with pytest.raises(ConfigError, match="n >= 2"):
+            ex.CounterexampleConfig(ball, 0.25, [1], reps=5, seed=1)
 
     def test_starved_law_keeps_distance_large(self, ball):
         cfg = ex.CounterexampleConfig(ball, 0.25, [4, 16, 64], reps=150, seed=13)

@@ -277,12 +277,6 @@ class TestParallelBodies:
         U /= np.linalg.norm(U, axis=1, keepdims=True)
         assert np.allclose(W.support_batch(U), square.support_batch(U) + 0.7, atol=1e-12)
 
-    def test_gap_detection(self, square, ball, stadium):
-        assert geom.parallel_gap(square, geom.outer_parallel(square, 0.7)) == pytest.approx(0.7)
-        assert geom.parallel_gap(ball, geom.outer_parallel(ball, 0.3)) == pytest.approx(0.3)
-        assert geom.parallel_gap(stadium, geom.outer_parallel(stadium, 0.1)) == pytest.approx(0.1)
-        assert geom.parallel_gap(square, geom.outer_parallel(ball, 0.3)) is None
-
 
 class TestSerialization:
     def test_round_trip(self, square, ball, stadium):

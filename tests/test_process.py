@@ -6,8 +6,10 @@ from scipy.stats import chi2_contingency, kstest
 
 from hypercell import direction as dn
 from hypercell import geom, process
-from hypercell.errors import NotNested, OriginOutside
+from hypercell.errors import OriginOutside
 from hypercell.rng import poisson_variate, stream
+
+from oracles import sample_annulus_two_bodies
 
 
 @pytest.fixture
@@ -92,9 +94,8 @@ class TestSampleHitting:
 class TestSampleAnnulus:
     def test_mean_count(self, iso, ball):
         params = process.ProcessParams(1.0, iso, 2)
-        outer = geom.outer_parallel(ball, 1.0)
         rng = stream(16, "ann")
-        counts = [len(process.sample_annulus(params, ball, outer, rng)[1]) for _ in range(10_000)]
+        counts = [len(process.sample_annulus(params, ball, 0.0, 1.0, rng)[1]) for _ in range(10_000)]
         sigma = math.sqrt(2.0 / 10_000)
         assert abs(float(np.mean(counts)) - 2.0) < 3 * sigma
 
@@ -102,7 +103,7 @@ class TestSampleAnnulus:
         outer = geom.outer_parallel(square, 0.8)
         rng = stream(17, "miss")
         for _ in range(300):
-            U, T = process.sample_annulus(params_iso, square, outer, rng)
+            U, T = process.sample_annulus(params_iso, square, 0.0, 0.8, rng)
             assert np.all(np.abs(np.linalg.norm(U, axis=1) - 1.0) <= 1e-12)
             assert np.all(T > square.support_batch(U) - 1e-12)
             assert np.all(T <= outer.support_batch(U) + 1e-12)
@@ -118,7 +119,7 @@ class TestSampleAnnulus:
         for _ in range(reps):
             U, T = process.sample_hitting(params, outer, rng)
             filtered.append(int((T > ball.support_batch(U)).sum()))
-        direct = [len(process.sample_annulus(params, ball, outer, rng)[1]) for _ in range(reps)]
+        direct = [len(process.sample_annulus(params, ball, 0.0, 1.0, rng)[1]) for _ in range(reps)]
         top = max(max(filtered), max(direct))
         f = np.bincount(filtered, minlength=top + 1)
         d = np.bincount(direct, minlength=top + 1)
@@ -126,19 +127,49 @@ class TestSampleAnnulus:
         _, pval, _, _ = chi2_contingency(np.vstack([f[keep], d[keep]]))
         assert pval > 1e-3
 
-    def test_not_nested_raises(self, params_iso, square, ball):
-        small = geom.Ball([0, 0], 0.5)
-        with pytest.raises(NotNested):
-            process.sample_annulus(params_iso, square, small, stream(19, "nn"))
+    RADII = [(0.0, 0.5), (0.0, 2.0), (0.5, 1.0), (1.0, 3.0), (2.5, 2.75)]
 
-    def test_generic_annulus_between_different_bodies(self, params_iso, ball, square):
-        # ball inside square: no constant-gap fast path, rejection envelope route
-        rng = stream(20, "gen")
-        for _ in range(200):
-            U, T = process.sample_annulus(params_iso, ball, square, rng)
-            assert np.all(np.abs(np.linalg.norm(U, axis=1) - 1.0) <= 1e-12)
-            assert np.all(T > ball.support_batch(U) - 1e-12)
-            assert np.all(T <= square.support_batch(U))
+    def _against_two_bodies(self, body, dist, seed):
+        """Draws of the sampler and of the two-body reference from equal streams."""
+        params = process.ProcessParams(8.0, dist, body.dim)
+        for k, (r_in, r_out) in enumerate(self.RADII):
+            inner = body if r_in == 0.0 else geom.outer_parallel(body, r_in)
+            outer = geom.outer_parallel(body, r_out)
+            got_rng, want_rng = stream(seed, "pair", k), stream(seed, "pair", k)
+            for _ in range(40):
+                got = process.sample_annulus(params, body, r_in, r_out, got_rng)
+                want = sample_annulus_two_bodies(params, inner, outer, r_out - r_in, want_rng)
+                yield got, want
+
+    @pytest.mark.parametrize("body_name", ["ball", "ball3d", "square"])
+    def test_equals_two_body_reference(self, body_name, square):
+        body = {
+            "ball": geom.Ball([0, 0], 1.0),
+            "ball3d": geom.Ball([0, 0, 0], 1.0),
+            "square": square,
+        }[body_name]
+        drawn = 0
+        for (U, T), (U_ref, T_ref) in self._against_two_bodies(body, dn.Isotropic(body.dim), 21):
+            assert U.tobytes() == U_ref.tobytes() and T.tobytes() == T_ref.tobytes()
+            drawn += len(T)
+        assert drawn > 1000
+
+    def test_stadium_within_rounding_of_two_body_reference(self, stadium, iso):
+        # a BallSum body adds its radius and r separately: (h + R) + r, not h + (R + r)
+        drawn = 0
+        for (U, T), (U_ref, T_ref) in self._against_two_bodies(stadium, iso, 22):
+            assert U.tobytes() == U_ref.tobytes()
+            assert np.all(np.abs(T - T_ref) <= 1e-15 * T_ref)
+            drawn += len(T)
+        assert drawn > 1000
+
+    @pytest.mark.parametrize(
+        "r_in, r_out",
+        [(-0.1, 1.0), (1.0, 1.0), (1.0, 0.5), (math.nan, 1.0), (0.0, math.nan), (0.0, math.inf)],
+    )
+    def test_rejects_bad_radii(self, params_iso, ball, r_in, r_out):
+        with pytest.raises(ValueError):
+            process.sample_annulus(params_iso, ball, r_in, r_out, stream(19, "bad"))
 
 
 class TestDeterminism:

@@ -24,14 +24,20 @@ out can cut it.
 The planar fast path intersects halfplanes through polar duality (the
 convex hull of the points u/t).  For d >= 3 an incremental vertex
 enumerator starts from the box corners and inserts the halfspaces by
-increasing offset.  Each halfspace that cuts a current vertex is solved
-together with every (d-1)-subset of the planes still defining vertices,
-all in one stacked `np.linalg.solve`; subsets holding both box planes
-+e_j and -e_j are dropped first, since they are exactly singular, and an
-insertion whose stack still meets an exactly singular system solves its
-subsets one at a time.  A brute-force subset enumerator is kept as the
-oracle for both: with `debug_oracle=True` every intersection a cell build
-computes, in any dimension, is checked against it.
+increasing offset.  A new vertex ends an edge that leaves a cut vertex,
+and that edge lies on d-1 planes through the cut vertex (the adjacency
+step of the double description method: Motzkin, Raiffa, Thompson &
+Thrall 1953; Fukuda & Prodon 1996).  So each halfspace that cuts a
+current vertex is solved together with the (d-1)-subsets of the planes
+incident to a cut vertex, all in one stacked `np.linalg.solve`; subsets
+holding both box planes +e_j and -e_j are dropped first, since they are
+exactly singular, and an insertion whose stack still meets an exactly
+singular system solves its subsets one at a time.  Along an intensity
+grid, d >= 3 inserts each band's cutting halfspaces into the current
+cell; the planar path computes its dual hull again from all constraints.
+A brute-force subset enumerator is kept as the oracle for both: with
+`debug_oracle=True` every intersection a cell build computes, in any
+dimension, is checked against it.
 """
 from __future__ import annotations
 
@@ -167,30 +173,42 @@ def _axis_box(body, rho: float):
     return U, T
 
 
-def halfspace_intersection(normals, offsets, box_normals, box_offsets) -> Intersection:
+def halfspace_intersection(
+    normals, offsets, box_normals, box_offsets, start: Intersection | None = None
+) -> Intersection:
     """Vertices of the intersection of halfspaces {<u,x> <= t} with a box.
 
-    All offsets must be positive (origin interior).  The planar path uses
-    polar duality.  Higher dimensions run the incremental enumerator:
-    halfspaces are inserted by increasing offset, exact copies of an
-    earlier halfspace are skipped, and each insertion that cuts a vertex
-    solves all its candidate plane subsets in one stacked solve.  Subsets
-    holding a box pair +e_j, -e_j are screened out beforehand; if the
-    stack still raises on an exactly singular system, that insertion
-    solves its subsets one at a time.  Subsets whose solve fails or
-    leaves a residual above SOLVE_RESIDUAL_TOL are skipped.  Box normals
-    must be [e_1, ..., e_d, -e_1, ..., -e_d] for d >= 3.
+    All offsets must be positive (origin interior), and every halfspace
+    normal and offset finite.  The planar path uses polar duality.  Higher
+    dimensions run the incremental enumerator: halfspaces are inserted by
+    increasing offset, exact copies of an earlier halfspace are skipped,
+    and each insertion that cuts a vertex solves, in one stacked solve,
+    the (d-1)-subsets of the planes through a cut vertex (its defining
+    planes and those with slack at most FEAS_TOL (1 + |t|), t the
+    plane's offset), in `itertools.combinations` order.  Subsets holding a box pair
+    +e_j, -e_j are screened out beforehand; if the stack still raises on
+    an exactly singular system, that insertion solves its subsets one at
+    a time.  Subsets whose solve fails or leaves a residual above
+    SOLVE_RESIDUAL_TOL are skipped.  Box normals must be
+    [e_1, ..., e_d, -e_1, ..., -e_d] for d >= 3.
+
+    `start`, the intersection of the first `start.n_halfspaces`
+    halfspaces with the same box, lets d >= 3 begin from its vertices
+    instead of the box corners and insert only the remaining halfspaces.
+    The planar path computes the whole dual hull either way.
     """
     U = np.atleast_2d(np.asarray(normals, dtype=np.float64))
     T = np.asarray(offsets, dtype=np.float64)
     BU = np.atleast_2d(np.asarray(box_normals, dtype=np.float64))
     BT = np.asarray(box_offsets, dtype=np.float64)
-    if U.shape[0] and T.min() <= 0 or BT.min() <= 0:
+    if not (np.isfinite(U).all() and np.isfinite(T).all()):
+        raise ValueError("halfspace normals and offsets must be finite")
+    if U.shape[0] and T.min() <= 0 or not BT.min() > 0:  # a NaN box offset fails too
         raise ValueError("halfspace offsets must be positive (origin interior)")
     d = BU.shape[1]
     if d == 2:
         return _intersect_dual_2d(U, T, BU, BT)
-    return _intersect_incremental(U, T, BU, BT)
+    return _intersect_incremental(U, T, BU, BT, start)
 
 
 def _intersect_dual_2d(U, T, BU, BT) -> Intersection:
@@ -226,30 +244,38 @@ def _merge_adjacent(V: np.ndarray, D: np.ndarray):
     return V[~dup], D[~dup]
 
 
-def _intersect_incremental(U, T, BU, BT) -> Intersection:
+def _intersect_incremental(U, T, BU, BT, start: Intersection | None = None) -> Intersection:
     d = BU.shape[1]
     n = len(T)
     A = np.vstack([U, BU])
     b = np.concatenate([T, BT])
-    # start from the box corners: plane n + j is +e_j, n + d + j is -e_j,
-    # and the corners run from (-1, ..., -1) to (1, ..., 1) in product order
-    corners = n + np.arange(d) + d * np.array(list(itertools.product((1, 0), repeat=d)))
-    X, ok = _solve_subsets(A, b, corners)
-    V, D = X[ok], corners[ok]
+    if start is None:
+        # start from the box corners: plane n + j is +e_j, n + d + j is -e_j,
+        # and the corners run from (-1, ..., -1) to (1, ..., 1) in product order
+        corners = n + np.arange(d) + d * np.array(list(itertools.product((1, 0), repeat=d)))
+        X, ok = _solve_subsets(A, b, corners)
+        V, D, n_old = X[ok], corners[ok], 0
+    else:
+        # the box plane ids of the given cell follow the new constraint count
+        n_old = start.n_halfspaces
+        V, D = start.vertices, start.defining + (n - n_old) * (start.defining >= n_old)
     box_ids = np.arange(n, n + 2 * d)
     # a later exact copy of a halfspace adds nothing; inserted, a vertex it
     # cuts by rounding would come back with points solved from both copies
     copy = np.ones(n, dtype=bool)
     copy[np.unique(np.column_stack([U, T]), axis=0, return_index=True)[1]] = False
-    order = np.argsort(T)
+    order = n_old + np.argsort(T[n_old:])
     for i in order[~copy[order]]:
         u, t = A[i], b[i]
         viol = V @ u > t
         if not viol.any():
             continue
-        active = np.unique(D)
-        combos = itertools.combinations(active.tolist(), d - 1)
-        idx = np.fromiter(itertools.chain.from_iterable(combos), dtype=np.int64).reshape(-1, d - 1)
+        # a new vertex ends an edge that leaves a cut vertex, and that edge
+        # lies on d - 1 planes through the cut vertex
+        active = np.flatnonzero(np.bincount(D.ravel()))  # np.unique(D), at a third of its cost
+        inc = b[active] - V[viol] @ A[active].T <= FEAS_TOL * (1.0 + np.abs(b[active]))
+        inc[np.arange(len(inc))[:, None], np.searchsorted(active, D[viol])] = True
+        idx = active[_shared_subsets(inc, d - 1)]
         idx = idx[~_holds_box_pair(idx, n, d)]
         idx = np.column_stack([np.full(len(idx), i), idx])
         X, ok = _solve_subsets(A, b, idx)
@@ -262,6 +288,27 @@ def _intersect_incremental(U, T, BU, BT) -> Intersection:
             break
     V, D = _dedupe_vertices(V, D)
     return Intersection(V, D, n)
+
+
+def _shared_subsets(inc: np.ndarray, k: int) -> np.ndarray:
+    """The k-subsets of the columns of `inc` that hold True together in some row.
+
+    Rows are vertices and columns planes, so these are the plane subsets
+    through a common vertex.  Each row of the result holds sorted column
+    ids, and the rows come in `itertools.combinations` order: a subset
+    grows by every larger column that shares a row with all its columns,
+    and `np.nonzero` lists the extensions row-major.  For k = 2 this is
+    `np.nonzero(np.triu(inc.T @ inc, 1))`.
+    """
+    m = inc.shape[1]
+    on = inc.astype(np.float64)
+    idx = np.arange(m)[:, None]
+    share = on.T  # share[s, r]: row r holds every column of subset s
+    for _ in range(k - 1):
+        rows, cols = np.nonzero((share @ on > 0) & (np.arange(m) > idx[:, -1:]))
+        idx = np.column_stack([idx[rows], cols])
+        share = share[rows] * on.T[cols]
+    return idx
 
 
 def _holds_box_pair(idx: np.ndarray, n: int, d: int) -> np.ndarray:
@@ -412,26 +459,30 @@ class _CellBuilder:
         self._box_rho = None  # the window radius `_box` was built for
         self._box = None
 
-    def rebuild(self, U_new, T_new, rho: float):
-        """Recompute from retained + new constraints inside window radius rho."""
+    def rebuild(self, U_new, T_new, rho: float, start: Intersection | None = None):
+        """Recompute from retained + new constraints inside window radius rho.
+
+        `start` is the current cell, built in the same window: then d >= 3
+        inserts only the new constraints into it.
+        """
         self.U = np.vstack([self.U, U_new])
         self.T = np.concatenate([self.T, T_new])
         if rho != self._box_rho:
             self._box_rho, self._box = rho, _axis_box(self.body, rho)
         BU, BT = self._box
-        self.inter = halfspace_intersection(self.U, self.T, BU, BT)
+        self.inter = halfspace_intersection(self.U, self.T, BU, BT, start)
         if self.debug_oracle:
             self._cross_check(BU, BT)
         self._compact()
 
     def add_incremental(self, U_new, T_new, rho: float):
-        """Add constraints to a certified cell; cells only shrink here."""
+        """Add constraints to a certified cell of window radius rho; cells only shrink here."""
         if len(T_new) == 0:
             return
         cutting = _kernels.cut_mask(U_new, T_new, self.inter.vertices)
         if not cutting.any():
             return
-        self.rebuild(U_new[cutting], T_new[cutting], rho)
+        self.rebuild(U_new[cutting], T_new[cutting], rho, self.inter)
 
     def _cross_check(self, BU, BT):
         oracle = halfspace_intersection_bruteforce(self.U, self.T, BU, BT)

@@ -211,6 +211,8 @@ class BallSum(_BodyBase):
         if self.dim == 2:
             hull = _kernels.convex_hull_2d(V)
             self.hull_vertices = V[hull]
+        core_inradius = Polytope(V).inradius_origin() if self._core_rank() == self.dim else 0.0
+        self._inradius_origin = core_inradius + self.radius
 
     def _core_rank(self) -> int:
         return int(np.linalg.matrix_rank(self.vertices, tol=1e-12)) if len(self.vertices) > 1 else 0
@@ -226,9 +228,7 @@ class BallSum(_BodyBase):
         return np.maximum(0.0, core - self.radius)
 
     def inradius_origin(self) -> float:
-        if self._core_rank() < self.dim:
-            return self.radius
-        return Polytope(self.vertices).inradius_origin() + self.radius
+        return self._inradius_origin
 
 
 Body = Polytope | Ball | BallSum

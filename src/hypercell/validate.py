@@ -48,6 +48,7 @@ def run_all(verbose: bool = True) -> list[CheckResult]:
         _c_determinism,
         _c_intersection_oracle,
         _c_intersection_oracle_3d,
+        _c_coupled_grid_oracle_3d,
         _c_cell_contains_body,
         _c_cell_nesting,
         _c_certificate_stability,
@@ -284,6 +285,22 @@ def _c_intersection_oracle() -> CheckResult:
 def _c_intersection_oracle_3d() -> CheckResult:
     bad = _oracle_mismatches("oracle3d", 3, 100, 20, 20.0)
     return CheckResult("3-d fast path vs subset oracle", bad == 0, f"{bad}/100 mismatches")
+
+
+def _c_coupled_grid_oracle_3d() -> CheckResult:
+    # debug_oracle checks every intersection of the builds against the subset
+    # oracle, the bands inserted into the cell before them included
+    ball = geom.Ball([0, 0, 0], 1.0)
+    params = process.ProcessParams(1.0, dn.Isotropic(3), 3)
+    grid = [8.0, 16.0, 32.0]
+    bad = 0
+    for rep in range(3):
+        key = KeyedStream(SEED, "grid3d", rep)
+        try:
+            cell.cells_along_intensity(params, ball, grid, stream_key=key, debug_oracle=True)
+        except AssertionError:
+            bad += 1
+    return CheckResult("3-d coupled grid vs subset oracle", bad == 0, f"{bad}/3 replications deviate")
 
 
 def _c_cell_contains_body() -> CheckResult:

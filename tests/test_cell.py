@@ -83,6 +83,13 @@ def singular_subset_instances():
         ),
         # x = 1, y = 1, z = 1, x + y + z = 3 and x + y = 2 meet at (1, 1, 1)
         (np.vstack([e3, [[1.0, 1, 1], [1, 1, 0]], -e3]), np.array([1.0, 1, 1, 3, 2, 1, 1, 1])),
+        # four facets of a rectangular pyramid meet at its apex (0, 0, 1),
+        # which z = 0.5, inserted last, cuts: each new vertex lies on two
+        # facets, only three of which define the apex
+        (
+            np.array([[1.0, 0, 1], [-1, 0, 1], [0, 2, 1], [0, -2, 1], [0, 0, -1], [0, 0, 4]]),
+            np.array([1.0, 1, 1, 1, 1, 2]),
+        ),
     ]
     return (
         [(U, T, BOX2) for U, T in planar]
@@ -122,6 +129,22 @@ def assert_matches_subset_loop(inter, U, T, box):
     )
     assert inter.vertices.tobytes() == V.tobytes()
     assert np.array_equal(inter.defining, D)
+
+
+def sorted_rows(V):
+    return V[np.lexsort(V.T[::-1])]
+
+
+def continued_insertion(U, T, box, k):
+    """Build the cell of the first k constraints, compact it, then insert the rest into it.
+
+    This is the path a coupled grid takes for each band in d >= 3.
+    """
+    builder = cell._CellBuilder(None, box[0].shape[1])
+    builder._box_rho, builder._box = 1.0, box
+    builder.rebuild(U[:k], T[:k], 1.0)
+    builder.add_incremental(U[k:], T[k:], 1.0)
+    return builder
 
 
 def assert_same_intersection(a, b):
@@ -283,6 +306,39 @@ class TestHalfspaceIntersection:
         for (U, T, box), w in zip(instances, want):
             assert_matches_incremental_loop(w, U, T, box)
 
+    def test_shared_subsets_equal_filtered_combinations(self, rng):
+        # the combinations of all columns, less those with no common row,
+        # in the same order
+        for k in (2, 3):
+            for _ in range(30):
+                inc = rng.random((int(rng.integers(1, 6)), int(rng.integers(k, 12)))) < 0.4
+                want = [c for c in itertools.combinations(range(inc.shape[1]), k)
+                        if inc[:, list(c)].all(axis=1).any()]
+                got = cell._shared_subsets(inc, k)
+                assert got.shape == (len(want), k)
+                assert got.tolist() == [list(c) for c in want]
+
+    def test_continued_insertion_equals_full_build(self, rng):
+        # inserting constraints into the compacted cell of the others gives
+        # the vertices of one build from the box corners, bit for bit; only
+        # the row order may differ
+        instances = [inst for inst in singular_subset_instances() if inst[2] is BOX3]
+        instances += [(*random_spatial_instance(rng), BOX3) for _ in range(40)]
+        instances += [(*random_spatial_instance(rng, d=4, max_n=11), BOX4) for _ in range(15)]
+        instances += concurrent_integer_instances()
+        for U, T, box in instances:
+            want = sorted_rows(cell.halfspace_intersection(U, T, *box).vertices)
+            for k in range(1, len(T)):
+                got = continued_insertion(U, T, box, k).inter.vertices
+                assert sorted_rows(got).tobytes() == want.tobytes()
+
+    def test_start_leaves_planar_path_unchanged(self, rng):
+        for _ in range(20):
+            U, T = random_instance(rng)
+            want = cell.halfspace_intersection(U, T, *BOX2)
+            start = cell.halfspace_intersection(U[:3], T[:3], *BOX2)
+            assert_same_intersection(cell.halfspace_intersection(U, T, *BOX2, start), want)
+
     def test_incremental_ignores_exact_copies(self, rng):
         # an exact copy of a halfspace leaves the set unchanged, and so the
         # output; inserting the copy, when rounding let it cut a vertex,
@@ -348,6 +404,22 @@ class TestHalfspaceIntersection:
     def test_offsets_must_be_positive(self):
         with pytest.raises(ValueError):
             cell.halfspace_intersection(np.array([[1.0, 0]]), np.array([-0.5]), *BOX2)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("where", ["offset", "normal"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, d, where, bad):
+        # a NaN offset once passed the sign test and dropped its halfspace:
+        # the unit cube came back reaching the box, max x = 5
+        U, T = np.vstack([np.eye(d), -np.eye(d)]), np.ones(2 * d)
+        BU, BT = np.vstack([np.eye(d), -np.eye(d)]), np.full(2 * d, 5.0)
+        assert cell.halfspace_intersection(U, T, BU, BT).vertices.max() == 1.0
+        {"offset": T, "normal": U[0]}[where][0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            cell.halfspace_intersection(U, T, BU, BT)
+        BT[0] = np.nan
+        with pytest.raises(ValueError):
+            cell.halfspace_intersection(np.eye(d), np.ones(d), BU, BT)
 
 
 @st.composite
@@ -598,6 +670,19 @@ class TestCellsAlongIntensity:
                 assert np.all(z.offsets > ball3.support_batch(z.normals))
             again = cell.cells_along_intensity(params, ball3, [8, 16, 32], stream_key=key)
             assert [z.dumps() for z in again] == [z.dumps() for z in cells]
+
+    def test_3d_grid_cells_equal_full_build(self, cube):
+        # each band is inserted into the cell before it; every cell along the
+        # grid must still equal one build of its own constraints from the box
+        # corners, bit for bit once the rows are sorted
+        params = process.ProcessParams(1.0, dn.Isotropic(3), 3)
+        grid = [2.0**k for k in range(3, 11)]
+        for body in (geom.Ball([0, 0, 0], 1.0), cube):
+            cells = cell.cells_along_intensity(params, body, grid, stream_key=KeyedStream(47, 0))
+            assert len(cells[-1].offsets) > 2 * len(cells[0].offsets)
+            for z in cells:
+                full = cell.halfspace_intersection(z.normals, z.offsets, *cell._axis_box(body, z.window_radius))
+                assert sorted_rows(z.vertices).tobytes() == sorted_rows(full.vertices).tobytes()
 
     def test_atomic_directions_respected_end_to_end(self, facet_atoms, square):
         params = process.ProcessParams(1.0, facet_atoms, 2)

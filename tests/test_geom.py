@@ -277,6 +277,17 @@ class TestParallelBodies:
         U /= np.linalg.norm(U, axis=1, keepdims=True)
         assert np.allclose(W.support_batch(U), square.support_batch(U) + 0.7, atol=1e-12)
 
+    def test_ballsum_inradius_equals_core_plus_radius(self, cube, rng):
+        # a full-dimensional core adds its own inradius; a lower-dimensional
+        # one (segment, point) leaves the radius alone
+        full = [geom.BallSum(rng.standard_normal((6, 2)), 0.4) for _ in range(5)]
+        full += [geom.BallSum(cube.vertices, 0.25), geom.outer_parallel(geom.Polytope([[-1, -1], [1, -1], [0, 1]]), 0.3)]
+        for body in full:
+            assert body.inradius_origin() == geom.Polytope(body.vertices).inradius_origin() + body.radius
+        for core in ([[-1, 0], [1, 0]], [[0.0, 0.0]], [[0, 0, 0], [1, 0, 0], [0, 1, 0]]):
+            body = geom.BallSum(core, 0.7)
+            assert body.inradius_origin() == 0.7
+
 
 class TestSerialization:
     def test_round_trip(self, square, ball, stadium):

@@ -21,6 +21,11 @@ def ball():
 
 
 @pytest.fixture
+def ball3():
+    return geom.Ball([0, 0, 0], 1.0)
+
+
+@pytest.fixture
 def stadium():
     return geom.BallSum([[-1, 0], [1, 0]], 1.0)
 

@@ -10,7 +10,8 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from hypercell import geom
+from hypercell import cell, geom, process
+from hypercell.errors import WindowOverflow
 from hypercell.rng import poisson_variate
 
 
@@ -443,3 +444,66 @@ def sample_annulus_two_bodies(params, inner, outer, gap, rng):
     h_in = inner.support_batch(U)
     h_out = outer.support_batch(U)
     return U, h_out - (h_out - h_in) * rng.random(n)
+
+
+def cells_ring_by_ring(params_base, body, gamma_grid, policy, key):
+    """Coupled cells along an intensity grid, each window ring built in its own window box.
+
+    The reference for the window rings of `cell.cells_along_intensity`:
+    ring r is sampled as there, and the cell of all rings so far is built
+    from the box corners in the axis box of window r itself, then reduced
+    to the constraints that define a vertex.  Bands and the counts beyond
+    their reach are drawn as there; each band's cell is built from the
+    box corners from the constraints before it and the whole band, in the
+    box of the final window.  It shares only the intersection kernel
+    with the cell module.  Returns one dict per grid level with rounds,
+    sampled, window_radius, offsets and vertices.
+    """
+    grid = [float(g) for g in gamma_grid]
+    d = body.dim
+    box_normals = np.vstack([np.eye(d), -np.eye(d)])
+
+    def build(U, T, rho):
+        inter = cell.halfspace_intersection(U, T, box_normals, body.support_batch(box_normals) + rho)
+        act = np.unique(inter.defining)
+        act = act[act < len(T)]
+        return U[act], T[act], inter.vertices
+
+    def reach(V):
+        return body.distance_batch(V).max()
+
+    params_1 = params_base.with_gamma(grid[0])
+    rings_U, rings_T = [], []
+
+    def ring(r):
+        r_in = 0.0 if r == 0 else policy.radius(body, r - 1)
+        rng = key.child("ring", r)
+        U, T = process.sample_annulus(params_1, body, r_in, policy.radius(body, r), rng)
+        rings_U.append(U)
+        rings_T.append(T)
+        return build(np.vstack(rings_U), np.concatenate(rings_T), policy.radius(body, r))
+
+    for r in range(policy.max_rounds):
+        U, T, V = ring(r)
+        if len(V) and reach(V) < policy.radius(body, r) - cell.FEAS_TOL:
+            break
+    else:
+        raise WindowOverflow(policy.max_rounds, policy.radius(body, policy.max_rounds - 1))
+    rounds = r + 1
+    rho = policy.radius(body, r)
+    sampled = sum(len(z) for z in rings_T)
+    cells = [dict(rounds=rounds, sampled=sampled, window_radius=rho, offsets=T, vertices=V)]
+    rng = key.child("bands")
+    beyond = []
+    for g_prev, g in zip(grid, grid[1:]):
+        band_reach = min(reach(V) + cell.FEAS_TOL, rho)
+        Ub, Tb = process.sample_annulus(params_base.with_gamma(g - g_prev), body, 0.0, band_reach, rng)
+        sampled += len(Tb)
+        U, T, V = build(np.vstack([U, Ub]), np.concatenate([T, Tb]), rho)
+        cells.append(dict(rounds=rounds, sampled=sampled, window_radius=rho, offsets=T, vertices=V))
+        beyond.append(2.0 * (g - g_prev) * (rho - band_reach))
+    unplaced = 0
+    for z, mass in zip(cells[1:], beyond):
+        unplaced += poisson_variate(rng, mass)
+        z["sampled"] += unplaced
+    return cells

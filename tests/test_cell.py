@@ -14,6 +14,7 @@ from hypercell.errors import WindowOverflow
 from hypercell.rng import KeyedStream
 
 from oracles import (
+    cells_ring_by_ring,
     dedupe_vertices_loop,
     incremental_vertices_loop,
     subset_vertices_loop,
@@ -138,12 +139,12 @@ def sorted_rows(V):
 def continued_insertion(U, T, box, k):
     """Build the cell of the first k constraints, compact it, then insert the rest into it.
 
-    This is the path a coupled grid takes for each band in d >= 3.
+    This is the path a coupled grid takes in d >= 3 for each band and for
+    each window ring inside the box of the last build.
     """
     builder = cell._CellBuilder(None, box[0].shape[1])
-    builder._box_rho, builder._box = 1.0, box
-    builder.rebuild(U[:k], T[:k], 1.0)
-    builder.add_incremental(U[k:], T[k:], 1.0)
+    builder.rebuild(U[:k], T[:k], box)
+    builder.add_incremental(U[k:], T[k:])
     return builder
 
 
@@ -488,13 +489,18 @@ class TestKCell:
         # a window too small to certify, so box planes define vertices
         builder = cell._CellBuilder(ball, 2)
         r = 1 / math.sqrt(2)
-        for U, T in (([[r, r], [1.0, 0.0]], [1.2, 5.0]), ([[-r, r]], [1.2])):
-            builder.rebuild(np.array(U), np.array(T), 0.1)
-            BU, BT = cell._axis_box(ball, 0.1)
+        BU, BT = cell._axis_box(ball, 0.1)
+
+        def assert_defining_tight():
             A, b = np.vstack([builder.U, BU]), np.concatenate([builder.T, BT])
             assert (builder.inter.defining >= len(builder.T)).any()
             for v, d in zip(builder.inter.vertices, builder.inter.defining):
                 assert np.abs(A[d] @ v - b[d]).max() < 1e-12
+
+        builder.rebuild(np.array([[r, r], [1.0, 0.0]]), np.array([1.2, 5.0]), (BU, BT))
+        assert_defining_tight()
+        builder.add_incremental(np.array([[-r, r]]), np.array([1.2]))
+        assert_defining_tight()
         assert len(builder.T) == 2  # the halfplane x <= 5 misses the box
 
     def test_vertices_strictly_inside_window(self, params50, ball):
@@ -507,6 +513,18 @@ class TestKCell:
         policy = cell.WindowPolicy(max_rounds=8)
         with pytest.raises(WindowOverflow):
             cell.k_cell(params, ball, policy, stream_key=KeyedStream(35, 0))
+
+    @pytest.mark.parametrize("max_rounds", [1, 2, 3, 5])
+    @pytest.mark.parametrize("body_name", ["ball", "ball3"])
+    def test_window_overflow_reports_last_window(self, body_name, max_rounds, request):
+        # the look-ahead box is larger than the last window, which the error still names
+        body = request.getfixturevalue(body_name)
+        params = process.ProcessParams(1e-12, dn.Isotropic(body.dim), body.dim)
+        policy = cell.WindowPolicy(max_rounds=max_rounds)
+        with pytest.raises(WindowOverflow) as err:
+            cell.k_cell(params, body, policy, stream_key=KeyedStream(35, 1))
+        assert err.value.rounds == max_rounds
+        assert err.value.radius == policy.radius(body, max_rounds - 1)
 
     @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])
     def test_nonpositive_initial_radius_rejected(self, radius):
@@ -620,17 +638,22 @@ class TestCellsAlongIntensity:
                     assert not _kernels.cut_mask(U, T, z.vertices).any()
         assert tested > 100_000
 
-    @pytest.mark.parametrize("body_name", ["ball", "square"])
-    def test_extra_ring_leaves_grid_unchanged(self, body_name, iso, request):
+    @pytest.mark.parametrize("body_name", ["ball", "square", "ball3"])
+    def test_extra_ring_leaves_grid_unchanged(self, body_name, request):
         body = request.getfixturevalue(body_name)
-        params = process.ProcessParams(1.0, iso, 2)
-        grid = [8, 32, 128, 512]
-        for rep in range(15):
+        params = process.ProcessParams(1.0, dn.Isotropic(body.dim), body.dim)
+        if body.dim == 2:
+            grid, reps, rows = [8, 32, 128, 512], 15, lambda V: V
+        else:
+            # an extra ring can start the 3-d enumerator again in a larger box,
+            # which lists the same vertices in another order
+            grid, reps, rows = [8, 16, 32], 6, sorted_rows
+        for rep in range(reps):
             key = KeyedStream(49, rep)
             a = cell.cells_along_intensity(params, body, grid, stream_key=key)
             b = cell.cells_along_intensity(params, body, grid, stream_key=key, extra_rings=1)
             for za, zb in zip(a, b):
-                assert za.vertices.tobytes() == zb.vertices.tobytes()
+                assert rows(za.vertices).tobytes() == rows(zb.vertices).tobytes()
                 assert za.offsets.tobytes() == zb.offsets.tobytes()
                 assert zb.window_radius == 2 * za.window_radius
                 assert zb.stats.rounds == za.stats.rounds + 1
@@ -683,6 +706,31 @@ class TestCellsAlongIntensity:
             for z in cells:
                 full = cell.halfspace_intersection(z.normals, z.offsets, *cell._axis_box(body, z.window_radius))
                 assert sorted_rows(z.vertices).tobytes() == sorted_rows(full.vertices).tobytes()
+
+    @pytest.mark.parametrize("initial_radius", [None, 0.02], ids=["default", "small_window"])
+    def test_cells_equal_ring_by_ring_builds(self, initial_radius, ball, square, ball3, cube, monkeypatch):
+        # rings go into a cell built in the box of a later window; every cell
+        # must equal building each ring from scratch in its own window's box
+        rebuilds = []
+        rebuild = cell._CellBuilder.rebuild
+        monkeypatch.setattr(cell._CellBuilder, "rebuild", lambda b, *a: rebuilds.append(rebuild(b, *a)))
+        policy = cell.WindowPolicy(initial_radius=initial_radius)
+        cases = [(ball, [8, 32, 128]), (square, [8, 32, 128]), (ball3, [8, 16, 32]), (cube, [8, 16, 32])]
+        runs = 0
+        for body, grid in cases:
+            params = process.ProcessParams(1.0, dn.Isotropic(body.dim), body.dim)
+            for rep in range(4):
+                key = KeyedStream(52, rep)
+                cells = cell.cells_along_intensity(params, body, grid, policy, key)
+                runs += 1
+                for z, ref in zip(cells, cells_ring_by_ring(params, body, grid, policy, key), strict=True):
+                    assert z.stats.rounds == ref["rounds"]
+                    assert z.stats.sampled == ref["sampled"]
+                    assert z.window_radius == ref["window_radius"]
+                    assert z.offsets.tobytes() == ref["offsets"].tobytes()
+                    assert sorted_rows(z.vertices).tobytes() == sorted_rows(ref["vertices"]).tobytes()
+        if initial_radius is not None:  # 6-8 rounds: rings past the first box start again
+            assert len(rebuilds) - runs >= 2
 
     def test_atomic_directions_respected_end_to_end(self, facet_atoms, square):
         params = process.ProcessParams(1.0, facet_atoms, 2)

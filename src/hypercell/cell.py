@@ -33,7 +33,11 @@ a build in the box of each round's own window, and within one box a
 halfspace that cuts no vertex stays redundant as constraints are added.
 
 The planar fast path intersects halfplanes through polar duality (the
-convex hull of the points u/t).  For d >= 3 an incremental vertex
+convex hull of the points u/t).  One loop on Python floats turns each
+hull edge into a vertex, with the IEEE operations of the equivalent
+array code and without its per-call cost on some 20 rows; only a cell
+with two adjacent vertices that an exact screen cannot keep apart goes
+to the array merge.  For d >= 3 an incremental vertex
 enumerator starts from the box corners and inserts the halfspaces by
 increasing offset.  A new vertex ends an edge that leaves a cut vertex,
 and that edge lies on d-1 planes through the cut vertex (the adjacency
@@ -55,6 +59,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,6 +122,7 @@ class CellStats:
     sampled: int = 0
     active: int = 0
     rounds: int = 0
+    hausdorff: float = math.nan  # largest vertex distance from the body
 
 
 @dataclass
@@ -140,6 +146,7 @@ class CellPolytope:
                 "sampled": self.stats.sampled,
                 "active": self.stats.active,
                 "rounds": self.stats.rounds,
+                "hausdorff": self.stats.hausdorff,
             },
         }
 
@@ -154,7 +161,10 @@ class CellPolytope:
             defining=np.asarray(obj["defining"], dtype=np.int64),
             window_radius=float(obj["window_radius"]),
             stats=CellStats(
-                stats.get("sampled", 0), stats.get("active", 0), stats.get("rounds", 0)
+                stats.get("sampled", 0),
+                stats.get("active", 0),
+                stats.get("rounds", 0),
+                stats.get("hausdorff", math.nan),
             ),
         )
 
@@ -231,16 +241,43 @@ def _intersect_dual_2d(U, T, BU, BT) -> Intersection:
     A = np.vstack([U, BU])
     b = np.concatenate([T, BT])
     D = A / b[:, None]
-    hull = _kernels.convex_hull_2d(D)
-    defin = np.column_stack([hull, np.concatenate([hull[1:], hull[:1]])])
-    (x0, y0), (x1, y1) = D[defin[:, 0]].T, D[defin[:, 1]].T
-    det = x0 * y1 - y0 * x1
-    edge = np.abs(det) >= 1e-14
-    if not edge.all():  # coincident directions: tangency, no vertex
-        x0, y0, x1, y1, det, defin = (z[edge] for z in (x0, y0, x1, y1, det, defin))
-    V = np.column_stack([(y1 - y0) / det, (x0 - x1) / det])
-    V, defin = _merge_adjacent(V, defin)
+    hull = _kernels.convex_hull_2d(D).tolist()
+    xs, ys = D[:, 0].tolist(), D[:, 1].tolist()
+    # one vertex per hull edge, on Python floats: they round each operation as
+    # float64 arrays do, without the per-call cost of NumPy on some 20 rows
+    defin, flat = [], []
+    for i, j in zip(hull, hull[1:] + hull[:1]):
+        x0, y0, x1, y1 = xs[i], ys[i], xs[j], ys[j]
+        det = x0 * y1 - y0 * x1
+        if abs(det) >= 1e-14:  # else coincident directions: tangency, no vertex
+            defin.append((i, j))
+            flat += ((y1 - y0) / det, (x0 - x1) / det)
+    V = np.array(flat, dtype=np.float64).reshape(-1, 2)
+    defin = np.array(defin, dtype=np.int64).reshape(-1, 2)
+    if _may_merge(flat):
+        V, defin = _merge_adjacent(V, defin)
     return Intersection(V, defin, len(T))
+
+
+def _may_merge(flat: list) -> bool:
+    """Whether some planar vertex may lie within MERGE_TOL of its cyclic predecessor.
+
+    `flat` holds the coordinates x0, y0, x1, y1, ...  Since hypot(dx, dy)
+    >= max(|dx|, |dy|) and hypot(px, py) <= |px| + |py|, a gap with
+    max(|dx|, |dy|) > MERGE_TOL (1 + |px| + |py|) merges nothing; the
+    factor 2 on that bound absorbs the rounding of both sides.  Only a
+    pair that fails this screen sends the cell to `_merge_adjacent`,
+    whose `np.hypot` decides.
+    """
+    if not flat:
+        return False
+    px, py = flat[-2], flat[-1]
+    for k in range(0, len(flat), 2):
+        x, y = flat[k], flat[k + 1]
+        if max(abs(x - px), abs(y - py)) <= 2.0 * MERGE_TOL * (1.0 + abs(px) + abs(py)):
+            return True
+        px, py = x, y
+    return False
 
 
 def _merge_adjacent(V: np.ndarray, D: np.ndarray):
@@ -482,6 +519,7 @@ class _CellBuilder:
         self.debug_oracle = debug_oracle
         self.U = self.T = self._box = None  # set by `rebuild`
         self.inter: Intersection | None = None
+        self._margins: np.ndarray | None = None  # of `inter`, once computed
 
     def rebuild(self, U, T, box):
         """Build the cell of constraints U, T from scratch inside `box` (normals, offsets)."""
@@ -508,6 +546,7 @@ class _CellBuilder:
     def _intersect(self, start: Intersection | None):
         BU, BT = self._box
         self.inter = halfspace_intersection(self.U, self.T, BU, BT, start)
+        self._margins = None
         if self.debug_oracle:
             self._cross_check(BU, BT)
         self._compact()
@@ -519,8 +558,8 @@ class _CellBuilder:
 
     def _compact(self):
         """Keep only constraints that define vertices (active set)."""
-        act = np.unique(self.inter.defining)
-        act = act[act < len(self.T)]
+        # sorted ids of the halfspaces that define a vertex; box plane ids come after len(T)
+        act = np.flatnonzero(np.bincount(self.inter.defining.ravel())[: len(self.T)])
         remap = -np.ones(len(self.T) + 2 * self.dim, dtype=np.int64)
         remap[act] = np.arange(len(act))
         # box plane ids shift to follow the new constraint count
@@ -532,10 +571,15 @@ class _CellBuilder:
         self.T = self.T[act]
 
     def margins(self) -> np.ndarray:
-        """Distance from the body to each current vertex."""
-        if len(self.inter.vertices) == 0:
-            return np.empty(0)
-        return self.body.distance_batch(self.inter.vertices)
+        """Distance from the body to each current vertex.
+
+        Kept until the cell changes, so the window test, the cell's
+        Hausdorff distance and the next band's reach share one evaluation.
+        """
+        if self._margins is None:
+            V = self.inter.vertices
+            self._margins = self.body.distance_batch(V) if len(V) else np.empty(0)
+        return self._margins
 
 
 def _vertex_sets_match(A: np.ndarray, B: np.ndarray, tol: float) -> bool:
@@ -559,7 +603,12 @@ def _vertex_sets_match(A: np.ndarray, B: np.ndarray, tol: float) -> bool:
 
 def _finalize(builder: _CellBuilder, rho: float, sampled: int, rounds: int) -> CellPolytope:
     inter = builder.inter
-    stats = CellStats(sampled=sampled, active=len(builder.T), rounds=rounds)
+    stats = CellStats(
+        sampled=sampled,
+        active=len(builder.T),
+        rounds=rounds,
+        hausdorff=float(builder.margins().max()),
+    )
     return CellPolytope(
         normals=builder.U.copy(),
         offsets=builder.T.copy(),
@@ -595,7 +644,10 @@ def cells_along_intensity(
     gap in (reach_j, rho] are counted but never placed: their Poisson
     counts are drawn after all bands, so `stats.sampled` is still the
     number of process hyperplanes in the window born by gamma_j, and
-    extra rings leave every cell unchanged.  `stream_key` is an int seed
+    extra rings leave every cell unchanged.  Each cell records its
+    Hausdorff distance from the body, its largest vertex distance, as
+    `stats.hausdorff`; one evaluation of those distances also serves the
+    window test and the next band's reach.  `stream_key` is an int seed
     or KeyedStream.
     """
     grid = [float(g) for g in gamma_grid]

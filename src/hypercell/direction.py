@@ -129,6 +129,7 @@ class Atomic:
             raise ValueError(f"weights sum to {w.sum()!r}, expected 1")
         self.atoms = U
         self.weights = w
+        self._cdf = hrng.categorical_cdf(w)
         self.dim = U.shape[1]
         self._check_even()
 
@@ -148,8 +149,7 @@ class Atomic:
         return cls(np.vstack([U, -U]), np.concatenate([w, w]) / 2.0)
 
     def sample_batch(self, rng, n: int) -> np.ndarray:
-        idx = rng.choice(len(self.weights), size=n, p=self.weights)
-        return self.atoms[idx]
+        return self.atoms[hrng.categorical_variates(rng, self._cdf, n)]
 
 
 class DensityOnSphere:
@@ -216,7 +216,9 @@ class CapStarved:
         self._piece_angles.append((0.0, ang[-1]))
         self._piece_masses.append(m[-1])
         # sampling table: each cap piece at twice its one-sided mass, then the outside band
-        self._draw_p = np.array([2.0 * b for b in self._piece_masses] + [self.outside_mass])
+        self._draw_cdf = hrng.categorical_cdf(
+            [2.0 * b for b in self._piece_masses] + [self.outside_mass]
+        )
         self._draw_lo, self._draw_hi = np.array(self._piece_angles + [(ang[0], math.pi - ang[0])]).T
         self._basis = _orthonormal_complement(self.axis)
         self._sigma_cache: dict[tuple, float] = {}
@@ -291,7 +293,7 @@ class CapStarved:
         return out
 
     def sample_batch(self, rng, n: int) -> np.ndarray:
-        idx = rng.choice(len(self._draw_p), size=n, p=self._draw_p)
+        idx = hrng.categorical_variates(rng, self._draw_cdf, n)
         theta = self._sample_polar(rng, self._draw_lo[idx], self._draw_hi[idx])
         if self.dim == 2:
             sign = np.where(rng.random(n) < 0.5, 1.0, -1.0)
@@ -318,11 +320,12 @@ class Mixture:
         if len(dims) != 1:
             raise ValueError("mixture components must share a dimension")
         self.weights = w
+        self._cdf = hrng.categorical_cdf(w)
         self.components = [c[1] for c in comps]
         self.dim = dims.pop()
 
     def sample_batch(self, rng, n: int) -> np.ndarray:
-        idx = rng.choice(len(self.weights), size=n, p=self.weights)
+        idx = hrng.categorical_variates(rng, self._cdf, n)
         out = np.empty((n, self.dim))
         for i, comp in enumerate(self.components):
             sel = np.nonzero(idx == i)[0]

@@ -558,6 +558,7 @@ def hausdorff_cell(body, cell) -> float:
     """Hausdorff distance from the body to one of its cells.
 
     Containment is part of the cell construction contract, so only the
-    vertex-to-body distances matter.
+    vertex-to-body distances matter.  A cell build records the same value
+    as `cell.stats.hausdorff`.
     """
     return geom.hausdorff_containing(body, cell.vertices, certificate=None)

@@ -23,7 +23,7 @@ import numpy as np
 
 from hypercell import direction as dn
 from hypercell.errors import OriginOutside
-from hypercell.rng import poisson_variate
+from hypercell.rng import categorical_cdf, categorical_variates, poisson_variate
 
 __all__ = [
     "ProcessParams",
@@ -47,15 +47,23 @@ class ProcessParams:
     dim: int
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError(f"intensity must be positive, got {self.gamma}")
+        _check_intensity(self.gamma)
         if self.dist.dim != self.dim:
             raise ValueError("distribution dimension does not match process dimension")
         if not dn.nondegenerate(self.dist):
             raise ValueError("directional distribution is concentrated on a great subsphere")
 
     def with_gamma(self, gamma: float) -> "ProcessParams":
-        return ProcessParams(gamma, self.dist, self.dim)
+        """The same law at intensity gamma; only the new intensity needs checking."""
+        _check_intensity(gamma)
+        out = object.__new__(ProcessParams)
+        out.__dict__.update(self.__dict__, gamma=gamma)  # skips __post_init__ and its law checks
+        return out
+
+
+def _check_intensity(gamma) -> None:
+    if gamma <= 0:
+        raise ValueError(f"intensity must be positive, got {gamma}")
 
 
 def _require_interior_origin(body) -> None:
@@ -85,8 +93,7 @@ def _weighted_directions(dist, weight_fn, envelope: float, rng, n: int) -> np.nd
         total = w.sum()
         if total <= 0:
             raise ValueError("direction weights vanish on all atoms")
-        idx = rng.choice(len(w), size=n, p=w / total)
-        return dist.atoms[idx]
+        return dist.atoms[categorical_variates(rng, categorical_cdf(w / total), n)]
     return dn._rejection_batch(
         rng,
         n,

@@ -14,7 +14,14 @@ import math
 
 import numpy as np
 
-__all__ = ["stream", "KeyedStream", "as_keyed_stream", "poisson_variate"]
+__all__ = [
+    "stream",
+    "KeyedStream",
+    "as_keyed_stream",
+    "poisson_variate",
+    "categorical_cdf",
+    "categorical_variates",
+]
 
 # Mean below which Poisson sampling walks the CDF; above it uses
 # transformed rejection.  Keeping the variate algorithm in-package (rather
@@ -117,3 +124,21 @@ def poisson_variate(rng: np.random.Generator, mean: float) -> int:
     if mean < _POISSON_INVERSION_CUTOFF:
         return _poisson_inversion(rng, mean)
     return _poisson_ptrs(rng, mean)
+
+
+def categorical_cdf(p) -> np.ndarray:
+    """Normalized cumulative table of the probabilities p, for `categorical_variates`."""
+    cdf = np.asarray(p, dtype=np.float64).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def categorical_variates(rng: np.random.Generator, cdf: np.ndarray, n: int) -> np.ndarray:
+    """Draw n indices i with probability cdf[i] - cdf[i - 1], by inversion.
+
+    Index i is drawn for a uniform u with cdf[i - 1] <= u < cdf[i].  This
+    is what `Generator.choice(len(cdf), n, p=p)` does with replacement in
+    numpy 2.x, without its per-call validation of p; keeping it here pins
+    the draws to the uniform stream, as `poisson_variate` does.
+    """
+    return cdf.searchsorted(rng.random(n), side="right")

@@ -10,7 +10,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from hypercell import cell, geom, process
+from hypercell import _kernels, cell, geom, process
 from hypercell.errors import WindowOverflow
 from hypercell.rng import poisson_variate
 
@@ -321,6 +321,42 @@ def incremental_vertices_loop(U, T, BU, BT, feas_tol, residual_tol, merge_tol=1e
         if len(V) == 0:
             break
     return dedupe_vertices_loop(V, D, merge_tol)
+
+
+def intersect_dual_2d_arrays(U, T, BU, BT):
+    """The planar dual-hull intersection with every step on whole arrays.
+
+    The reference for the Python-float vertex loop of
+    `cell._intersect_dual_2d`: the hull edges, the tangency filter and
+    the vertex formula run as NumPy expressions, and `cell._merge_adjacent`
+    runs on every result.
+    """
+    A = np.vstack([U, BU])
+    b = np.concatenate([T, BT])
+    D = A / b[:, None]
+    hull = _kernels.convex_hull_2d(D)
+    defin = np.column_stack([hull, np.concatenate([hull[1:], hull[:1]])])
+    (x0, y0), (x1, y1) = D[defin[:, 0]].T, D[defin[:, 1]].T
+    det = x0 * y1 - y0 * x1
+    edge = np.abs(det) >= 1e-14
+    x0, y0, x1, y1, det, defin = (z[edge] for z in (x0, y0, x1, y1, det, defin))
+    V = np.column_stack([(y1 - y0) / det, (x0 - x1) / det])
+    V, defin = cell._merge_adjacent(V, defin)
+    return cell.Intersection(V, defin, len(T))
+
+
+def compact_unique(U, T, inter, dim):
+    """Active constraints of an intersection by `np.unique`: (normals, offsets, defining).
+
+    The reference for `cell._CellBuilder._compact`; box plane ids follow
+    the new constraint count.
+    """
+    act = np.unique(inter.defining)
+    act = act[act < len(T)]
+    remap = -np.ones(len(T) + 2 * dim, dtype=np.int64)
+    remap[act] = np.arange(len(act))
+    remap[len(T):] = np.arange(len(act), len(act) + 2 * dim)
+    return U[act], T[act], remap[inter.defining]
 
 
 def vertex_sets_match_loop(A, B, tol):

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,17 +11,21 @@ from hypothesis import strategies as st
 
 from hypercell import _kernels, cell, geom, metrics, process
 from hypercell import direction as dn
+from hypercell import experiment as ex
 from hypercell.errors import WindowOverflow
 from hypercell.rng import KeyedStream
 
 from oracles import (
     cells_ring_by_ring,
+    compact_unique,
     dedupe_vertices_loop,
     incremental_vertices_loop,
+    intersect_dual_2d_arrays,
     subset_vertices_loop,
     vertex_sets_match_loop,
 )
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 BOX2 = (np.vstack([np.eye(2), -np.eye(2)]), np.full(4, 50.0))
 BOX3 = (np.vstack([np.eye(3), -np.eye(3)]), np.full(6, 20.0))
 BOX4 = (np.vstack([np.eye(4), -np.eye(4)]), np.full(8, 20.0))
@@ -53,6 +58,64 @@ def near_concurrent_hexagon():
     V = W / math.cos(math.pi / 6)
     U = np.vstack([np.column_stack([np.cos(th), np.sin(th)]), W])
     return U, np.concatenate([np.ones(6), np.einsum("ij,ij->i", W, V)])
+
+
+def concurrent_triple_triangles():
+    """Triangles with a vertex (-c, 0) on three lines, concurrent only up to rounding.
+
+    The dual points of the three lines lie on one line up to rounding.  When
+    the middle one becomes the lexicographic minimum by rounding, the hull
+    order starts there, and the two nearby vertices are its last and first.
+    """
+    right = np.array([[1.0, 0.0], [0.3, 0.95], [0.3, -0.95]])
+    right /= np.linalg.norm(right, axis=1, keepdims=True)
+    out = []
+    for c in (0.7, 1.0, 2.1, 3.7):
+        for a, b in itertools.product((0.1, 0.3, 0.7, 1.0), repeat=2):
+            th = np.array([math.pi - a, math.pi, math.pi + b])
+            U = np.column_stack([np.cos(th), np.sin(th)])
+            out.append((np.vstack([U, right]), np.concatenate([U @ [-c, 0.0], np.ones(3)])))
+    return out
+
+
+def recorded_planar_calls(monkeypatch, reps):
+    """The inputs of every planar intersection in a few replications of each bundled cell config."""
+    seen = []
+    inner = cell.halfspace_intersection
+
+    def record(U, T, BU, BT, start=None):
+        if BU.shape[1] == 2:
+            seen.append((U, T, (BU, BT)))
+        return inner(U, T, BU, BT, start)
+
+    monkeypatch.setattr(cell, "halfspace_intersection", record)
+    for name in ("tail_ball_isotropic", "rate_ball_isotropic", "rate_square_atomic", "counterexample_ball"):
+        doc = json.loads((CONFIGS / f"{name}.json").read_text())
+        body = geom.body_from_json(doc["body"])
+        law = dn.distribution_from_json(doc["distribution"]) if "distribution" in doc else None
+        if doc["experiment"] == "rate":
+            ex.run_rate(ex.RateRunConfig(body, law, doc["n_grid"], reps, doc["seed"]))
+        elif doc["experiment"] == "tail":
+            ex.run_tail(ex.TailRunConfig(body, law, doc["eps"], doc["gamma_grid"], reps, doc["seed"]))
+        else:
+            ex.run_counterexample(ex.CounterexampleConfig(body, doc["beta"], doc["n_grid"], reps, doc["seed"]))
+    monkeypatch.undo()
+    return seen
+
+
+def assert_planar_path_equals_arrays(U, T, box):
+    """The planar intersection and its compaction equal the whole-array reference, bit for bit."""
+    ref = intersect_dual_2d_arrays(U, T, *box)
+    ref_U, ref_T, ref_D = compact_unique(U, T, ref, 2)
+    builder = cell._CellBuilder(None, 2)
+    builder.rebuild(U, T, box)
+    inter = builder.inter
+    assert inter.vertices.shape == ref.vertices.shape
+    assert inter.vertices.tobytes() == ref.vertices.tobytes()
+    assert inter.defining.dtype == ref_D.dtype and inter.defining.shape == ref_D.shape
+    assert inter.defining.tobytes() == ref_D.tobytes()
+    assert builder.U.tobytes() == ref_U.tobytes() and builder.T.tobytes() == ref_T.tobytes()
+    assert inter.n_halfspaces == len(ref_T)
 
 
 def singular_subset_instances():
@@ -228,6 +291,29 @@ class TestHalfspaceIntersection:
         got_V, got_D = cell._merge_adjacent(V, D)
         assert got_V.tolist() == V[:3].tolist()
         assert np.array_equal(got_D, D[:3])
+
+    def test_planar_path_equals_arrays_on_bundled_configs(self, monkeypatch):
+        calls = recorded_planar_calls(monkeypatch, reps=10)
+        assert len(calls) >= 250
+        for U, T, box in calls:
+            assert_planar_path_equals_arrays(U, T, box)
+
+    def test_planar_merges_equal_arrays(self, monkeypatch):
+        merges = []
+        merge = cell._merge_adjacent
+
+        def record(V, D):
+            out = merge(V, D)
+            merges.append((V, out[0]))
+            return out
+
+        monkeypatch.setattr(cell, "_merge_adjacent", record)
+        for U, T in [near_concurrent_hexagon(), *concurrent_triple_triangles()]:
+            assert_planar_path_equals_arrays(U, T, BOX2)
+        # vertices merge, and some merge across the wrap: the last into the first
+        merged = [V for V, W in merges if len(W) < len(V)]
+        wrapped = [V for V in merged if np.hypot(*(V[0] - V[-1])) <= cell.MERGE_TOL * (1 + np.hypot(*V[-1]))]
+        assert len(merged) >= 10 and len(wrapped) >= 2
 
     def test_dedupe_equals_reference_loop(self, rng, monkeypatch):
         # record what the oracle (every d) and the 3-d fast path hand to
@@ -740,6 +826,22 @@ class TestCellsAlongIntensity:
         for z in cells:
             best = np.abs(z.normals @ facet_atoms.atoms.T).max(axis=1)
             assert np.all(best > 1 - 1e-12)
+
+    @pytest.mark.parametrize("extra_rings", [0, 1])
+    @pytest.mark.parametrize("case", ["ball", "square_atomic", "ball3"])
+    def test_recorded_hausdorff_equals_metric(self, case, extra_rings, ball, square, ball3, iso, facet_atoms):
+        body, law, grid, reps = {
+            "ball": (ball, iso, [8, 32, 128, 512], 6),
+            "square_atomic": (square, facet_atoms, [8, 32, 128, 512], 6),
+            "ball3": (ball3, dn.Isotropic(3), [8, 16, 32], 2),
+        }[case]
+        params = process.ProcessParams(1.0, law, body.dim)
+        for rep in range(reps):
+            key = KeyedStream(53, rep)
+            for z in cell.cells_along_intensity(params, body, grid, stream_key=key, extra_rings=extra_rings):
+                want = metrics.hausdorff_cell(body, z).hex()
+                assert z.stats.hausdorff.hex() == want
+                assert cell.CellPolytope.from_json(json.loads(z.dumps())).stats.hausdorff.hex() == want
 
 
 class TestCellSerialization:

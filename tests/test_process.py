@@ -27,6 +27,19 @@ class TestProcessParams:
         with pytest.raises(ValueError):
             process.ProcessParams(1.0, axis_only, 2)
 
+    @pytest.mark.parametrize("gamma", [0.0, -2.0])
+    def test_with_gamma_rejects_nonpositive_intensity(self, facet_atoms, gamma):
+        with pytest.raises(ValueError):
+            process.ProcessParams(1.0, facet_atoms, 2).with_gamma(gamma)
+
+    def test_with_gamma_checks_only_the_intensity(self, facet_atoms, monkeypatch):
+        params = process.ProcessParams(1.0, facet_atoms, 2)
+        monkeypatch.setattr(dn, "nondegenerate", lambda dist: pytest.fail("law checked again"))
+        got = params.with_gamma(3.5)
+        monkeypatch.undo()
+        assert got == process.ProcessParams(3.5, facet_atoms, 2)
+        assert params.gamma == 1.0
+
 
 class TestPhiFunctional:
     def test_ball_closed_form(self, iso, ball):

@@ -1,7 +1,16 @@
+import bisect
+
 import numpy as np
 import pytest
 
-from hypercell.rng import KeyedStream, as_keyed_stream, poisson_variate, stream
+from hypercell.rng import (
+    KeyedStream,
+    as_keyed_stream,
+    categorical_cdf,
+    categorical_variates,
+    poisson_variate,
+    stream,
+)
 
 
 class TestStreamKeying:
@@ -57,3 +66,17 @@ class TestPoissonVariate:
     def test_negative_mean_rejected(self):
         with pytest.raises(ValueError):
             poisson_variate(stream(4, "n"), -1.0)
+
+
+class TestCategoricalVariates:
+    def test_equals_bisect_loop(self):
+        # index i for each uniform u with cdf[i - 1] <= u < cdf[i], ties to the right
+        tables = [[1.0], [0.5, 0.5], [0.2, 0.0, 0.3, 0.5], np.geomspace(1.0, 1e-9, 257)]
+        for k, p in enumerate(tables):
+            cdf = categorical_cdf(p)
+            assert cdf[-1] == 1.0
+            for n in (0, 1, 7, 300):
+                got = categorical_variates(stream(6, k, n), cdf, n)
+                u = stream(6, k, n).random(n)
+                want = [bisect.bisect_right(cdf.tolist(), x) for x in u.tolist()]
+                assert got.tolist() == want

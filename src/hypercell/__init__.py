@@ -7,9 +7,9 @@ Hausdorff-distance convergence rates, exponential tail decay, and the
 cap-starved counterexample law.
 
 A process sample is a pair of arrays (unit normals, offsets), as
-returned by `sample_hitting` and `sample_annulus`.  The planar geometry
-kernels are plain NumPy (`hypercell._kernels`);
-`hypercell.kernel_backend()` names them for run stamps.
+returned by `sample_annulus`.  The planar geometry kernels are plain
+NumPy (`hypercell._kernels`); `hypercell.kernel_backend()` names them
+for run stamps.
 """
 from hypercell.cell import (
     CellPolytope,
@@ -49,7 +49,6 @@ from hypercell.geom import (
     distance,
     extension_support,
     hausdorff_containing,
-    outer_parallel,
     parallel_boundary_sample,
     support,
     surface_measure,
@@ -66,7 +65,6 @@ from hypercell.process import (
     ProcessParams,
     phi_functional,
     sample_annulus,
-    sample_hitting,
 )
 from hypercell.rng import KeyedStream, poisson_variate, stream
 

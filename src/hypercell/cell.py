@@ -107,9 +107,9 @@ class WindowPolicy:
     def __post_init__(self):
         if self.initial_radius is not None and not self.initial_radius > 0:
             raise ValueError(f"initial radius must be positive, got {self.initial_radius}")
-        if self.growth_factor <= 1.0:
+        if not self.growth_factor > 1.0:
             raise ValueError("growth factor must exceed 1")
-        if self.max_rounds < 1:
+        if not self.max_rounds >= 1:
             raise ValueError("max_rounds must be at least 1")
 
     def radius(self, body, round_index: int) -> float:
@@ -651,7 +651,7 @@ def cells_along_intensity(
     or KeyedStream.
     """
     grid = [float(g) for g in gamma_grid]
-    if any(g <= 0 for g in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
+    if not all(g > 0 for g in grid) or not all(b > a for a, b in zip(grid, grid[1:])):
         raise ValueError("gamma grid must be positive and strictly increasing")
     policy = policy or WindowPolicy()
     key = as_keyed_stream(stream_key)

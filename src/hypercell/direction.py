@@ -6,10 +6,12 @@ finitely supported (antipodal atom pairs), density-weighted, the
 cap-starved construction that suppresses mass near one normal direction,
 and finite mixtures.
 
-Integration is deterministic in the plane (composite Simpson, or exact
-sums for atoms) and Monte Carlo with antithetic pairs in higher
+Integration is deterministic in the plane (32-point Gauss-Legendre
+panels split at the integrand's kinks and the law's density breaks, or
+exact sums for atoms) and Monte Carlo with antithetic pairs in higher
 dimensions; `integrate` reports a standard error alongside the value
-(zero for the deterministic paths).
+(zero for the deterministic paths).  The same nodes and density helpers
+serve the planar excess quadrature in `metrics`.
 """
 from __future__ import annotations
 
@@ -47,9 +49,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IntegrationConfig:
-    """Quadrature and Monte Carlo settings for spherical integrals."""
+    """Monte Carlo settings for spherical integrals in d >= 3."""
 
-    nodes: int = 4096
     samples: int = 1_000_000
     seed: int = 715517
 
@@ -350,50 +351,72 @@ def _orthonormal_complement(axis: np.ndarray) -> np.ndarray:
 # operations
 
 
-def _simpson_circle(f, nodes: int) -> float:
-    """Composite Simpson average of f over the unit circle."""
-    n = nodes if nodes % 2 == 0 else nodes + 1
-    theta = np.linspace(0.0, 2.0 * math.pi, n + 1)
-    U = np.column_stack([np.cos(theta), np.sin(theta)])
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+_TWO_PI = 2.0 * math.pi
+_BASE_EDGES = np.linspace(0.0, _TWO_PI, 9)  # the circle in 8 panels before any split
+
+
+def _planar_density(comp):
+    """Density of a continuous planar law against the uniform one (None if uniform)."""
+    if isinstance(comp, Isotropic):
+        return None
+    if isinstance(comp, (DensityOnSphere, CapStarved)):
+        return comp.density
+    raise TypeError(f"unsupported planar component {type(comp).__name__}")
+
+
+def _density_breaks(comp) -> np.ndarray:
+    """Angles where a planar law's density jumps: the cap-starved piece edges."""
+    if isinstance(comp, CapStarved):
+        alpha = math.atan2(comp.axis[1], comp.axis[0])
+        angs = comp.cap_angles
+        return np.concatenate([alpha + s * angs + k for s in (1.0, -1.0) for k in (0.0, math.pi)])
+    return np.empty(0)
+
+
+def _panel_integral(dist, f, breaks) -> float:
+    """Average of f times the density over the circle, on panels split at the breaks."""
+    cuts = np.concatenate([np.asarray(breaks, dtype=np.float64), _density_breaks(dist)])
+    edges = np.unique(np.concatenate([_BASE_EDGES, np.mod(cuts, _TWO_PI)]))
+    half = 0.5 * np.diff(edges)
+    centre = 0.5 * (edges[1:] + edges[:-1])
+    ang = (centre[:, None] + half[:, None] * _GL_NODES).ravel()
+    U = np.column_stack([np.cos(ang), np.sin(ang)])
     vals = _eval_batch(f, U)
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    h = 2.0 * math.pi / n
-    return float((w * vals).sum() * h / 3.0 / (2.0 * math.pi))
+    density = _planar_density(dist)
+    if density is not None:
+        vals = vals * density(U)
+    return float(half @ (vals.reshape(len(half), -1) @ _GL_WEIGHTS)) / _TWO_PI
 
 
 def _mc_indices(cfg: IntegrationConfig):
     return hrng.stream(cfg.seed, "integrate")
 
 
-def integrate(dist: DirectionalDistribution, f, cfg: IntegrationConfig | None = None) -> IntegralResult:
+def integrate(
+    dist: DirectionalDistribution, f, cfg: IntegrationConfig | None = None, breaks=()
+) -> IntegralResult:
     """Integral of f against the distribution.
 
     f maps an (n, d) array of unit vectors to n values (ValueError on any
-    other shape).  Exact for atoms, composite Simpson in the plane,
-    antithetic Monte Carlo otherwise (stderr reported; 0 for the
-    deterministic paths).
+    other shape).  Exact for atoms; in the plane, 32-point Gauss-Legendre
+    panels over a fixed partition of the circle, split at `breaks` (angles,
+    taken mod 2 pi, where f may have a kink, such as `geom.kink_angles`)
+    and at the law's density breaks; antithetic Monte Carlo otherwise
+    (stderr reported; 0 for the deterministic paths).  `breaks` is read
+    only by the planar panels.
     """
     cfg = cfg or IntegrationConfig()
     if isinstance(dist, Atomic):
         vals = _eval_batch(f, dist.atoms)
         return IntegralResult(float(vals @ dist.weights), 0.0)
     if isinstance(dist, Mixture):
-        parts = [integrate(c, f, cfg) for c in dist.components]
+        parts = [integrate(c, f, cfg, breaks) for c in dist.components]
         val = float(sum(w * p.value for w, p in zip(dist.weights, parts)))
         se = math.sqrt(sum((w * p.stderr) ** 2 for w, p in zip(dist.weights, parts)))
         return IntegralResult(val, se)
     if dist.dim == 2:
-        if isinstance(dist, Isotropic):
-            return IntegralResult(_simpson_circle(f, cfg.nodes), 0.0)
-        if isinstance(dist, DensityOnSphere):
-            g = dist.density
-            return IntegralResult(
-                _simpson_circle(lambda U: _eval_batch(f, U) * g(U), cfg.nodes), 0.0
-            )
-        if isinstance(dist, CapStarved):
-            return IntegralResult(_cap_starved_integral_2d(dist, f, cfg), 0.0)
+        return IntegralResult(_panel_integral(dist, f, breaks), 0.0)
     # Monte Carlo with antithetic pairs (exact for odd integrand parts)
     rng = _mc_indices(cfg)
     m = max(2, cfg.samples // 2)
@@ -407,35 +430,6 @@ def integrate(dist: DirectionalDistribution, f, cfg: IntegrationConfig | None = 
         U = dist.sample_batch(rng, m)
         vals = 0.5 * (_eval_batch(f, U) + _eval_batch(f, -U))
     return IntegralResult(float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(m)))
-
-
-def _cap_starved_integral_2d(dist: CapStarved, f, cfg: IntegrationConfig) -> float:
-    """Exact piecewise integration for the planar cap-starved density."""
-    alpha = math.atan2(dist.axis[1], dist.axis[0])
-
-    def arc_avg(lo, hi, nodes=96):
-        # average of f over the two polar arcs at +-azimuth, both cap sides
-        n = nodes + nodes % 2
-        t = np.linspace(lo, hi, n + 1)
-        w = np.ones(n + 1)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        total = 0.0
-        for sign_axis in (0.0, math.pi):
-            for sign_az in (1.0, -1.0):
-                ang = alpha + sign_axis + sign_az * t
-                U = np.column_stack([np.cos(ang), np.sin(ang)])
-                total += float((w * _eval_batch(f, U)).sum() * (hi - lo) / n / 3.0)
-        return total / (4.0 * (hi - lo))
-
-    total = 0.0
-    for (lo, hi), mass in zip(dist._piece_angles, dist._piece_masses):
-        total += 2.0 * mass * arc_avg(lo, hi)
-    lo = dist.cap_angles[0]
-    hi = math.pi / 2.0
-    # outside region: band between the caps; by symmetry integrate to pi/2
-    total += dist.outside_mass * arc_avg(lo, hi)
-    return total
 
 
 @dataclass(frozen=True)

@@ -74,9 +74,9 @@ class RateRunConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "n_grid", _increasing_grid("n_grid", self.n_grid))
-        if self.reps < 1:
+        if not self.reps >= 1:
             raise ConfigError("reps must be >= 1")
-        if self.n_grid[0] <= 1:
+        if not self.n_grid[0] > 1:
             raise ConfigError("rate n_grid values must exceed 1 (the fit uses log(log n / n))")
         _require_serializable(self.distribution)
 
@@ -111,10 +111,10 @@ class TailRunConfig:
         object.__setattr__(self, "gamma_grid", grid)
         if not 0 < self.eps <= 1:
             raise ConfigError("tail eps must lie in (0, 1]")
-        if any(g < 1 for g in grid):
+        if not all(g >= 1 for g in grid):
             raise ConfigError("tail gamma grid assumes gamma >= 1")
         _increasing_grid("gamma_grid", grid)
-        if self.reps < 1:
+        if not self.reps >= 1:
             raise ConfigError("reps must be >= 1")
         _require_serializable(self.distribution)
 
@@ -144,9 +144,9 @@ class CounterexampleConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "n_grid", _increasing_grid("n_grid", self.n_grid))
-        if self.reps < 1:
+        if not self.reps >= 1:
             raise ConfigError("reps must be >= 1")
-        if self.n_grid[0] <= 0:
+        if not self.n_grid[0] > 0:
             raise ConfigError("counterexample n_grid values must be positive")
         if not all(float(n).is_integer() for n in self.n_grid):
             raise ConfigError("counterexample n_grid values must be integers")
@@ -156,7 +156,7 @@ class CounterexampleConfig:
             raise ConfigError(
                 "counterexample body must carry a rolling ball (Ball or BallSum)"
             )
-        if self.beta <= 0:
+        if not self.beta > 0:
             raise ConfigError("beta must be positive")
 
     def to_json(self) -> dict:
@@ -174,7 +174,7 @@ class CounterexampleConfig:
 
 def _increasing_grid(name: str, grid) -> tuple:
     grid = tuple(grid)
-    if any(b <= a for a, b in zip(grid, grid[1:])) or not grid:
+    if not grid or not all(b > a for a, b in zip(grid, grid[1:])):
         raise ConfigError(f"{name} must be nonempty and strictly increasing")
     return grid
 

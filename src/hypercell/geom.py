@@ -2,9 +2,11 @@
 
 Three body classes are supported: polytopes given by vertices, Euclidean
 balls, and Minkowski sums polytope + ball (`BallSum`).  The family is
-closed under outer parallel sets, every member has an exactly evaluable
-support function, and the boundary of a planar member decomposes into
-arcs and segments, which the rest of the package leans on heavily.
+closed under outer parallel sets (h(K + rB, u) = h(K, u) + r, which is
+how `process.sample_annulus` bounds an annulus by two distances from K),
+every member has an exactly evaluable support function, and the
+boundary of a planar member decomposes into arcs and segments, which
+the rest of the package leans on heavily.
 
 Constructors translate each body so the vertex centroid (or ball center)
 sits at the origin; all downstream code assumes an interior origin.
@@ -38,7 +40,7 @@ __all__ = [
     "surface_measure",
     "hausdorff_containing",
     "project",
-    "outer_parallel",
+    "kink_angles",
     "boundary_path",
     "sphere_area",
     "body_to_json",
@@ -415,6 +417,20 @@ def _polygon_edges(hull: np.ndarray):
     return [(hull[i], b[i], normals[i], float(ln[i])) for i in range(len(hull))]
 
 
+def kink_angles(body: Body) -> np.ndarray:
+    """Angles of a planar body's outward edge normals, where its support function kinks.
+
+    Empty for a ball and for a point core.
+    """
+    if isinstance(body, Ball):
+        return np.empty(0)
+    hull = body.hull_vertices
+    if len(hull) < 2:
+        return np.empty(0)
+    normals = np.array([n for _, _, n, _ in _polygon_edges(hull)])
+    return np.arctan2(normals[:, 1], normals[:, 0])
+
+
 def _random_facet_point(body: Body, rng):
     if body.dim == 2:
         edges = _polygon_edges(body.hull_vertices)
@@ -513,17 +529,6 @@ def project(body: Body, x) -> tuple[float, np.ndarray]:
     if dc <= body.radius:
         return 0.0, x.copy()
     return dc - body.radius, pc + body.radius * (x - pc) / dc
-
-
-def outer_parallel(body: Body, rho: float) -> Body:
-    """Outer parallel body at distance rho (closed-form in this family)."""
-    if rho <= 0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    if isinstance(body, Ball):
-        return Ball(body.center, body.radius + rho)
-    if isinstance(body, Polytope):
-        return BallSum(body.vertices, rho)
-    return BallSum(body.vertices, body.radius + rho)
 
 
 # ---------------------------------------------------------------------------

@@ -96,7 +96,6 @@ class ScalingFit:
         }
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 _TWO_PI = 2.0 * math.pi
 _PANEL_BLOCK = 4096  # quadrature panels evaluated per vectorized step
 
@@ -134,12 +133,12 @@ class ExcessEvaluator:
         self._mc_nodes = None
         if self.dim == 2:
             self._core, self._radius = _planar_core(body)
-            kinks = self._kink_angles()
+            kinks = geom.kink_angles(body)
             # per continuous component: its density (None if uniform) and split angles
             self._panels = [
                 None
                 if isinstance(comp, dn.Atomic)
-                else (_planar_density(comp), np.concatenate([kinks, _density_breaks(comp)]))
+                else (dn._planar_density(comp), np.concatenate([kinks, dn._density_breaks(comp)]))
                 for _, comp in self._parts
             ]
 
@@ -151,15 +150,6 @@ class ExcessEvaluator:
                 out.extend(ExcessEvaluator._flatten(comp, weight * w))
             return out
         return [(weight, dist)]
-
-    def _kink_angles(self) -> np.ndarray:
-        if isinstance(self.body, geom.Ball):
-            return np.empty(0)
-        hull = self.body.hull_vertices
-        if len(hull) < 2:
-            return np.empty(0)
-        normals = np.array([n for _, _, n, _ in geom._polygon_edges(hull)])
-        return np.arctan2(normals[:, 1], normals[:, 0])
 
     # -- planar continuous part ---------------------------------------
     def _support_arcs(self, Y: np.ndarray):
@@ -214,7 +204,7 @@ class ExcessEvaluator:
         centre = 0.5 * (hi + lo)
         total = np.zeros(len(Y))
         for part in _row_blocks(owner):
-            ang = centre[part, None] + half[part, None] * _GL_NODES
+            ang = centre[part, None] + half[part, None] * dn._GL_NODES
             cos = np.cos(ang)
             sin = np.sin(ang, out=ang)
             Yp = Y[owner[part]]
@@ -224,7 +214,7 @@ class ExcessEvaluator:
             np.maximum(vals, 0.0, out=vals)
             if density is not None:
                 vals *= density(np.stack([cos, sin], axis=-1).reshape(-1, 2)).reshape(vals.shape)
-            sums = np.einsum("pk,k->p", vals, _GL_WEIGHTS)
+            sums = np.einsum("pk,k->p", vals, dn._GL_WEIGHTS)
             total += np.bincount(owner[part], weights=half[part] * sums, minlength=len(Y))
         return total / _TWO_PI
 
@@ -303,22 +293,6 @@ def _planar_core(body) -> tuple[np.ndarray, float]:
     if isinstance(body, geom.BallSum):
         return body.hull_vertices, body.radius
     return body.hull_vertices, 0.0
-
-
-def _planar_density(comp):
-    if isinstance(comp, dn.Isotropic):
-        return None
-    if isinstance(comp, (dn.DensityOnSphere, dn.CapStarved)):
-        return comp.density
-    raise TypeError(f"unsupported planar component {type(comp).__name__}")
-
-
-def _density_breaks(comp) -> np.ndarray:
-    if isinstance(comp, dn.CapStarved):
-        alpha = math.atan2(comp.axis[1], comp.axis[0])
-        angs = comp.cap_angles
-        return np.concatenate([alpha + s * angs + k for s in (1.0, -1.0) for k in (0.0, math.pi)])
-    return np.empty(0)
 
 
 def excess(body, dist, y, cfg: dn.IntegrationConfig | None = None) -> float:

@@ -6,14 +6,13 @@ for hyperplanes avoiding the origin.  A sample is a pair of arrays
 (normals, offsets): the rows of the (n, d) normals U with the n offsets
 T, one hyperplane per row.  The intensity measure restricted
 to hyperplanes hitting a body W has total mass Phi(W) (see
-`phi_functional`) and factorizes into a direction law weighted by the
-support function and a uniform offset, which is how `sample_hitting`
-draws exact samples.  `sample_annulus` restricts to hyperplanes hitting
+`phi_functional`).  `sample_annulus` restricts to hyperplanes hitting
 K + r_out*B but missing K + r_in*B; the support gap of these two
 parallel bodies is the constant r_out - r_in, so it needs only the body
-K and the two distances.  Coupling across intensities (the process at a
-higher intensity is the one at a lower intensity plus an independent
-band of the increment) lives in `cell.cells_along_intensity`.
+K and the two distances, and its normals follow the bare directional
+law.  Coupling across intensities (the process at a higher intensity is
+the one at a lower intensity plus an independent band of the increment)
+lives in `cell.cells_along_intensity`.
 """
 from __future__ import annotations
 
@@ -22,13 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from hypercell import direction as dn
+from hypercell import geom
 from hypercell.errors import OriginOutside
-from hypercell.rng import categorical_cdf, categorical_variates, poisson_variate
+from hypercell.rng import poisson_variate
 
 __all__ = [
     "ProcessParams",
     "phi_functional",
-    "sample_hitting",
     "sample_annulus",
 ]
 
@@ -62,7 +61,7 @@ class ProcessParams:
 
 
 def _check_intensity(gamma) -> None:
-    if gamma <= 0:
+    if not gamma > 0:  # a NaN intensity fails too
         raise ValueError(f"intensity must be positive, got {gamma}")
 
 
@@ -78,47 +77,9 @@ def phi_functional(params: ProcessParams, body) -> float:
     directional distribution.
     """
     _require_interior_origin(body)
-    res = dn.integrate(params.dist, body.support_batch)
+    breaks = geom.kink_angles(body) if body.dim == 2 else ()
+    res = dn.integrate(params.dist, body.support_batch, breaks=breaks)
     return 2.0 * params.gamma * res.value
-
-
-# ---------------------------------------------------------------------------
-# direction sampling weighted by support-function gaps
-
-
-def _weighted_directions(dist, weight_fn, envelope: float, rng, n: int) -> np.ndarray:
-    """Draw n directions from weight_fn(u) * dist(du) / const by rejection."""
-    if isinstance(dist, dn.Atomic):
-        w = weight_fn(dist.atoms) * dist.weights
-        total = w.sum()
-        if total <= 0:
-            raise ValueError("direction weights vanish on all atoms")
-        return dist.atoms[categorical_variates(rng, categorical_cdf(w / total), n)]
-    return dn._rejection_batch(
-        rng,
-        n,
-        lambda r, m: dist.sample_batch(r, m),
-        lambda U: weight_fn(U) / envelope,
-    )
-
-
-def sample_hitting(params: ProcessParams, window, rng):
-    """Poisson sample of the process restricted to hyperplanes hitting window.
-
-    Returns (normals, offsets): an (n, d) array of unit normals and an
-    (n,) array of offsets in (0, h(window, u)].
-    """
-    _require_interior_origin(window)
-    mass = phi_functional(params, window)
-    n = poisson_variate(rng, mass)
-    if n == 0:
-        return np.empty((0, params.dim)), np.empty(0)
-    U = _weighted_directions(
-        params.dist, window.support_batch, window.circumradius, rng, n
-    )
-    h = window.support_batch(U)
-    t = h * (1.0 - rng.random(n))  # uniform on (0, h]
-    return U, t
 
 
 def sample_annulus(params: ProcessParams, body, r_in: float, r_out: float, rng):

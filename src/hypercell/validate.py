@@ -31,6 +31,11 @@ def _bodies():
     return square, ball, stadium
 
 
+def _cap_budget(n: int) -> float:
+    """The counterexample's budget: unbounded at n = 1, then -log(1 - n^-2)."""
+    return math.inf if n == 1 else abs(math.log1p(-(n**-2)))
+
+
 def run_all(verbose: bool = True) -> list[CheckResult]:
     checks = [
         _c_support_sublinear,
@@ -41,10 +46,10 @@ def run_all(verbose: bool = True) -> list[CheckResult]:
         _c_atomic_bruteforce,
         _c_evenness_sign,
         _c_support_inclusion_table,
-        _c_hitting_contract,
-        _c_offset_uniformity,
+        _c_annulus_contract,
+        _c_gap_uniformity,
         _c_cap_fraction,
-        _c_thinning_consistency,
+        _c_annulus_count,
         _c_determinism,
         _c_intersection_oracle,
         _c_intersection_oracle_3d,
@@ -116,7 +121,7 @@ def _c_integrate_constants() -> CheckResult:
         dn.Isotropic(2),
         dn.Atomic.symmetrized([[1, 0], [0, 1]], [0.5, 0.5]),
         dn.from_surface_measure(stadium, 0.25),
-        dn.cap_starved([1, 0], lambda n: n**-0.25, 16, lambda n: math.inf if n == 1 else abs(math.log1p(-(n**-2)))),
+        dn.cap_starved([1, 0], lambda n: n**-0.25, 16, _cap_budget),
     ]
     worst = 0.0
     for d in dists:
@@ -141,7 +146,7 @@ def _c_evenness_sign() -> CheckResult:
     for d in (
         dn.Isotropic(2),
         dn.Atomic.symmetrized([[1, 0], [0, 1]], [0.5, 0.5]),
-        dn.cap_starved([1, 0], lambda n: n**-0.5, 8, lambda n: math.inf if n == 1 else abs(math.log1p(-(n**-2)))),
+        dn.cap_starved([1, 0], lambda n: n**-0.5, 8, _cap_budget),
     ):
         U = d.sample_batch(rng, 40000)
         frac = float((U @ w > 0).mean())
@@ -169,86 +174,95 @@ def _c_support_inclusion_table() -> CheckResult:
     return CheckResult("support inclusion table", got == expected, f"{sum(got[k]==expected[k] for k in expected)}/6 agree")
 
 
-def _c_hitting_contract() -> CheckResult:
-    square, ball, _ = _bodies()
-    rng = stream(SEED, "hit")
+def _c_annulus_contract() -> CheckResult:
+    rng = stream(SEED, "annulus")
     params = process.ProcessParams(3.0, dn.Isotropic(2), 2)
     ok = True
-    for W in (square, ball):
-        for _ in range(50):
-            U, T = process.sample_hitting(params, W, rng)
-            ok &= bool(np.all(T > 0) and np.all(T <= W.support_batch(U)))
-    return CheckResult("hitting sample contract", ok, "all t>0 and hit the window")
+    drawn = 0
+    for body in _bodies():
+        for r_in, r_out in ((0.0, 0.5), (0.5, 2.0)):
+            for _ in range(50):
+                U, T = process.sample_annulus(params, body, r_in, r_out, rng)
+                h = body.support_batch(U)
+                ok &= bool(
+                    np.all(np.abs(np.linalg.norm(U, axis=1) - 1.0) <= 1e-12)
+                    and np.all(T > h + r_in)
+                    and np.all(T <= h + r_out)
+                )
+                drawn += len(T)
+    return CheckResult(
+        "sample_annulus contract", ok, f"{drawn} hyperplanes: unit normals, h + r_in < t <= h + r_out"
+    )
 
 
-def _c_offset_uniformity() -> CheckResult:
+def _c_gap_uniformity() -> CheckResult:
     from scipy.stats import kstest
 
-    ball = geom.Ball([0, 0], 1.0)
-    rng = stream(SEED, "toff")
-    params = process.ProcessParams(30.0, dn.Isotropic(2), 2)
-    ts = []
-    while len(ts) < 20000:
-        ts.extend(process.sample_hitting(params, ball, rng)[1].tolist())
-    stat = kstest(np.array(ts[:20000]), "uniform").statistic
+    square, _, _ = _bodies()
+    rng = stream(SEED, "gap")
+    params = process.ProcessParams(200.0, dn.Isotropic(2), 2)
+    r_in, r_out = 0.5, 1.5
+    gaps = []
+    while len(gaps) < 20000:
+        U, T = process.sample_annulus(params, square, r_in, r_out, rng)
+        gaps.extend(((T - square.support_batch(U) - r_in) / (r_out - r_in)).tolist())
+    stat = kstest(np.array(gaps[:20000]), "uniform").statistic
     crit = 1.63 / math.sqrt(20000)
-    return CheckResult("offset uniformity (KS)", stat < crit, f"KS {stat:.5f} < {crit:.5f}")
+    return CheckResult("sample_annulus gap uniformity (KS)", stat < crit, f"KS {stat:.5f} < {crit:.5f}")
 
 
 def _c_cap_fraction() -> CheckResult:
+    # the normals of an annulus follow the bare law, so each cap holds its
+    # exact mass: one threshold inside the starved caps, one in the outside band
     square, _, _ = _bodies()
+    law = dn.cap_starved([1, 0], lambda n: n**-0.25, 64, _cap_budget)
+    params = process.ProcessParams(50.0, law, 2)
     rng = stream(SEED, "capfrac")
-    iso = dn.Isotropic(2)
-    params = process.ProcessParams(50.0, iso, 2)
-    cap_axis = np.array([1.0, 0.0])
-    cos_thresh = math.cos(0.5)
-    hits_in_cap = 0
-    total = 0
-    while total < 100000:
-        U, T = process.sample_hitting(params, square, rng)
-        hits_in_cap += int(((U @ cap_axis) >= cos_thresh).sum())
-        total += len(T)
-    # expected fraction: integral of h over the cap / integral of h
-    cfg = dn.IntegrationConfig(nodes=8192)
-    num = dn.integrate(iso, lambda U: square.support_batch(U) * ((U @ cap_axis) >= cos_thresh), cfg).value
-    den = dn.integrate(iso, square.support_batch, cfg).value
-    p = num / den
-    emp = hits_in_cap / total
-    sig = math.sqrt(p * (1 - p) / total)
-    return CheckResult("direction cap fraction", abs(emp - p) <= 3 * sig, f"|{emp:.5f}-{p:.5f}| <= 3x{sig:.5f}")
+    thresholds = [math.cos(0.9), math.cos(0.5 * (law.cap_angles[0] + math.pi / 2))]
+    cosines = []
+    while len(cosines) < 100000:
+        U, _ = process.sample_annulus(params, square, 0.0, 1.0, rng)
+        cosines.extend((U @ law.axis).tolist())
+    cosines = np.array(cosines)
+    worst, parts = 0.0, []
+    for thresh in thresholds:
+        p = law.cap_mass(thresh)
+        emp = float((cosines >= thresh).mean())
+        sig = math.sqrt(p * (1 - p) / len(cosines))
+        worst = max(worst, abs(emp - p) / sig)
+        parts.append(f"|{emp:.5f}-{p:.5f}|")
+    return CheckResult(
+        "sample_annulus cap fraction (cap-starved)", worst <= 3.0, f"{', '.join(parts)}: {worst:.2f} sigma <= 3"
+    )
 
 
-def _c_thinning_consistency() -> CheckResult:
-    from scipy.stats import chi2_contingency
+def _c_annulus_count() -> CheckResult:
+    from scipy.stats import chisquare, poisson
 
     ball = geom.Ball([0, 0], 1.0)
-    W = geom.outer_parallel(ball, 1.0)
     params = process.ProcessParams(2.0, dn.Isotropic(2), 2)
-    rng = stream(SEED, "thin")
+    rng = stream(SEED, "count")
+    r_in, r_out = 0.5, 1.5
+    mean = 2.0 * params.gamma * (r_out - r_in)
     reps = 3000
-    filtered = []
-    direct = []
-    for _ in range(reps):
-        U, T = process.sample_hitting(params, W, rng)
-        filtered.append(int((T > ball.support_batch(U)).sum()))
-        direct.append(len(process.sample_annulus(params, ball, 0.0, 1.0, rng)[1]))
-    top = max(max(filtered), max(direct))
-    bins = np.arange(top + 2)
-    f_counts = np.bincount(filtered, minlength=top + 1)
-    d_counts = np.bincount(direct, minlength=top + 1)
-    keep = (f_counts + d_counts) >= 10
-    table = np.vstack([f_counts[keep], d_counts[keep]])
-    _, pval, _, _ = chi2_contingency(table)
-    return CheckResult("thinning vs annulus counts", pval > 0.001, f"chi-square p={pval:.4f}")
+    counts = np.array([len(process.sample_annulus(params, ball, r_in, r_out, rng)[1]) for _ in range(reps)])
+    # one bin per count below top, one for top and above; about 10 expected beyond top
+    top = int(poisson.isf(10 / reps, mean))
+    observed = np.bincount(np.minimum(counts, top), minlength=top + 1)
+    expected = reps * np.append(poisson.pmf(np.arange(top), mean), poisson.sf(top - 1, mean))
+    pval = chisquare(observed, expected).pvalue
+    return CheckResult(
+        "sample_annulus count vs Poisson (chi-square)", pval > 0.001, f"mean {mean:g}, p={pval:.4f}"
+    )
 
 
 def _c_determinism() -> CheckResult:
     ball = geom.Ball([0, 0], 1.0)
     params = process.ProcessParams(10.0, dn.Isotropic(2), 2)
-    Ua, Ta = process.sample_hitting(params, ball, stream(SEED, "det"))
-    Ub, Tb = process.sample_hitting(params, ball, stream(SEED, "det"))
+    Ua, Ta = process.sample_annulus(params, ball, 0.0, 1.0, stream(SEED, "det"))
+    Ub, Tb = process.sample_annulus(params, ball, 0.0, 1.0, stream(SEED, "det"))
     same = np.array_equal(Ua, Ub) and np.array_equal(Ta, Tb)
-    return CheckResult("seeded determinism", same, f"{len(Ta)} hyperplanes identical")
+    return CheckResult("sample_annulus seeded determinism", same, f"{len(Ta)} hyperplanes identical")
 
 
 def _oracle_mismatches(label: str, d: int, count: int, n_max: int, box: float) -> int:

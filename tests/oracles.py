@@ -11,8 +11,9 @@ import numpy as np
 from scipy.integrate import quad
 
 from hypercell import _kernels, cell, geom, process
+from hypercell import direction as dn
 from hypercell.errors import WindowOverflow
-from hypercell.rng import poisson_variate
+from hypercell.rng import categorical_cdf, categorical_variates, poisson_variate
 
 
 def isotropic_integral(f, pieces=()):
@@ -466,12 +467,89 @@ def cap_starved_density_loop(dist, U):
     return out
 
 
+def piecewise_quad_integral(dist, f, kinks=()):
+    """Integral of the batch callable f against a continuous planar law, by adaptive quadrature.
+
+    The reference for the planar panels of `direction.integrate`:
+    `scipy.integrate.quad` runs between consecutive angles among `kinks`
+    and, for a cap-starved law, the edges of its pieces, read off its axis
+    and cap angles here.  A cap-starved density is constant between those
+    edges, so each interval takes `cap_starved_density_loop` at its
+    midpoint; any other law's `density` is evaluated at every node.
+    """
+    cuts = [float(k) for k in kinks]
+    starved = isinstance(dist, dn.CapStarved)
+    if starved:
+        alpha = math.atan2(dist.axis[1], dist.axis[0])
+        cuts += [alpha + s * a + k for a in dist.cap_angles for s in (1.0, -1.0) for k in (0.0, math.pi)]
+    pts = sorted({0.0, 2 * math.pi} | {c % (2 * math.pi) for c in cuts})
+
+    def unit(t):
+        return np.array([[math.cos(t), math.sin(t)]])
+
+    def integrand(t, dens):
+        u = unit(t)
+        return float(f(u)[0]) * (float(dist.density(u)[0]) if dens is None else dens)
+
+    total = 0.0
+    for a, b in zip(pts[:-1], pts[1:]):
+        dens = float(cap_starved_density_loop(dist, unit(0.5 * (a + b)))[0]) if starved else None
+        total += quad(integrand, a, b, args=(dens,), epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+    return total / (2 * math.pi)
+
+
+def outer_parallel(body, rho):
+    """Outer parallel body at distance rho (closed-form in the body family)."""
+    if rho <= 0:
+        raise ValueError(f"rho must be positive, got {rho}")
+    if isinstance(body, geom.Ball):
+        return geom.Ball(body.center, body.radius + rho)
+    if isinstance(body, geom.Polytope):
+        return geom.BallSum(body.vertices, rho)
+    return geom.BallSum(body.vertices, body.radius + rho)
+
+
+def _weighted_directions(dist, weight_fn, envelope, rng, n):
+    """Draw n directions from weight_fn(u) * dist(du) / const by rejection."""
+    if isinstance(dist, dn.Atomic):
+        w = weight_fn(dist.atoms) * dist.weights
+        total = w.sum()
+        if total <= 0:
+            raise ValueError("direction weights vanish on all atoms")
+        return dist.atoms[categorical_variates(rng, categorical_cdf(w / total), n)]
+    return dn._rejection_batch(
+        rng,
+        n,
+        lambda r, m: dist.sample_batch(r, m),
+        lambda U: weight_fn(U) / envelope,
+    )
+
+
+def sample_hitting(params, window, rng):
+    """Poisson sample of the process restricted to hyperplanes hitting window.
+
+    The intensity measure on hyperplanes hitting W has mass Phi(W)
+    (`process.phi_functional`) and factorizes into the direction law
+    weighted by h(W, .) and a uniform offset on (0, h(W, u)].  Returns
+    (normals, offsets).
+    """
+    process._require_interior_origin(window)
+    mass = process.phi_functional(params, window)
+    n = poisson_variate(rng, mass)
+    if n == 0:
+        return np.empty((0, params.dim)), np.empty(0)
+    U = _weighted_directions(params.dist, window.support_batch, window.circumradius, rng, n)
+    h = window.support_batch(U)
+    t = h * (1.0 - rng.random(n))  # uniform on (0, h]
+    return U, t
+
+
 def sample_annulus_two_bodies(params, inner, outer, gap, rng):
     """Annulus sample between two window bodies whose support gap is the constant `gap`.
 
     The reference for `process.sample_annulus`: the caller builds both
-    windows (`geom.outer_parallel`) and the offsets are drawn between
-    their own support functions, in the same draw order.
+    windows (`outer_parallel`) and the offsets are drawn between their
+    own support functions, in the same draw order.
     """
     n = poisson_variate(rng, 2.0 * params.gamma * gap)
     if n == 0:

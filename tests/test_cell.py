@@ -618,6 +618,17 @@ class TestKCell:
         with pytest.raises(ValueError, match="initial radius"):
             cell.WindowPolicy(initial_radius=radius)
 
+    @pytest.mark.parametrize("max_rounds", [0, math.nan])
+    def test_max_rounds_below_one_rejected(self, max_rounds):
+        with pytest.raises(ValueError, match="max_rounds"):
+            cell.WindowPolicy(max_rounds=max_rounds)
+
+    @pytest.mark.parametrize("factor", [1.0, 0.5, math.nan])
+    def test_growth_factor_at_most_one_rejected(self, factor):
+        # a NaN factor would fail only inside the run, as nonpositive offsets
+        with pytest.raises(ValueError, match="growth factor"):
+            cell.WindowPolicy(growth_factor=factor)
+
     def test_certificate_stability_under_window_doubling(self, params50, ball):
         changed = 0
         for rep in range(100):
@@ -653,6 +664,12 @@ class TestKCell:
 
 
 class TestCellsAlongIntensity:
+    @pytest.mark.parametrize("grid", [[math.nan], [math.nan, 8.0], [4.0, math.nan], [0.0, 4.0]])
+    def test_bad_grid_rejected(self, iso, ball, grid):
+        params = process.ProcessParams(1.0, iso, 2)
+        with pytest.raises(ValueError, match="gamma grid"):
+            cell.cells_along_intensity(params, ball, grid, stream_key=KeyedStream(39, 1))
+
     def test_nesting_vertex_inclusion(self, iso, square):
         params = process.ProcessParams(1.0, iso, 2)
         cells = cell.cells_along_intensity(

@@ -72,6 +72,27 @@ class TestRateCommand:
             assert dispatch(["rate", "--config", str(path), "--out", str(out)]) == 2
             assert not out.exists()
 
+    def test_tail_nan_gamma_exits_2(self, tmp_path, monkeypatch):
+        # json reads the NaN literal; the config refuses it before any replication
+        from hypercell import experiment
+
+        monkeypatch.setattr(experiment, "_coupled_rep", lambda *a, **k: pytest.fail("a replication ran"))
+        cfg = {
+            "experiment": "tail",
+            "body": BALL_ISO["body"],
+            "distribution": BALL_ISO["distribution"],
+            "eps": 0.5,
+            "gamma_grid": [float("nan"), 40],
+            "reps": 10,
+            "seed": 5,
+        }
+        path = tmp_path / "tail.json"
+        path.write_text(json.dumps(cfg))
+        assert "NaN" in path.read_text()
+        out = tmp_path / "o"
+        assert dispatch(["tail", "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_tail_all_zero_exits_3(self, tmp_path):
         cfg = {
             "experiment": "tail",
@@ -150,6 +171,13 @@ class TestOtherCommands:
 
     def test_unknown_subcommand_exits_2(self):
         assert dispatch(["frobnicate"]) == 2
+
+
+def test_validate_passes(capsys):
+    assert dispatch(["validate"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    n = len(lines) - 1
+    assert n > 0 and lines[-1] == f"{n}/{n} checks passed"
 
 
 def test_console_script_runs():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.spatial import ConvexHull
 from scipy.stats import kstest
 
 from hypercell import direction as dn
@@ -10,13 +11,47 @@ from hypercell import geom
 from hypercell.errors import InfeasibleBudget, RejectionStall
 from hypercell.rng import stream
 
-from oracles import cap_starved_density_loop, square_mean_support_oracle
+from oracles import cap_starved_density_loop, piecewise_quad_integral, square_mean_support_oracle
 
 
 def cap_budget(n):
     if n <= 1:
         return math.inf
     return abs(math.log1p(-(n**-2)))
+
+
+def rotated_square(angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[-1, -1], [1, -1], [1, 1], [-1, 1]]) @ np.array([[c, s], [-s, c]])
+
+
+def perimeter_case(name):
+    """A planar body and its perimeter, from scipy's hull (a segment core counts twice)."""
+    rng = stream(40, "perimeter")
+    angles = rng.uniform(0.0, 2 * math.pi, 3)
+    polygons = [rng.standard_normal((7, 2)) for _ in range(4)]
+    triangle = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 1.0]])
+    core, radius = {
+        **{f"square_{i}": (rotated_square(a), 0.0) for i, a in enumerate(angles)},
+        "triangle": (triangle, 0.0),
+        **{f"polygon_{i}": (p, 0.0) for i, p in enumerate(polygons)},
+        "stadium": (np.array([[-1.0, 0.0], [1.0, 0.0]]), 1.0),
+        "triangle_ballsum": (triangle, 0.3),
+    }[name]
+    if len(core) == 2:
+        perimeter = 2 * float(np.linalg.norm(core[1] - core[0]))
+    else:
+        perimeter = ConvexHull(core).area  # in the plane, the hull's boundary length
+    body = geom.BallSum(core, radius) if radius else geom.Polytope(core)
+    return body, perimeter + 2 * math.pi * radius
+
+
+PERIMETER_CASES = (
+    [f"square_{i}" for i in range(3)]
+    + ["triangle"]
+    + [f"polygon_{i}" for i in range(4)]
+    + ["stadium", "triangle_ballsum"]
+)
 
 
 @pytest.fixture
@@ -74,6 +109,30 @@ class TestIntegrate:
         assert oracle == pytest.approx(4 / math.pi, abs=1e-12)
         res = dn.integrate(iso, square.support_batch)
         assert res.value == pytest.approx(oracle, abs=1e-6)
+
+    @pytest.mark.parametrize("name", PERIMETER_CASES)
+    def test_isotropic_mean_support_is_perimeter_over_2pi(self, iso, name):
+        # Cauchy's formula; the support function is smooth between the kinks
+        body, perimeter = perimeter_case(name)
+        res = dn.integrate(iso, body.support_batch, breaks=geom.kink_angles(body))
+        assert abs(res.value - perimeter / (2 * math.pi)) <= 1e-13
+
+    @pytest.mark.parametrize("angle", [0.0, 0.3, 1.1])
+    def test_cap_starved_equals_piecewise_quad(self, angle):
+        # the counterexample's law, 256 pieces, against a rotated square
+        law = dn.cap_starved([1, 0], lambda n: n**-0.25, 256, cap_budget, radius=1.0)
+        square = geom.Polytope(rotated_square(angle))
+        kinks = geom.kink_angles(square)
+        got = dn.integrate(law, square.support_batch, breaks=kinks).value
+        assert abs(got - piecewise_quad_integral(law, square.support_batch, kinks)) <= 1e-12
+
+    def test_smooth_density_equals_piecewise_quad(self):
+        g = lambda U: 1.0 + 0.5 * (U[:, 0] ** 2 - U[:, 1] ** 2) + 0.4 * U[:, 0] * U[:, 1]
+        law = dn.DensityOnSphere(g, 1.8, 2)
+        square = geom.Polytope(rotated_square(0.3))
+        kinks = geom.kink_angles(square)
+        got = dn.integrate(law, square.support_batch, breaks=kinks).value
+        assert abs(got - piecewise_quad_integral(law, square.support_batch, kinks)) <= 1e-12
 
     def test_atomic_exact(self, facet_atoms, square):
         res = dn.integrate(facet_atoms, square.support_batch)

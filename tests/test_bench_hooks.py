@@ -35,6 +35,21 @@ def test_tracer_install_uninstall_restores_every_hook(monkeypatch):
         assert all(after[k] is v for k, v in before[owner].items()), owner
 
 
+def test_every_workload_builds(monkeypatch):
+    # a package API change that breaks the benchmark's set-up fails here, not in the benchmark
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    for name in workloads.NAMES:
+        calls = [call for block in workloads.blocks(name, 1) for call in block]
+        assert calls, name
+        for call in calls:
+            if call.kind == "mu":
+                sweep = workloads.mu_sweep(*call.cfg)
+                assert sweep.errors == [None] * len(sweep.eps), sweep.errors
+                assert sweep.fit is not None
+
+
 def test_tracer_counts_every_annulus_sample(monkeypatch):
     # the window rings and the one band of a two-level grid each sample once
     monkeypatch.syspath_prepend(str(PERFBENCH))

@@ -623,6 +623,12 @@ class TestKCell:
         with pytest.raises(ValueError, match="max_rounds"):
             cell.WindowPolicy(max_rounds=max_rounds)
 
+    @pytest.mark.parametrize("max_rounds", [2.5, 3.0])
+    def test_non_integer_max_rounds_rejected(self, max_rounds):
+        # range() would refuse it only inside the first replication
+        with pytest.raises(ValueError, match="max_rounds"):
+            cell.WindowPolicy(max_rounds=max_rounds)
+
     @pytest.mark.parametrize("factor", [1.0, 0.5, math.nan])
     def test_growth_factor_at_most_one_rejected(self, factor):
         # a NaN factor would fail only inside the run, as nonpositive offsets

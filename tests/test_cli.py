@@ -17,6 +17,13 @@ BALL_ISO = {
     "seed": 99,
 }
 
+BALL_3D = {
+    "body": {"type": "ball", "center": [0, 0, 0], "radius": 1.0},
+    "distribution": {"type": "isotropic", "dim": 3},
+    "eps_grid": [0.015625, 0.0625],
+    "seed": 3,
+}
+
 
 @pytest.fixture
 def cfg_path(tmp_path):
@@ -93,6 +100,32 @@ class TestRateCommand:
         assert dispatch(["tail", "--config", str(path), "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_fractional_max_rounds_exits_2(self, tmp_path):
+        path = tmp_path / "rounds.json"
+        path.write_text(json.dumps(dict(BALL_ISO, policy={"max_rounds": 2.5})))
+        out = tmp_path / "o"
+        assert dispatch(["rate", "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_tail_continuous_law_in_3d_exits_2(self, tmp_path, monkeypatch):
+        from hypercell import experiment
+
+        monkeypatch.setattr(experiment, "_coupled_rep", lambda *a, **k: pytest.fail("a replication ran"))
+        cfg = {
+            "experiment": "tail",
+            "body": BALL_3D["body"],
+            "distribution": BALL_3D["distribution"],
+            "eps": 0.5,
+            "gamma_grid": [64, 128, 256],
+            "reps": 40,
+            "seed": 5,
+        }
+        path = tmp_path / "tail.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        assert dispatch(["tail", "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_tail_all_zero_exits_3(self, tmp_path):
         cfg = {
             "experiment": "tail",
@@ -150,6 +183,29 @@ class TestOtherCommands:
         for name in ("mu.csv", "mu.json"):
             b1, b2 = (open(os.path.join(out, name), "rb").read() for out in outs)
             assert b1 == b2
+
+    def test_mu_curve_continuous_law_in_3d_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "mu.json"
+        path.write_text(json.dumps(BALL_3D))
+        out = tmp_path / "out"
+        assert dispatch(["mu-curve", "--config", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: UnsupportedBody:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"coarse_samples": 0}, {"coarse_samples": -3},
+         {"distribution": {"type": "atomic", "atoms": [[1, 0], [0, 1], [-1, 0], [0, -1]],
+                           "weights": [0.25, 0.25, 0.25, 0.25]}}],
+    )
+    def test_mu_curve_bad_config_exits_2(self, tmp_path, change):
+        cfg = {**BALL_ISO, "eps_grid": [0.05, 0.1], "coarse_samples": 64, **change}
+        path = tmp_path / "mu.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert dispatch(["mu-curve", "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_counterexample(self, tmp_path):
         cfg = {

@@ -136,6 +136,20 @@ class TestRunTail:
         with pytest.raises(ConfigError, match="DensityOnSphere"):
             ex.TailRunConfig(ball, _density_law(wrap), 0.5, [2, 4], reps=3, seed=1)
 
+    @pytest.mark.parametrize("law", ["isotropic", "cap-starved"])
+    def test_continuous_law_in_3d_rejected(self, ball3, law):
+        # the closing mu_estimate has no exact excess for it; refuse before any replication
+        dist = dn.Isotropic(3)
+        if law == "cap-starved":
+            dist = dn.cap_starved([0, 0, 1], lambda n: n**-0.25, 16, ex._default_budget)
+        with pytest.raises(ConfigError, match="d = 3"):
+            ex.TailRunConfig(ball3, dist, 0.5, [2, 4], reps=3, seed=1)
+
+    def test_atomic_law_in_3d_accepted(self, cube):
+        law = dn.Atomic.symmetrized([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [1 / 3] * 3)
+        cfg = ex.TailRunConfig(cube, law, 0.5, [2, 4], reps=3, seed=1)
+        assert cfg.to_json()["distribution"]["type"] == "atomic"
+
     def test_gamma_one_allowed(self, ball, iso):
         # the tail fit is linear in gamma, so gamma = 1 is a valid level
         res = ex.run_tail(ex.TailRunConfig(ball, iso, 0.5, [1, 2, 8], reps=20, seed=7))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hypercell import cell, direction as dn, experiment, geom, metrics
-from hypercell.errors import DegenerateX, InvalidEpsilon
+from hypercell.errors import ConfigError, DegenerateX, InvalidEpsilon, UnsupportedBody
 
 from oracles import (
     ball_excess_oracle,
@@ -333,7 +333,7 @@ class TestMuEstimate:
         cfg = metrics.MuConfig()
         for eps in (doc["eps_grid"]["start"], doc["eps_grid"]["stop"]):
             est = metrics.mu_estimate(body, dist, eps, cfg)
-            ev = metrics.ExcessEvaluator(body, dist, cfg.integration)
+            ev = metrics.ExcessEvaluator(body, dist)
             value, point, evals, gap = mu_planar_sequential(ev, geom.boundary_path(body, eps), cfg)
             assert (est.value, est.evaluations, est.refinement_gap) == (value, evals, gap)
             assert est.argmin_point.tobytes() == point.tobytes()
@@ -378,6 +378,12 @@ class TestMuScaling:
         with pytest.raises(InvalidEpsilon):
             metrics.mu_scaling(ball, iso, [0.5, 1.5])
 
+    def test_unapproximable_pair_refused(self, ball):
+        # the ball's surface measure is not covered by four atoms: log mu would hit log 0
+        axis_atoms = dn.Atomic.symmetrized([[1, 0], [0, 1]], [0.5, 0.5])
+        with pytest.raises(ConfigError, match="cannot approximate"):
+            metrics.mu_scaling(ball, axis_atoms, [0.05, 0.1])
+
     def test_one_point_grid_is_degenerate(self, ball, iso):
         with pytest.raises(DegenerateX):
             metrics.mu_scaling(ball, iso, [0.5])
@@ -387,6 +393,56 @@ class TestMuScaling:
         ev = metrics.ExcessEvaluator(ball, iso)
         ratios = [ev.precise([1.0 + e, 0.0]) / e**1.5 for e in self.GRID]
         assert max(ratios) / min(ratios) < 1.5
+
+
+def _continuous_laws_3d():
+    iso = dn.Isotropic(3)
+    atoms = dn.Atomic.symmetrized(np.eye(3), [1 / 3] * 3)
+    return {
+        "isotropic": iso,
+        "density": dn.DensityOnSphere(lambda U: 1.0 + U[:, 0] ** 2, 2.0, 3),
+        "cap-starved": dn.cap_starved([0, 0, 1], lambda n: n**-0.25, 16, experiment._default_budget),
+        "atomic+isotropic": dn.Mixture([(0.5, atoms), (0.5, iso)]),
+    }
+
+
+class TestHigherDimensions:
+    @pytest.mark.parametrize("law", list(_continuous_laws_3d()))
+    def test_continuous_law_refused(self, law, ball3):
+        dist = _continuous_laws_3d()[law]
+        y = [1.5, 0.0, 0.0]
+        calls = [
+            lambda: metrics.ExcessEvaluator(ball3, dist),
+            lambda: metrics.excess(ball3, dist, y),
+            lambda: metrics.mu_estimate(ball3, dist, 2.0**-6),
+            lambda: metrics.mu_scaling(ball3, dist, [2.0**-6, 2.0**-4]),
+        ]
+        for call in calls:
+            with pytest.raises(UnsupportedBody, match="d = 3"):
+                call()
+
+    def test_cube_axis_atoms_exact(self, cube):
+        # on a facet's offset only that facet's two atoms see y, one of them by eps
+        eps = 2.0**-4
+        law = dn.Atomic.symmetrized(np.eye(3), [1 / 3] * 3)
+        est = metrics.mu_estimate(cube, law, eps)
+        assert est.value == pytest.approx(eps / 6, abs=1e-15)
+        assert cube.distance(est.argmin_point) == pytest.approx(eps, abs=1e-12)
+
+
+class TestMuConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("coarse_samples", 0), ("coarse_samples", -3), ("coarse_samples", 2.5), ("coarse_samples", math.nan),
+         ("restarts", 0), ("restarts", 1.0), ("max_refine", -1), ("max_refine", 0.5)],
+    )
+    def test_bad_counts_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            metrics.MuConfig(**{field: value})
+
+    def test_zero_refinement_allowed(self, square, facet_atoms):
+        est = metrics.mu_estimate(square, facet_atoms, 0.1, metrics.MuConfig(coarse_samples=64, max_refine=0))
+        assert est.value == pytest.approx(0.025, abs=1e-12)
 
 
 class TestHausdorffCell:

@@ -23,7 +23,6 @@ from hypercell.direction import (
     Atomic,
     CapStarved,
     DensityOnSphere,
-    IntegrationConfig,
     Isotropic,
     Mixture,
     cap_starved,

@@ -47,7 +47,7 @@ def _parse_common(cfg: dict, args):
     seed = args.seed if args.seed is not None else cfg.get("seed")
     if seed is None:
         raise ConfigError("seed must be given in the config or with --seed")
-    return body, int(seed), ex.policy_from_json(cfg.get("policy", {}))
+    return body, seed, ex.policy_from_json(cfg.get("policy", {}))
 
 
 def _threads(args) -> int:
@@ -69,7 +69,7 @@ def _cmd_rate(args) -> int:
         body,
         dn.distribution_from_json(_require(cfg, "distribution")),
         _require(cfg, "n_grid"),
-        int(cfg.get("reps", 100)),
+        cfg.get("reps", 100),
         seed,
         expected_exponent=cfg.get("expected_exponent"),
         policy=policy,
@@ -108,7 +108,7 @@ def _cmd_tail(args) -> int:
         dn.distribution_from_json(_require(cfg, "distribution")),
         float(_require(cfg, "eps")),
         _require(cfg, "gamma_grid"),
-        int(cfg.get("reps", 1000)),
+        cfg.get("reps", 1000),
         seed,
         policy=policy,
         debug_oracle=args.debug_oracle,
@@ -138,7 +138,7 @@ def _cmd_counterexample(args) -> int:
         body,
         float(cfg.get("beta", 0.25)),
         _require(cfg, "n_grid"),
-        int(cfg.get("reps", 2000)),
+        cfg.get("reps", 2000),
         seed,
         policy=policy,
         control=bool(cfg.get("control", False)),
@@ -165,7 +165,7 @@ def _cmd_mu_curve(args) -> int:
         grid = np.geomspace(grid_cfg["start"], grid_cfg["stop"], grid_cfg["count"]).tolist()
     else:
         grid = [float(e) for e in grid_cfg]
-    mu_cfg = metrics.MuConfig(coarse_samples=cfg.get("coarse_samples", 4096), seed=int(seed))
+    mu_cfg = metrics.MuConfig(coarse_samples=cfg.get("coarse_samples", 4096), seed=seed)
     fit = metrics.mu_scaling(body, dist, grid, mu_cfg)
     ests = fit.estimates
     csv_path = _out_path(args, "mu.csv")
@@ -180,7 +180,7 @@ def _cmd_mu_curve(args) -> int:
                     "body": geom.body_to_json(body),
                     "distribution": dn.distribution_to_json(dist),
                     "eps_grid": grid,
-                    "seed": int(seed),
+                    "seed": seed,
                 },
                 "estimates": [est.to_json() for est in ests],
                 "fit": fit.to_json(),
@@ -216,26 +216,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="Poisson hyperplane processes, K-cells, and approximation-rate experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn, needs_config in (
+    # each subcommand registers only the flags it reads
+    for name, fn, builds_cells in (
         ("rate", _cmd_rate, True),
         ("tail", _cmd_tail, True),
         ("counterexample", _cmd_counterexample, True),
-        ("mu-curve", _cmd_mu_curve, True),
-        ("validate", _cmd_validate, False),
+        ("mu-curve", _cmd_mu_curve, False),
     ):
         p = sub.add_parser(name)
-        if needs_config:
-            p.add_argument("--config", required=True, help="JSON experiment config")
+        p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--plot", action="store_true", help="emit an SVG plot")
-        p.add_argument("--threads", type=int, default=None, help="worker processes (default HYPERCELL_THREADS or 1)")
-        p.add_argument(
-            "--debug-oracle",
-            action="store_true",
-            help="cross-check every intersection against the subset oracle",
-        )
+        if builds_cells:
+            p.add_argument("--threads", type=int, default=None, help="worker processes (default HYPERCELL_THREADS or 1)")
+            p.add_argument(
+                "--debug-oracle",
+                action="store_true",
+                help="cross-check every intersection against the subset oracle",
+            )
         p.set_defaults(fn=fn)
+    sub.add_parser("validate").set_defaults(fn=_cmd_validate)
     return parser
 
 

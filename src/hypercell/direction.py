@@ -6,37 +6,36 @@ finitely supported (antipodal atom pairs), density-weighted, the
 cap-starved construction that suppresses mass near one normal direction,
 and finite mixtures.
 
-Integration is deterministic in the plane (32-point Gauss-Legendre
-panels split at the integrand's kinks and the law's density breaks, or
-exact sums for atoms) and Monte Carlo with antithetic pairs in higher
-dimensions; `integrate` reports a standard error alongside the value
-(zero for the deterministic paths).  The same nodes and density helpers
-serve the planar excess quadrature in `metrics`.
+Integration is exact: sums for atoms in any dimension, and 32-point
+Gauss-Legendre panels split at the integrand's kinks and the law's
+density breaks for a continuous law in the plane.  `exact_parts` holds
+the one rule for d >= 3: only atomic laws are integrated there, and a
+continuous component raises `UnsupportedBody`.  The same parts, nodes
+and density helpers serve the excess evaluator in `metrics`.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from hypercell import rng as hrng
-from hypercell.errors import InfeasibleBudget, RejectionStall
+from hypercell.errors import InfeasibleBudget, RejectionStall, UnsupportedBody
 from hypercell.geom import as_unit_vector, sphere_area, surface_measure
 
 ANGULAR_TOL = 1e-9
 MASS_TOL = 1e-9
 
 __all__ = [
-    "IntegrationConfig",
-    "IntegralResult",
     "Isotropic",
     "Atomic",
     "DensityOnSphere",
     "CapStarved",
     "Mixture",
     "MeasureSupport",
+    "exact_parts",
     "integrate",
     "support_of",
     "supports_approximation",
@@ -45,19 +44,6 @@ __all__ = [
     "distribution_to_json",
     "distribution_from_json",
 ]
-
-
-@dataclass(frozen=True)
-class IntegrationConfig:
-    """Monte Carlo settings for spherical integrals in d >= 3."""
-
-    samples: int = 1_000_000
-    seed: int = 715517
-
-
-class IntegralResult(NamedTuple):
-    value: float
-    stderr: float
 
 
 def _eval_batch(f, U: np.ndarray) -> np.ndarray:
@@ -389,47 +375,43 @@ def _panel_integral(dist, f, breaks) -> float:
     return float(half @ (vals.reshape(len(half), -1) @ _GL_WEIGHTS)) / _TWO_PI
 
 
-def _mc_indices(cfg: IntegrationConfig):
-    return hrng.stream(cfg.seed, "integrate")
+def exact_parts(dist: DirectionalDistribution, weight: float = 1.0) -> list:
+    """The law as (weight, component) pairs with mixtures flattened, in component order.
+
+    This is the package's exactness rule: in d >= 3 only atomic laws have
+    exact integrals, so any other component there raises `UnsupportedBody`.
+    """
+    if isinstance(dist, Mixture):
+        return [
+            part
+            for w, comp in zip(dist.weights, dist.components)
+            for part in exact_parts(comp, weight * w)
+        ]
+    if dist.dim >= 3 and not isinstance(dist, Atomic):
+        raise UnsupportedBody(
+            f"no exact integral for the {type(dist).__name__} law in d = {dist.dim}; "
+            "d >= 3 supports atomic laws only"
+        )
+    return [(weight, dist)]
 
 
-def integrate(
-    dist: DirectionalDistribution, f, cfg: IntegrationConfig | None = None, breaks=()
-) -> IntegralResult:
+def integrate(dist: DirectionalDistribution, f, breaks=()) -> float:
     """Integral of f against the distribution.
 
     f maps an (n, d) array of unit vectors to n values (ValueError on any
-    other shape).  Exact for atoms; in the plane, 32-point Gauss-Legendre
-    panels over a fixed partition of the circle, split at `breaks` (angles,
-    taken mod 2 pi, where f may have a kink, such as `geom.kink_angles`)
-    and at the law's density breaks; antithetic Monte Carlo otherwise
-    (stderr reported; 0 for the deterministic paths).  `breaks` is read
-    only by the planar panels.
+    other shape).  Atoms are exact sums; a continuous planar law uses
+    32-point Gauss-Legendre panels over a fixed partition of the circle,
+    split at `breaks` (angles, taken mod 2 pi, where f may have a kink,
+    such as `geom.kink_angles`) and at the law's density breaks.  A
+    continuous law in d >= 3 raises `UnsupportedBody` (`exact_parts`).
     """
-    cfg = cfg or IntegrationConfig()
-    if isinstance(dist, Atomic):
-        vals = _eval_batch(f, dist.atoms)
-        return IntegralResult(float(vals @ dist.weights), 0.0)
-    if isinstance(dist, Mixture):
-        parts = [integrate(c, f, cfg, breaks) for c in dist.components]
-        val = float(sum(w * p.value for w, p in zip(dist.weights, parts)))
-        se = math.sqrt(sum((w * p.stderr) ** 2 for w, p in zip(dist.weights, parts)))
-        return IntegralResult(val, se)
-    if dist.dim == 2:
-        return IntegralResult(_panel_integral(dist, f, breaks), 0.0)
-    # Monte Carlo with antithetic pairs (exact for odd integrand parts)
-    rng = _mc_indices(cfg)
-    m = max(2, cfg.samples // 2)
-    if isinstance(dist, Isotropic):
-        U = _uniform_sphere(rng, m, dist.dim)
-        vals = 0.5 * (_eval_batch(f, U) + _eval_batch(f, -U))
-    elif isinstance(dist, DensityOnSphere):
-        U = _uniform_sphere(rng, m, dist.dim)
-        vals = dist.density(U) * 0.5 * (_eval_batch(f, U) + _eval_batch(f, -U))
-    else:
-        U = dist.sample_batch(rng, m)
-        vals = 0.5 * (_eval_batch(f, U) + _eval_batch(f, -U))
-    return IntegralResult(float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(m)))
+    total = 0.0
+    for weight, comp in exact_parts(dist):
+        if isinstance(comp, Atomic):
+            total += weight * (_eval_batch(f, comp.atoms) @ comp.weights)
+        else:
+            total += weight * _panel_integral(comp, f, breaks)
+    return float(total)
 
 
 @dataclass(frozen=True)

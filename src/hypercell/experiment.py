@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -74,8 +75,7 @@ class RateRunConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "n_grid", _increasing_grid("n_grid", self.n_grid))
-        if not self.reps >= 1:
-            raise ConfigError("reps must be >= 1")
+        _require_counts(self.reps, self.seed)
         if not self.n_grid[0] > 1:
             raise ConfigError("rate n_grid values must exceed 1 (the fit uses log(log n / n))")
         _require_serializable(self.distribution)
@@ -114,12 +114,11 @@ class TailRunConfig:
         if not all(g >= 1 for g in grid):
             raise ConfigError("tail gamma grid assumes gamma >= 1")
         _increasing_grid("gamma_grid", grid)
-        if not self.reps >= 1:
-            raise ConfigError("reps must be >= 1")
+        _require_counts(self.reps, self.seed)
         _require_serializable(self.distribution)
-        # the run ends with mu_estimate: refuse a pair it cannot evaluate now
+        # the run ends with mu_estimate: refuse a law it cannot integrate now
         try:
-            metrics.ExcessEvaluator(self.body, self.distribution)
+            dn.exact_parts(self.distribution)
         except UnsupportedBody as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -149,8 +148,7 @@ class CounterexampleConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "n_grid", _increasing_grid("n_grid", self.n_grid))
-        if not self.reps >= 1:
-            raise ConfigError("reps must be >= 1")
+        _require_counts(self.reps, self.seed)
         if not self.n_grid[0] > 0:
             raise ConfigError("counterexample n_grid values must be positive")
         if not all(float(n).is_integer() for n in self.n_grid):
@@ -182,6 +180,13 @@ def _increasing_grid(name: str, grid) -> tuple:
     if not grid or not all(b > a for a, b in zip(grid, grid[1:])):
         raise ConfigError(f"{name} must be nonempty and strictly increasing")
     return grid
+
+
+def _require_counts(reps, seed) -> None:
+    """Refuse a replication count or seed that is not an integer, before it is truncated."""
+    for name, value, least in (("reps", reps, 1), ("seed", seed, 0)):
+        if not (isinstance(value, numbers.Integral) and value >= least):
+            raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _require_serializable(dist) -> None:

@@ -15,7 +15,8 @@ do once the arc is narrower than the grid spacing.  Every planar body is
 conv(V) + rB, so the arc has a closed form (h(P + rB, u) = h(P, u) + r),
 and one evaluator serves both the coarse scan and the refinement.  In
 d >= 3 only atomic laws (exact sums) are evaluated; a continuous law is
-refused with `UnsupportedBody` before anything is computed.
+refused with `UnsupportedBody` before anything is computed
+(`direction.exact_parts`, the one rule for every integral against a law).
 
 In any dimension a row's excess is the same bits whatever else shares its
 batch: every product and sum is taken one row at a time, never by a BLAS
@@ -33,7 +34,7 @@ import numpy as np
 
 from hypercell import direction as dn
 from hypercell import geom
-from hypercell.errors import ConfigError, DegenerateX, InvalidEpsilon, UnsupportedBody
+from hypercell.errors import ConfigError, DegenerateX, InvalidEpsilon
 from hypercell.rng import stream
 
 __all__ = [
@@ -62,7 +63,7 @@ class MuConfig:
     seed: int = 99173
 
     def __post_init__(self):
-        for name, least in (("coarse_samples", 1), ("max_refine", 0), ("restarts", 1)):
+        for name, least in (("coarse_samples", 1), ("max_refine", 0), ("restarts", 1), ("seed", 0)):
             value = getattr(self, name)
             if not (isinstance(value, numbers.Integral) and value >= least):
                 raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
@@ -116,10 +117,10 @@ class ExcessEvaluator:
     quadrature: 32-point Gauss-Legendre panels over the closed-form
     support arc of each point, split at the body's kink directions and
     the law's density breaks.  A continuous part in d >= 3 raises
-    `UnsupportedBody` here.  `batch` and `precise` are the same
-    computation on many points or on one; the body data, split angles
-    and the body's support at atoms are precomputed here so minimization
-    loops stay cheap.
+    `UnsupportedBody` here (`direction.exact_parts`).  `batch` and
+    `precise` are the same computation on many points or on one; the
+    body data, split angles and the body's support at atoms are
+    precomputed here so minimization loops stay cheap.
 
     Every part is row-independent, in any dimension: a row's value is
     bit-identical in any batch, alone, and through `precise`.  Supports
@@ -132,13 +133,7 @@ class ExcessEvaluator:
         self.body = body
         self.dist = dist
         self.dim = body.dim
-        self._parts = self._flatten(dist, 1.0)
-        for _, comp in self._parts:
-            if self.dim != 2 and not isinstance(comp, dn.Atomic):
-                raise UnsupportedBody(
-                    f"no exact support excess for the {type(comp).__name__} law in d = {self.dim}; "
-                    "d >= 3 supports atomic laws only"
-                )
+        self._parts = dn.exact_parts(dist)
         # h(K, atoms) of each atomic component, fixed for the evaluator's life
         self._atom_support = [
             body.support_batch(comp.atoms) if isinstance(comp, dn.Atomic) else None
@@ -154,15 +149,6 @@ class ExcessEvaluator:
                 else (dn._planar_density(comp), np.concatenate([kinks, dn._density_breaks(comp)]))
                 for _, comp in self._parts
             ]
-
-    @staticmethod
-    def _flatten(dist, weight):
-        if isinstance(dist, dn.Mixture):
-            out = []
-            for w, comp in zip(dist.weights, dist.components):
-                out.extend(ExcessEvaluator._flatten(comp, weight * w))
-            return out
-        return [(weight, dist)]
 
     # -- planar continuous part ---------------------------------------
     def _support_arcs(self, Y: np.ndarray):

@@ -74,12 +74,12 @@ def phi_functional(params: ProcessParams, body) -> float:
     """Expected number of process hyperplanes hitting the body.
 
     Equals 2 * gamma * integral of the support function against the
-    directional distribution.
+    directional distribution (`direction.integrate`, so a continuous law
+    in d >= 3 raises `UnsupportedBody`).
     """
     _require_interior_origin(body)
     breaks = geom.kink_angles(body) if body.dim == 2 else ()
-    res = dn.integrate(params.dist, body.support_batch, breaks=breaks)
-    return 2.0 * params.gamma * res.value
+    return 2.0 * params.gamma * dn.integrate(params.dist, body.support_batch, breaks=breaks)
 
 
 def sample_annulus(params: ProcessParams, body, r_in: float, r_out: float, rng):

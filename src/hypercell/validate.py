@@ -125,15 +125,14 @@ def _c_integrate_constants() -> CheckResult:
     ]
     worst = 0.0
     for d in dists:
-        res = dn.integrate(d, lambda U: np.ones(len(U)))
-        worst = max(worst, abs(res.value - 1.0))
+        worst = max(worst, abs(dn.integrate(d, lambda U: np.ones(len(U))) - 1.0))
     return CheckResult("integrate normalization", worst <= 1e-9, f"max |mass-1| {worst:.2e}")
 
 
 def _c_atomic_bruteforce() -> CheckResult:
     square, _, _ = _bodies()
     at = dn.Atomic.symmetrized([[1, 0], [0, 1]], [0.7, 0.3])
-    val = dn.integrate(at, square.support_batch).value
+    val = dn.integrate(at, square.support_batch)
     brute = float(sum(w * square.support(u) for u, w in zip(at.atoms, at.weights)))
     return CheckResult("atomic integrate equals brute sum", abs(val - brute) <= 1e-12, f"diff {abs(val-brute):.2e}")
 

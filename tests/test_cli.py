@@ -107,6 +107,15 @@ class TestRateCommand:
         assert dispatch(["rate", "--config", str(path), "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("change", [{"reps": 2.5}, {"seed": 7.9}])
+    def test_fractional_reps_or_seed_exits_2(self, tmp_path, change):
+        # int() would truncate them to 2 replications or seed 7 and run
+        path = tmp_path / "counts.json"
+        path.write_text(json.dumps({**BALL_ISO, **change}))
+        out = tmp_path / "o"
+        assert dispatch(["rate", "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_tail_continuous_law_in_3d_exits_2(self, tmp_path, monkeypatch):
         from hypercell import experiment
 
@@ -228,6 +237,13 @@ class TestOtherCommands:
     def test_unknown_subcommand_exits_2(self):
         assert dispatch(["frobnicate"]) == 2
 
+    def test_unread_flags_refused(self, cfg_path, capsys):
+        assert dispatch(["validate", "--threads", "2"]) == 2
+        assert dispatch(["mu-curve", "--config", cfg_path, "--debug-oracle"]) == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --threads 2" in err
+        assert "unrecognized arguments: --debug-oracle" in err
+
 
 def test_validate_passes(capsys):
     assert dispatch(["validate"]) == 0
@@ -236,16 +252,22 @@ def test_validate_passes(capsys):
     assert n > 0 and lines[-1] == f"{n}/{n} checks passed"
 
 
-def test_console_script_runs():
+def _run_child(*args):
     # the child imports the same package as this process, also when only
     # pytest's `pythonpath` setting put it on sys.path
     root = os.path.dirname(os.path.dirname(hypercell.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "hypercell.cli", "rate", "--config", "/nonexistent.json"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def test_console_script_runs():
+    proc = _run_child("-m", "hypercell.cli", "rate", "--config", "/nonexistent.json")
     assert proc.returncode == 2
     assert "ConfigError" in proc.stderr
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported lazily where it is needed; an eager import costs set-up time and memory
+    proc = _run_child("-c", "import sys, hypercell; print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

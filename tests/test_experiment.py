@@ -227,6 +227,20 @@ def test_nan_reps_rejected(ball, iso, kind):
         make()
 
 
+@pytest.mark.parametrize("kind", ["rate", "tail", "counterexample"])
+@pytest.mark.parametrize("field, value", [("reps", 2.5), ("reps", 3.0), ("seed", 7.9), ("seed", -1)])
+def test_non_integer_reps_or_seed_rejected(ball, iso, kind, field, value):
+    # the run would fail inside range() or the stream key, or a caller's int() would truncate
+    counts = {"reps": 3, "seed": 1, field: value}
+    make = {
+        "rate": lambda: ex.RateRunConfig(ball, iso, [8, 16], **counts),
+        "tail": lambda: ex.TailRunConfig(ball, iso, 0.5, [2, 4], **counts),
+        "counterexample": lambda: ex.CounterexampleConfig(ball, 0.25, [4, 16], **counts),
+    }[kind]
+    with pytest.raises(ConfigError, match=field):
+        make()
+
+
 class TestPersistence:
     def test_csv_header_exact(self, small_rate_cfg, tmp_path):
         res = ex.run_rate(small_rate_cfg)

@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hypercell import cell, direction as dn, experiment, geom, metrics
+from hypercell import cell, direction as dn, experiment, geom, metrics, process
 from hypercell.errors import ConfigError, DegenerateX, InvalidEpsilon, UnsupportedBody
+from hypercell.process import ProcessParams
 
 from oracles import (
     ball_excess_oracle,
@@ -416,6 +417,8 @@ class TestHigherDimensions:
             lambda: metrics.excess(ball3, dist, y),
             lambda: metrics.mu_estimate(ball3, dist, 2.0**-6),
             lambda: metrics.mu_scaling(ball3, dist, [2.0**-6, 2.0**-4]),
+            lambda: dn.integrate(dist, ball3.support_batch),
+            lambda: process.phi_functional(ProcessParams(1.0, dist, 3), ball3),
         ]
         for call in calls:
             with pytest.raises(UnsupportedBody, match="d = 3"):
@@ -434,7 +437,8 @@ class TestMuConfig:
     @pytest.mark.parametrize(
         "field, value",
         [("coarse_samples", 0), ("coarse_samples", -3), ("coarse_samples", 2.5), ("coarse_samples", math.nan),
-         ("restarts", 0), ("restarts", 1.0), ("max_refine", -1), ("max_refine", 0.5)],
+         ("restarts", 0), ("restarts", 1.0), ("max_refine", -1), ("max_refine", 0.5),
+         ("seed", 7.9), ("seed", -1)],
     )
     def test_bad_counts_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):

@@ -113,8 +113,8 @@ class TestSampleHitting:
             total += len(T)
         kinks = geom.kink_angles(square)
         cap = lambda V: square.support_batch(V) * (V @ axis >= thresh)
-        num = dn.integrate(iso, cap, breaks=np.concatenate([kinks, [-0.5, 0.5]])).value
-        den = dn.integrate(iso, square.support_batch, breaks=kinks).value
+        num = dn.integrate(iso, cap, breaks=np.concatenate([kinks, [-0.5, 0.5]]))
+        den = dn.integrate(iso, square.support_batch, breaks=kinks)
         p = num / den
         assert abs(in_cap / total - p) < 3 * math.sqrt(p * (1 - p) / total)
 

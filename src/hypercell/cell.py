@@ -60,7 +60,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,7 +68,7 @@ from hypercell import _kernels
 from hypercell.errors import WindowOverflow
 # the sampler is a module attribute of its own, so a tracer or a test can wrap it here
 from hypercell.process import ProcessParams, sample_annulus as _sample_annulus_arrays
-from hypercell.rng import as_keyed_stream, poisson_variate
+from hypercell.rng import as_keyed_stream, is_count, poisson_variate
 
 FEAS_TOL = 1e-9
 MERGE_TOL = 1e-9  # vertices closer than MERGE_TOL * (1 + |v|) are one vertex
@@ -110,7 +109,7 @@ class WindowPolicy:
             raise ValueError(f"initial radius must be positive, got {self.initial_radius}")
         if not self.growth_factor > 1.0:
             raise ValueError("growth factor must exceed 1")
-        if not (isinstance(self.max_rounds, numbers.Integral) and self.max_rounds >= 1):
+        if not is_count(self.max_rounds, 1):
             raise ValueError(f"max_rounds must be an integer >= 1, got {self.max_rounds!r}")
 
     def radius(self, body, round_index: int) -> float:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -29,7 +28,7 @@ from hypercell.cell import WindowPolicy, cells_along_intensity
 from hypercell.errors import AllZeroTail, ConfigError, UnsupportedBody, WindowOverflow
 from hypercell.metrics import FitResult, fit_loglog
 from hypercell.process import ProcessParams
-from hypercell.rng import KeyedStream
+from hypercell.rng import KeyedStream, is_count
 
 __all__ = [
     "RateRunConfig",
@@ -185,7 +184,7 @@ def _increasing_grid(name: str, grid) -> tuple:
 def _require_counts(reps, seed) -> None:
     """Refuse a replication count or seed that is not an integer, before it is truncated."""
     for name, value, least in (("reps", reps, 1), ("seed", seed, 0)):
-        if not (isinstance(value, numbers.Integral) and value >= least):
+        if not is_count(value, least):
             raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
 
 

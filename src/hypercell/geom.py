@@ -10,9 +10,12 @@ the rest of the package leans on heavily.
 
 Constructors translate each body so the vertex centroid (or ball center)
 sits at the origin; all downstream code assumes an interior origin.
-Planar distances and projections go through one kernel,
-`_kernels.polygon_project`, which returns the distance and the nearest
-point of the core polygon together.
+A ball exists in every dimension; a polytope or polytope + ball sum in
+d = 2 and 3 only (`UnsupportedBody` beyond).  Distances and projections
+to a polytope core go through one kernel, `_kernels.polygon_project`,
+which returns the distance and the nearest point together: in the plane
+on the core polygon itself, in R^3 on each planar face of the core in
+the face's own 2-d frame (`_Faces`).
 """
 from __future__ import annotations
 
@@ -93,30 +96,54 @@ class _BodyBase:
         return float(self.distance_batch(np.asarray(x, dtype=np.float64)[None, :])[0])
 
 
-class Polytope(_BodyBase):
-    """Convex hull of finitely many points with nonempty interior.
+def _core_vertices(vertices, kind: str) -> np.ndarray:
+    """Distinct vertex rows recentred on their mean; d >= 4 is refused."""
+    V = np.atleast_2d(np.asarray(vertices, dtype=np.float64))
+    if V.shape[1] > 3:
+        raise UnsupportedBody(f"{kind} bodies are supported in d = 2 and 3 only, got d = {V.shape[1]}")
+    V = _dedupe_rows(V)
+    return V - V.mean(axis=0)
+
+
+class _CoreBody(_BodyBase):
+    """`Polytope` and `BallSum`: a body on the polytope core `vertices` of rank `_rank`."""
+
+    _faces: _Faces | None = None
+
+    def _face_data(self) -> _Faces:
+        if self._faces is None:
+            self._faces = _Faces(self.vertices, self._rank == 3)
+        return self._faces
+
+    def _project_core(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Distance from each row of X to the core, and the nearest core point."""
+        if self.dim == 2:
+            return _kernels.polygon_project(self.hull_vertices, X)
+        return self._face_data().project(X)
+
+
+class Polytope(_CoreBody):
+    """Convex hull of finitely many points with nonempty interior, d = 2 or 3.
 
     Vertices are deduplicated and recentred on their mean.  For d = 2 the
-    hull is ordered counterclockwise and edge data is cached; for d >= 3
-    facet data is computed lazily from the hull.
+    hull is ordered counterclockwise and edge data is cached; for d = 3
+    facet and face data is computed lazily from the hull.
     """
 
     def __init__(self, vertices):
-        V = np.atleast_2d(np.asarray(vertices, dtype=np.float64))
+        V = _core_vertices(vertices, "polytope")
         if V.shape[0] < 2 or V.shape[1] < 2:
             raise ValueError("polytope needs at least d+1 vertices in dimension >= 2")
-        V = _dedupe_rows(V)
-        V = V - V.mean(axis=0)
         d = V.shape[1]
         if V.shape[0] < d + 1 or np.linalg.matrix_rank(V, tol=1e-12) < d:
             raise ValueError("polytope vertices must affinely span R^d")
         self.vertices = V
         self.dim = d
+        self._rank = d
         self.diameter = float(
             np.sqrt(((V[:, None, :] - V[None, :, :]) ** 2).sum(-1).max())
         )
         self.circumradius = float(np.linalg.norm(V, axis=1).max())
-        self._facets = None
         if d == 2:
             self._init_polygon()
 
@@ -134,7 +161,7 @@ class Polytope(_BodyBase):
 
     @property
     def facets(self):
-        """List of (normal, offset, area, vertex index array); lazy for d >= 3."""
+        """List of (normal, offset, area, vertex index array); lazy for d = 3."""
         if self.dim == 2:
             hull_idx = _kernels.convex_hull_2d(self.vertices)
             m = len(hull_idx)
@@ -147,17 +174,13 @@ class Polytope(_BodyBase):
                 )
                 for i in range(m)
             ]
-        if self._facets is None:
-            self._facets = _facets_qhull(self.vertices)
-        return self._facets
+        return self._face_data().facets
 
     def support_batch(self, U: np.ndarray) -> np.ndarray:
         return (U @ self.vertices.T).max(axis=1)
 
     def distance_batch(self, X: np.ndarray) -> np.ndarray:
-        if self.dim == 2:
-            return _kernels.polygon_project(self.hull_vertices, X)[0]
-        return np.array([_projection_distance(self.vertices, x)[0] for x in X])
+        return self._project_core(X)[0]
 
     def inradius_origin(self) -> float:
         if self.dim == 2:
@@ -190,8 +213,8 @@ class Ball(_BodyBase):
         return self.radius - float(np.linalg.norm(self.center))
 
 
-class BallSum(_BodyBase):
-    """Minkowski sum of a (possibly lower-dimensional) polytope and a ball.
+class BallSum(_CoreBody):
+    """Minkowski sum of a (possibly lower-dimensional) polytope and a ball, d = 2 or 3.
 
     Realizes bodies in which a ball of the given radius slides freely.
     The polytope part may degenerate to a segment or point, so it is kept
@@ -201,33 +224,29 @@ class BallSum(_BodyBase):
     def __init__(self, vertices, radius: float):
         if radius <= 0:
             raise ValueError(f"ballsum radius must be positive, got {radius}")
-        V = np.atleast_2d(np.asarray(vertices, dtype=np.float64))
-        V = _dedupe_rows(V)
-        V = V - V.mean(axis=0)
+        V = _core_vertices(vertices, "ballsum")
         self.vertices = V
         self.radius = float(radius)
         self.dim = V.shape[1]
         core_diam = float(np.sqrt(((V[:, None, :] - V[None, :, :]) ** 2).sum(-1).max())) if len(V) > 1 else 0.0
         self.diameter = core_diam + 2.0 * self.radius
         self.circumradius = float(np.linalg.norm(V, axis=1).max()) + self.radius
+        self._rank = int(np.linalg.matrix_rank(V, tol=1e-12)) if len(V) > 1 else 0
         if self.dim == 2:
             hull = _kernels.convex_hull_2d(V)
             self.hull_vertices = V[hull]
-        core_inradius = Polytope(V).inradius_origin() if self._core_rank() == self.dim else 0.0
+        core_inradius = 0.0
+        if self._rank == self.dim == 2:
+            core_inradius = Polytope(V).inradius_origin()
+        elif self._rank == self.dim:
+            core_inradius = min(off for _, off, _, _ in self._face_data().facets)
         self._inradius_origin = core_inradius + self.radius
-
-    def _core_rank(self) -> int:
-        return int(np.linalg.matrix_rank(self.vertices, tol=1e-12)) if len(self.vertices) > 1 else 0
 
     def support_batch(self, U: np.ndarray) -> np.ndarray:
         return (U @ self.vertices.T).max(axis=1) + self.radius
 
     def distance_batch(self, X: np.ndarray) -> np.ndarray:
-        if self.dim == 2:
-            core = _kernels.polygon_project(self.hull_vertices, X)[0]
-        else:
-            core = np.array([_projection_distance(self.vertices, x)[0] for x in X])
-        return np.maximum(0.0, core - self.radius)
+        return np.maximum(0.0, self._project_core(X)[0] - self.radius)
 
     def inradius_origin(self) -> float:
         return self._inradius_origin
@@ -237,76 +256,53 @@ Body = Polytope | Ball | BallSum
 
 
 # ---------------------------------------------------------------------------
-# exact projection onto a vertex-described polytope (min-norm point method)
+# exact projection onto a polytope core in R^3, one planar face at a time
 
 
-def _affine_min_norm(A: np.ndarray):
-    s = A.shape[0]
-    M = np.empty((s + 1, s + 1))
-    M[:s, :s] = A @ A.T
-    M[:s, s] = 1.0
-    M[s, :s] = 1.0
-    M[s, s] = 0.0
-    rhs = np.zeros(s + 1)
-    rhs[s] = 1.0
-    try:
-        sol = np.linalg.solve(M, rhs)
-    except np.linalg.LinAlgError:
-        sol = np.linalg.lstsq(M, rhs, rcond=None)[0]
-    return sol[:s]
+class _Faces:
+    """Planar faces of a polytope core in R^3, each in its own 2-d frame.
 
-
-def _projection_distance(V: np.ndarray, x: np.ndarray, tol: float = FEASIBILITY_TOL):
-    """Distance from x to conv(V) and the nearest point (Wolfe's method).
-
-    Active-set search for the min-norm point of the shifted hull; finite
-    termination, with a stall guard for floating-point plateaus.
+    A face has an origin o, an orthonormal in-plane basis B (2 x 3, from an
+    SVD of its centred points), the normal n = B[0] x B[1] and its CCW
+    polygon in frame coordinates, so dist(x, F)^2 = dist(B (x - o),
+    polygon)^2 + <x - o, n>^2: one `_kernels.polygon_project` call.  A
+    full-dimensional core has one face per facet (`facets`, from qhull),
+    its plane oriented outward through the facet's own points.  A point x
+    outside the core is nearest to some p on a facet whose plane x is
+    outside of (x - p lies in the normal cone at p), and x outside no facet
+    plane is inside.  A lower-dimensional core is one face in a plane
+    that contains it.
     """
-    P = V - x
-    norms2 = np.einsum("ij,ij->i", P, P)
-    i0 = int(np.argmin(norms2))
-    active = [i0]
-    lam = np.array([1.0])
-    y = P[i0].copy()
-    scale2 = max(1.0, float(norms2.max()))
-    prev_yy = np.inf
-    for _ in range(16 * len(P) + 64):
-        yy = float(y @ y)
-        if yy <= 1e-20 * scale2 or prev_yy - yy <= 1e-15 * scale2 and prev_yy != np.inf:
-            break
-        prev_yy = yy
-        dots = P @ y
-        j = int(np.argmin(dots))
-        if dots[j] >= yy - 1e-13 * scale2 or j in active:
-            break
-        active.append(j)
-        lam = np.append(lam, 0.0)
-        while len(active) > 1:
-            A = P[active]
-            a = _affine_min_norm(A)
-            if np.all(a > 1e-12):
-                lam = a
-                y = a @ A
-                break
-            # step toward the affine minimizer until a weight hits zero
-            neg = a <= 1e-12
-            denom = lam[neg] - a[neg]
-            ratios = np.where(denom > 0, lam[neg] / np.where(denom > 0, denom, 1.0), np.inf)
-            theta = min(1.0, float(ratios.min())) if ratios.size else 1.0
-            lam = np.maximum((1.0 - theta) * lam + theta * a, 0.0)
-            keep = lam > 1e-12
-            if keep.all():
-                keep[int(np.argmin(lam))] = False
-            active = [idx for idx, k in zip(active, keep) if k]
-            lam = lam[keep]
-            total = lam.sum()
-            lam = lam / total if total > 0 else np.full(len(active), 1.0 / len(active))
-            y = lam @ P[active]
-        else:
-            y = P[active[0]].copy()
-            lam = np.array([1.0])
-    d = float(np.linalg.norm(y))
-    return (0.0 if d <= tol * math.sqrt(scale2) else d), x + y
+
+    def __init__(self, V: np.ndarray, full: bool):
+        self.facets = _facets_qhull(V) if full else []
+        groups = [ids for *_, ids in self.facets] or [np.arange(len(V))]
+        self.origins = np.array([V[ids].mean(axis=0) for ids in groups])
+        self.bases = np.array([np.linalg.svd(V[ids] - o)[2][:2] for ids, o in zip(groups, self.origins)])
+        frames = [(V[ids] - o) @ B.T for ids, o, B in zip(groups, self.origins, self.bases)]
+        self.polygons = [Q[_kernels.convex_hull_2d(Q)] for Q in frames]
+        self.normals = np.cross(self.bases[:, 0], self.bases[:, 1])
+        # the origin is interior to a full core, so an outward plane has a positive offset
+        offsets = np.einsum("ij,ij->i", self.normals, self.origins)
+        self.normals[offsets < 0] *= -1.0
+        self.offsets = np.abs(offsets)
+
+    def project(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Distance from each row of X to the core, and the nearest core point."""
+        X = np.asarray(X, dtype=np.float64)
+        outside = X @ self.normals.T > self.offsets if self.facets else np.ones((len(X), 1), dtype=bool)
+        dist = np.where(outside.any(axis=1), np.inf, 0.0)
+        nearest = X.copy()
+        for f in np.flatnonzero(outside.any(axis=0)).tolist():
+            rows = np.flatnonzero(outside[:, f])
+            R = X[rows] - self.origins[f]
+            d, p = _kernels.polygon_project(self.polygons[f], R @ self.bases[f].T)
+            d = np.hypot(d, R @ self.normals[f])
+            closer = d < dist[rows]
+            rows = rows[closer]
+            dist[rows] = d[closer]
+            nearest[rows] = self.origins[f] + p[closer] @ self.bases[f]
+        return dist, nearest
 
 
 def _facets_qhull(V: np.ndarray):
@@ -370,7 +366,7 @@ def parallel_boundary_sample(body: Body, eps: float, rng: np.random.Generator) -
         raise ValueError(f"eps must be positive, got {eps}")
     d = body.dim
     flat = isinstance(body, Polytope) or (
-        isinstance(body, BallSum) and len(body.vertices) > 1 and (d == 2 or body._core_rank() == d)
+        isinstance(body, BallSum) and len(body.vertices) > 1 and (d == 2 or body._rank == d)
     )
     use_facet = flat and rng.random() < 0.5
     if use_facet:
@@ -437,7 +433,7 @@ def _random_facet_point(body: Body, rng):
         a, b, n, _ = edges[int(rng.integers(len(edges)))]
         x = a + rng.random() * (b - a)
     else:
-        facets = body.facets if isinstance(body, Polytope) else Polytope(body.vertices).facets
+        facets = body._face_data().facets
         n, _, _, ids = facets[int(rng.integers(len(facets)))]
         V = body.vertices[ids]
         w = rng.dirichlet(np.ones(len(V)))
@@ -519,11 +515,8 @@ def project(body: Body, x) -> tuple[float, np.ndarray]:
         return n - body.radius, body.center + body.radius * v / n
     if not isinstance(body, (Polytope, BallSum)):
         raise TypeError(f"not a body: {body!r}")
-    if body.dim == 2:
-        d, p = _kernels.polygon_project(body.hull_vertices, x[None, :])
-        dc, pc = float(d[0]), p[0]
-    else:
-        dc, pc = _projection_distance(body.vertices, x)
+    d, p = body._project_core(x[None, :])
+    dc, pc = float(d[0]), p[0]
     if isinstance(body, Polytope):
         return dc, pc
     if dc <= body.radius:

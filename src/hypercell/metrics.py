@@ -27,7 +27,6 @@ all of them, and still visit exactly the points each would visit alone.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +34,7 @@ import numpy as np
 from hypercell import direction as dn
 from hypercell import geom
 from hypercell.errors import ConfigError, DegenerateX, InvalidEpsilon
-from hypercell.rng import stream
+from hypercell.rng import is_count, stream
 
 __all__ = [
     "MuConfig",
@@ -65,7 +64,7 @@ class MuConfig:
     def __post_init__(self):
         for name, least in (("coarse_samples", 1), ("max_refine", 0), ("restarts", 1), ("seed", 0)):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= least):
+            if not is_count(value, least):
                 raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
 
 

@@ -6,15 +6,17 @@ keys are statistically independent, and a stream's output depends only
 on its key, never on scheduling or on how many draws other streams have
 made.  Replications, window rings and module-internal samplers each get
 their own key, so parallel runs reproduce the single-threaded output
-exactly.
+exactly.  `is_count` is the one integer check for seeds and counts.
 """
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
 __all__ = [
+    "is_count",
     "stream",
     "KeyedStream",
     "as_keyed_stream",
@@ -28,6 +30,11 @@ __all__ = [
 # than deferring to np.random's internal choice) pins the count sequence
 # for a given uniform stream across numpy versions and platforms.
 _POISSON_INVERSION_CUTOFF = 30.0
+
+
+def is_count(value, least: int) -> bool:
+    """Whether value is an integer >= least; a bool is not a count."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
 
 
 def _encode_key_part(part) -> int:

@@ -54,6 +54,7 @@ def run_all(verbose: bool = True) -> list[CheckResult]:
         _c_intersection_oracle,
         _c_intersection_oracle_3d,
         _c_coupled_grid_oracle_3d,
+        _c_polytope_distance_3d,
         _c_cell_contains_body,
         _c_cell_nesting,
         _c_certificate_stability,
@@ -319,6 +320,18 @@ def _c_coupled_grid_oracle_3d() -> CheckResult:
     return CheckResult(
         "3-d coupled grid vs subset oracle", bad == 0, f"{bad}/{len(runs)} replications deviate"
     )
+
+
+def _c_polytope_distance_3d() -> CheckResult:
+    # the facet-by-facet kernel against max(|max(|x| - 1, 0)| - r, 0) for
+    # the cube [-1, 1]^3 (r = 0) and the cube + 0.25 B
+    cube = geom.Polytope([[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)])
+    X = stream(SEED, "distance3d").uniform(-3, 3, size=(400, 3))
+    outside = np.linalg.norm(np.maximum(np.abs(X) - 1.0, 0.0), axis=1)
+    worst = 0.0
+    for body, r in ((cube, 0.0), (geom.BallSum(cube.vertices, 0.25), 0.25)):
+        worst = max(worst, float(np.abs(body.distance_batch(X) - np.maximum(outside - r, 0.0)).max()))
+    return CheckResult("3-d polytope distance vs closed form", worst <= 1e-12, f"max |d err| {worst:.2e}")
 
 
 def _c_cell_contains_body() -> CheckResult:

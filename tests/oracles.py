@@ -208,6 +208,81 @@ def cube_distance_oracle(x):
     return float(np.linalg.norm(np.maximum(np.abs(x) - 1.0, 0.0)))
 
 
+def _affine_min_norm(A):
+    """Weights of the min-norm point of the affine hull of the rows of A."""
+    s = A.shape[0]
+    M = np.empty((s + 1, s + 1))
+    M[:s, :s] = A @ A.T
+    M[:s, s] = 1.0
+    M[s, :s] = 1.0
+    M[s, s] = 0.0
+    rhs = np.zeros(s + 1)
+    rhs[s] = 1.0
+    try:
+        sol = np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError:
+        sol = np.linalg.lstsq(M, rhs, rcond=None)[0]
+    return sol[:s]
+
+
+def wolfe_project_loop(V, x, tol=1e-9):
+    """Distance from x to conv(V) and the nearest point, by Wolfe's min-norm point method.
+
+    Wolfe, "Finding the nearest point in a polytope", Math. Programming 11
+    (1976): an active-set search for the min-norm point of the shifted
+    hull V - x, one point at a time, with a stall guard for floating-point
+    plateaus.  Any dimension and any rank of V; a distance within tol of
+    zero (relative to the point set's scale) reads 0.
+    """
+    V = np.asarray(V, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    P = V - x
+    norms2 = np.einsum("ij,ij->i", P, P)
+    i0 = int(np.argmin(norms2))
+    active = [i0]
+    lam = np.array([1.0])
+    y = P[i0].copy()
+    scale2 = max(1.0, float(norms2.max()))
+    prev_yy = np.inf
+    for _ in range(16 * len(P) + 64):
+        yy = float(y @ y)
+        if yy <= 1e-20 * scale2 or prev_yy - yy <= 1e-15 * scale2 and prev_yy != np.inf:
+            break
+        prev_yy = yy
+        dots = P @ y
+        j = int(np.argmin(dots))
+        if dots[j] >= yy - 1e-13 * scale2 or j in active:
+            break
+        active.append(j)
+        lam = np.append(lam, 0.0)
+        while len(active) > 1:
+            A = P[active]
+            a = _affine_min_norm(A)
+            if np.all(a > 1e-12):
+                lam = a
+                y = a @ A
+                break
+            # step toward the affine minimizer until a weight hits zero
+            neg = a <= 1e-12
+            denom = lam[neg] - a[neg]
+            ratios = np.where(denom > 0, lam[neg] / np.where(denom > 0, denom, 1.0), np.inf)
+            theta = min(1.0, float(ratios.min())) if ratios.size else 1.0
+            lam = np.maximum((1.0 - theta) * lam + theta * a, 0.0)
+            keep = lam > 1e-12
+            if keep.all():
+                keep[int(np.argmin(lam))] = False
+            active = [idx for idx, k in zip(active, keep) if k]
+            lam = lam[keep]
+            total = lam.sum()
+            lam = lam / total if total > 0 else np.full(len(active), 1.0 / len(active))
+            y = lam @ P[active]
+        else:
+            y = P[active[0]].copy()
+            lam = np.array([1.0])
+    d = float(np.linalg.norm(y))
+    return (0.0 if d <= tol * math.sqrt(scale2) else d), x + y
+
+
 def subset_vertices_loop(A, b, feas_tol, residual_tol, merge_tol=1e-9):
     """Vertices of {A x <= b}: one np.linalg.solve per d-subset, in order.
 

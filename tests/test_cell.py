@@ -618,7 +618,7 @@ class TestKCell:
         with pytest.raises(ValueError, match="initial radius"):
             cell.WindowPolicy(initial_radius=radius)
 
-    @pytest.mark.parametrize("max_rounds", [0, math.nan])
+    @pytest.mark.parametrize("max_rounds", [0, math.nan, True])
     def test_max_rounds_below_one_rejected(self, max_rounds):
         with pytest.raises(ValueError, match="max_rounds"):
             cell.WindowPolicy(max_rounds=max_rounds)

@@ -107,7 +107,7 @@ class TestRateCommand:
         assert dispatch(["rate", "--config", str(path), "--out", str(out)]) == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("change", [{"reps": 2.5}, {"seed": 7.9}])
+    @pytest.mark.parametrize("change", [{"reps": 2.5}, {"reps": True}, {"seed": 7.9}])
     def test_fractional_reps_or_seed_exits_2(self, tmp_path, change):
         # int() would truncate them to 2 replications or seed 7 and run
         path = tmp_path / "counts.json"

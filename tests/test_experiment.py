@@ -228,7 +228,9 @@ def test_nan_reps_rejected(ball, iso, kind):
 
 
 @pytest.mark.parametrize("kind", ["rate", "tail", "counterexample"])
-@pytest.mark.parametrize("field, value", [("reps", 2.5), ("reps", 3.0), ("seed", 7.9), ("seed", -1)])
+@pytest.mark.parametrize(
+    "field, value", [("reps", 2.5), ("reps", 3.0), ("reps", True), ("seed", 7.9), ("seed", -1), ("seed", False)]
+)
 def test_non_integer_reps_or_seed_rejected(ball, iso, kind, field, value):
     # the run would fail inside range() or the stream key, or a caller's int() would truncate
     counts = {"reps": 3, "seed": 1, field: value}

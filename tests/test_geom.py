@@ -14,6 +14,7 @@ from oracles import (
     point_at_every_piece,
     polygon_perimeter_numeric,
     polygon_project_loop,
+    wolfe_project_loop,
 )
 
 
@@ -101,6 +102,29 @@ class TestDistance:
                 assert geom.distance(body, p) <= 1e-9
                 if d > 0:
                     assert np.linalg.norm(x - p) == pytest.approx(d, abs=1e-9)
+
+    def test_3d_faces_match_wolfe_oracle(self, cube, rng):
+        # a d = 3 core is projected onto facet by facet through the planar
+        # kernel; Wolfe's min-norm point loop is the reference.  Points:
+        # uniform in [-3, 3]^3, on every face, and at the vertices
+        bodies = [geom.Polytope(rng.standard_normal((k, 3))) for k in (4, 6, 10, 20, 40)]
+        cores = ([[0.3, -0.2, 0.1]], [[-1, 0, 0.2], [1, 0.5, 0]], [[0, 0, 0], [1.5, 0, 0.3], [0.2, 1.1, -0.4]],
+                 cube.vertices)
+        bodies += [geom.BallSum(core, 0.3) for core in cores]
+        for body in bodies:
+            V = body.vertices
+            faces = [ids for *_, ids in body._face_data().facets] or [np.arange(len(V))]
+            on_faces = [rng.dirichlet(np.ones(len(ids))) @ V[ids] for ids in faces for _ in range(4)]
+            X = np.vstack([rng.uniform(-3, 3, size=(200, 3)), on_faces, V])
+            d, P = body._project_core(X)
+            for x, dx, px in zip(X, d, P):
+                d_ref, p_ref = wolfe_project_loop(V, x)
+                assert abs(dx - d_ref) <= 1e-12
+                assert np.abs(px - p_ref).max() <= 1e-12
+            core = d if isinstance(body, geom.Polytope) else np.maximum(0.0, d - body.radius)
+            assert np.array_equal(body.distance_batch(X), core)
+            for x, dx in zip(X[:20], core[:20]):
+                assert geom.project(body, x)[0] == pytest.approx(dx, abs=1e-12)
 
     def test_planar_projection_returns_its_distance(self, rng):
         # one kernel serves distance_batch and project: the distance is the
@@ -307,3 +331,11 @@ class TestSerialization:
     def test_degenerate_polytope_rejected(self):
         with pytest.raises(ValueError):
             geom.Polytope([[0, 0], [1, 1], [2, 2]])
+
+    def test_polytope_bodies_beyond_3d_refused(self):
+        simplex = np.vstack([np.zeros(4), np.eye(4)])
+        with pytest.raises(UnsupportedBody, match="d = 4"):
+            geom.Polytope(simplex)
+        with pytest.raises(UnsupportedBody, match="d = 4"):
+            geom.BallSum(simplex, 0.5)
+        assert geom.Ball(np.zeros(4), 1.0).dim == 4

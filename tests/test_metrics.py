@@ -437,7 +437,7 @@ class TestMuConfig:
     @pytest.mark.parametrize(
         "field, value",
         [("coarse_samples", 0), ("coarse_samples", -3), ("coarse_samples", 2.5), ("coarse_samples", math.nan),
-         ("restarts", 0), ("restarts", 1.0), ("max_refine", -1), ("max_refine", 0.5),
+         ("restarts", 0), ("restarts", 1.0), ("restarts", True), ("max_refine", -1), ("max_refine", 0.5),
          ("seed", 7.9), ("seed", -1)],
     )
     def test_bad_counts_rejected(self, field, value):

@@ -48,7 +48,6 @@ from hypercell.geom import (
     distance,
     extension_support,
     hausdorff_containing,
-    parallel_boundary_sample,
     support,
     surface_measure,
 )

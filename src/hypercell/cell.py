@@ -312,11 +312,12 @@ def _intersect_incremental(U, T, BU, BT, start: Intersection | None = None) -> I
         # the box plane ids of the given cell follow the new constraint count
         n_old = start.n_halfspaces
         V, D = start.vertices, start.defining + (n - n_old) * (start.defining >= n_old)
-    box_ids = np.arange(n, n + 2 * d)
     # a later exact copy of a halfspace adds nothing; inserted, a vertex it
     # cuts by rounding would come back with points solved from both copies
     copy = np.ones(n, dtype=bool)
     copy[np.unique(np.column_stack([U, T]), axis=0, return_index=True)[1]] = False
+    # the planes of the current cell: the start's, the box's, and each one inserted
+    present = np.concatenate([~copy[:n_old], np.zeros(n - n_old, dtype=bool), np.ones(2 * d, dtype=bool)])
     order = n_old + np.argsort(T[n_old:])
     for i in order[~copy[order]]:
         u, t = A[i], b[i]
@@ -324,19 +325,22 @@ def _intersect_incremental(U, T, BU, BT, start: Intersection | None = None) -> I
         if not viol.any():
             continue
         # a new vertex ends an edge that leaves a cut vertex, and that edge
-        # lies on d - 1 planes through the cut vertex
-        active = np.flatnonzero(np.bincount(D.ravel()))  # np.unique(D), at a third of its cost
-        inc = b[active] - V[viol] @ A[active].T <= FEAS_TOL * (1.0 + np.abs(b[active]))
-        inc[np.arange(len(inc))[:, None], np.searchsorted(active, D[viol])] = True
-        idx = active[_shared_subsets(inc, d - 1)]
+        # lies on d - 1 planes through the cut vertex: those its `defining`
+        # row names, and any other plane of the cell with slack at most
+        # FEAS_TOL (1 + |t|) there, since where more than d planes meet
+        # `defining` names only d of them
+        cur = np.flatnonzero(present)
+        inc = b[cur] - V[viol] @ A[cur].T <= FEAS_TOL * (1.0 + np.abs(b[cur]))
+        inc[np.arange(len(inc))[:, None], np.searchsorted(cur, D[viol])] = True
+        idx = cur[_shared_subsets(inc, d - 1)]
         idx = idx[~_holds_box_pair(idx, n, d)]
         idx = np.column_stack([np.full(len(idx), i), idx])
         X, ok = _solve_subsets(A, b, idx)
-        S = np.concatenate([active, box_ids])
-        slack = b[S] - X[ok] @ A[S].T
+        slack = b[cur] - X[ok] @ A[cur].T
         ok[ok] = (slack.min(axis=1) >= -FEAS_TOL * (1.0 + abs(t))) & (X[ok] @ u <= t + FEAS_TOL)
         V = np.vstack([V[~viol], X[ok]])
         D = np.vstack([D[~viol], idx[ok]])
+        present[i] = True
         if len(V) == 0:
             break
     V, D = _dedupe_vertices(V, D)
@@ -557,9 +561,20 @@ class _CellBuilder:
             raise AssertionError("fast-path intersection deviates from the subset oracle")
 
     def _compact(self):
-        """Keep only constraints that define vertices (active set)."""
-        # sorted ids of the halfspaces that define a vertex; box plane ids come after len(T)
-        act = np.flatnonzero(np.bincount(self.inter.defining.ravel())[: len(self.T)])
+        """Keep only the constraints through some vertex (the active set).
+
+        In d >= 3 a constraint also counts when its slack at a vertex is
+        within FEAS_TOL (1 + |t|): where more than d planes meet at a
+        vertex, `defining` names only d of them.  The planar dual hull names
+        both lines of every edge, and a line that touches the cell at one
+        vertex only is redundant.
+        """
+        # the halfspaces that define a vertex; box plane ids come after len(T)
+        named = np.bincount(self.inter.defining.ravel(), minlength=len(self.T))[: len(self.T)] > 0
+        if self.dim > 2:
+            slack = self.T - self.inter.vertices @ self.U.T
+            named |= (slack <= FEAS_TOL * (1.0 + np.abs(self.T))).any(axis=0)
+        act = np.flatnonzero(named)
         remap = -np.ones(len(self.T) + 2 * self.dim, dtype=np.int64)
         remap[act] = np.arange(len(act))
         # box plane ids shift to follow the new constraint count

@@ -39,10 +39,10 @@ __all__ = [
     "support",
     "extension_support",
     "distance",
-    "parallel_boundary_sample",
     "surface_measure",
     "hausdorff_containing",
     "project",
+    "retract",
     "kink_angles",
     "boundary_path",
     "sphere_area",
@@ -353,48 +353,6 @@ def distance(body: Body, x) -> float:
     return body.distance(x)
 
 
-def parallel_boundary_sample(body: Body, eps: float, rng: np.random.Generator) -> np.ndarray:
-    """Random point on the boundary of the outer parallel body at distance eps.
-
-    Draws either a uniform direction and a random point of its support
-    set, or (for bodies with flat pieces) a uniform facet with a random
-    point on it.  The mixture gives every boundary piece positive
-    sampling density; within faces the density is the convex-weight
-    density, not surface area (bias documented, harmless for coverage).
-    """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    d = body.dim
-    flat = isinstance(body, Polytope) or (
-        isinstance(body, BallSum) and len(body.vertices) > 1 and (d == 2 or body._rank == d)
-    )
-    use_facet = flat and rng.random() < 0.5
-    if use_facet:
-        x, v = _random_facet_point(body, rng)
-    else:
-        g = rng.standard_normal(d)
-        v = g / np.linalg.norm(g)
-        x = _support_point(body, v, rng)
-    return x + eps * v
-
-
-def _support_point(body: Body, v: np.ndarray, rng, face_tol: float = 1e-12):
-    if isinstance(body, Ball):
-        return body.center + body.radius * v
-    V = body.vertices
-    dots = V @ v
-    m = dots.max()
-    face = np.nonzero(dots >= m - face_tol * (1.0 + abs(m)))[0]
-    if len(face) == 1:
-        x = V[face[0]]
-    else:
-        w = rng.dirichlet(np.ones(len(face)))
-        x = w @ V[face]
-    if isinstance(body, BallSum):
-        return x + body.radius * v
-    return x.copy()
-
-
 def _polygon_edges(hull: np.ndarray):
     """Directed boundary edges (a, b, outward normal, length) of a CCW hull.
 
@@ -425,22 +383,6 @@ def kink_angles(body: Body) -> np.ndarray:
         return np.empty(0)
     normals = np.array([n for _, _, n, _ in _polygon_edges(hull)])
     return np.arctan2(normals[:, 1], normals[:, 0])
-
-
-def _random_facet_point(body: Body, rng):
-    if body.dim == 2:
-        edges = _polygon_edges(body.hull_vertices)
-        a, b, n, _ = edges[int(rng.integers(len(edges)))]
-        x = a + rng.random() * (b - a)
-    else:
-        facets = body._face_data().facets
-        n, _, _, ids = facets[int(rng.integers(len(facets)))]
-        V = body.vertices[ids]
-        w = rng.dirichlet(np.ones(len(V)))
-        x = w @ V
-    if isinstance(body, BallSum):
-        return x + body.radius * n, n
-    return x, n
 
 
 @dataclass
@@ -504,24 +446,38 @@ def hausdorff_containing(body: Body, vertices, certificate=None) -> float:
     return float(body.distance_batch(V).max())
 
 
-def project(body: Body, x) -> tuple[float, np.ndarray]:
-    """Distance to the body and the nearest body point."""
-    x = np.asarray(x, dtype=np.float64)
+def project(body: Body, X) -> tuple[np.ndarray, np.ndarray]:
+    """Distance from each row of X to the body, and the nearest body point (the row itself inside)."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if isinstance(body, Ball):
-        v = x - body.center
-        n = float(np.linalg.norm(v))
-        if n <= body.radius:
-            return 0.0, x.copy()
-        return n - body.radius, body.center + body.radius * v / n
-    if not isinstance(body, (Polytope, BallSum)):
+        P = np.broadcast_to(body.center, X.shape)
+        d = np.linalg.norm(X - P, axis=1)
+    elif isinstance(body, (Polytope, BallSum)):
+        d, P = body._project_core(X)
+        if isinstance(body, Polytope):
+            return d, P
+    else:
         raise TypeError(f"not a body: {body!r}")
-    d, p = body._project_core(x[None, :])
-    dc, pc = float(d[0]), p[0]
-    if isinstance(body, Polytope):
-        return dc, pc
-    if dc <= body.radius:
-        return 0.0, x.copy()
-    return dc - body.radius, pc + body.radius * (x - pc) / dc
+    # body = core + rB: from the nearest core point p, step r along x - p
+    out = d > body.radius
+    nearest = X.copy()
+    nearest[out] = P[out] + body.radius * (X[out] - P[out]) / d[out, None]
+    return np.where(out, d - body.radius, 0.0), nearest
+
+
+def retract(body: Body, X, eps: float) -> np.ndarray:
+    """Each row x of X moved to the boundary of body + eps B: p + eps (x - p) / |x - p|.
+
+    p is the nearest body point (`project`).  Rows inside the body have no
+    such ray and are refused, as is a nonpositive eps.
+    """
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    d, P = project(body, X)
+    if not (d > 0).all():
+        raise ValueError("cannot retract a point inside the body onto its offset boundary")
+    return P + eps * (X - P) / d[:, None]
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,12 @@ refused with `UnsupportedBody` before anything is computed
 
 In any dimension a row's excess is the same bits whatever else shares its
 batch: every product and sum is taken one row at a time, never by a BLAS
-call whose blocking depends on the row count.  That lets the planar
-search run its restarts in lockstep, one evaluator call per round for
-all of them, and still visit exactly the points each would visit alone.
+call whose blocking depends on the row count.  That lets the one compass
+search of `mu_estimate` run its restarts in lockstep, one evaluator call
+per round for all of them, and still visit exactly the points each would
+visit alone.  It searches a planar offset boundary in arclength, and in
+d >= 3 searches space, retracting every poll onto the offset boundary
+(`geom.retract`) from coarse points that are retracted radial points.
 """
 from __future__ import annotations
 
@@ -53,7 +56,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MuConfig:
-    """Search and quadrature settings for the minimal-excess estimate."""
+    """Search settings for the minimal-excess estimate.
+
+    `seed` drives only the coarse directions in d >= 3; the planar scan
+    is an even arclength grid and draws nothing.
+    """
 
     coarse_samples: int = 4096
     refine_tol: float = 1e-10
@@ -277,64 +284,70 @@ def excess(body, dist, y) -> float:
 def mu_estimate(body, dist, eps: float, cfg: MuConfig | None = None) -> MuEstimate:
     """Minimal excess over the boundary of the eps-parallel body.
 
-    Planar bodies get a deterministic arclength scan plus local pattern
-    search; higher dimensions (atomic laws only) scan random boundary
-    samples and refine by tangent steps with re-projection onto the
-    offset boundary.  Every excess is exact, so the result is an upper
-    bound on the true minimum (finite search).
+    A coarse scan of the offset boundary picks up to `cfg.restarts`
+    starts, and one compass search (`_compass_search`) refines them in
+    lockstep, with an equal share of `cfg.max_refine`.  A planar boundary
+    is scanned on an even arclength grid and searched in arclength, from
+    well-separated scan minima.  In d >= 3 (atomic laws only) the coarse
+    points are the retractions (`geom.retract`) of 2 (circumradius + eps) u
+    for `cfg.coarse_samples` uniform directions u: from that far out every
+    facet, edge and vertex piece of a polytope's offset boundary is hit.
+    The best of them start searches in space whose every poll is retracted
+    onto the offset boundary.  The first best search in start order wins.
+    Every excess is exact, so the result is an upper bound on the true
+    minimum (finite search).
     """
     if eps <= 0:
         raise InvalidEpsilon(f"eps must be positive, got {eps}")
     cfg = cfg or MuConfig()
     evaluator = ExcessEvaluator(body, dist)
-    if body.dim == 2:
-        return _mu_planar(body, evaluator, eps, cfg)
-    return _mu_generic(body, evaluator, eps, cfg)
-
-
-def _mu_planar(body, evaluator: ExcessEvaluator, eps: float, cfg: MuConfig) -> MuEstimate:
-    """Arclength scan of the offset boundary, then compass searches from its best basins.
-
-    Up to `cfg.restarts` well-separated scan minima start a compass search
-    each, with an equal share of `cfg.max_refine`.  The searches run in
-    lockstep, sharing one `batch` call per round; row independence makes
-    each one the search it would be alone.  The first best result in
-    start order wins.
-    """
-    path = geom.boundary_path(body, eps)
     m = cfg.coarse_samples
-    s_grid = (np.arange(m) + 0.5) * (path.total / m)
-    coarse = evaluator.batch(path.point_at(s_grid))
-    evals = m
+    if body.dim == 2:
+        path = geom.boundary_path(body, eps)
+        s_grid = (np.arange(m) + 0.5) * (path.total / m)
+        coarse = evaluator.batch(path.point_at(s_grid))
+        starts = _separated_minima(coarse, s_grid, path.total, cfg.restarts)
+        searches = _compass_search(
+            lambda S: evaluator.batch(path.point_at(S[:, 0])),
+            lambda S: S % path.total,
+            starts,
+            path.total / m,
+            path.total * 1e-15,
+            cfg.refine_tol,
+            cfg.max_refine // len(starts),
+        )
+        to_point = path.point_at
+    else:
+        U = stream(cfg.seed, "mu-coarse").standard_normal((m, body.dim))
+        U /= np.linalg.norm(U, axis=1, keepdims=True)
+        Y = geom.retract(body, 2.0 * (body.circumradius + eps) * U, eps)
+        coarse = evaluator.batch(Y)
+        starts = Y[np.argsort(coarse)[: cfg.restarts]]
+        searches = _compass_search(
+            evaluator.batch,
+            lambda X: geom.retract(body, X, eps),
+            starts,
+            0.5 * eps,
+            eps * 1e-12,
+            cfg.refine_tol,
+            cfg.max_refine // len(starts),
+        )
+        to_point = np.atleast_2d
+    value, x, _, gap = min(searches, key=lambda run: run[0])
+    return MuEstimate(value, to_point(x)[0], m + sum(run[2] for run in searches), gap)
 
-    # pick well-separated restart basins
-    order = np.argsort(coarse)
+
+def _separated_minima(vals: np.ndarray, s_grid: np.ndarray, period: float, count: int) -> list:
+    """Up to `count` arclengths of the smallest values, each at least period / 16 round the circle from the others."""
     starts = []
-    min_gap = path.total / 16.0
-    for idx in order:
+    min_gap = period / 16.0
+    for idx in np.argsort(vals):
         s = s_grid[idx]
-        if all(_circ_dist(s, s0, path.total) >= min_gap for s0 in starts):
-            starts.append(float(s))
-        if len(starts) >= cfg.restarts:
+        if all(_circ_dist(s, s0[0], period) >= min_gap for s0 in starts):
+            starts.append((float(s),))
+        if len(starts) >= count:
             break
-
-    searches = _pattern_search_1d(
-        lambda s: evaluator.batch(path.point_at(s)),
-        starts,
-        path.total / m,
-        path.total,
-        cfg.refine_tol,
-        cfg.max_refine // max(1, len(starts)),
-    )
-    best_val = math.inf
-    best_s = starts[0]
-    gap = math.inf
-    for val, s_ref, used, gap0 in searches:
-        evals += used
-        if val < best_val:
-            best_val, best_s, gap = val, s_ref, gap0
-    point = path.point_at(best_s)[0]
-    return MuEstimate(best_val, point, evals, gap)
+    return starts
 
 
 def _circ_dist(a: float, b: float, period: float) -> float:
@@ -342,107 +355,61 @@ def _circ_dist(a: float, b: float, period: float) -> float:
     return min(d, period - d)
 
 
-def _pattern_search_1d(f, starts, step, period, refine_tol, max_evals):
-    """Compass searches on a circle of the given period, one per start, in lockstep.
+def _compass_search(f, move, starts, step, min_step, refine_tol, max_evals):
+    """Compass searches in R^p, one per start, in lockstep (Kolda, Lewis & Torczon 2003).
 
-    f maps an array of arclengths to values.  The starts share one call,
-    and so do both neighbours of every search still running in a round.
-    A search takes s + step first when it improves and then counts it
-    alone, so its visited points and evaluation count are those of
-    trying the two in turn on its own.  It stops on its budget, on step
-    underflow, or when it shrinks the step after a gain below refine_tol.
-    Returns (value, s, evaluations, gap) per start, in start order.
+    A search at x with step h polls x + h e_1, x - h e_1, x + h e_2, ...,
+    x - h e_p, each mapped by `move` (rows to rows), and moves to the
+    first poll that improves on its value; if none does it halves h.  All
+    starts share one call of `f` (rows to values), and so do the polls of
+    every search still running in a round.  A search counts only the
+    polls up to the one it takes; so when `f` and `move` treat each row
+    alone, its visited points and evaluation count are those of polling
+    one point at a time on its own.  It stops on its budget, when h falls
+    to min_step, or when it halves h after a gain below refine_tol.  The
+    round's bookkeeping runs on Python floats, which costs less than NumPy
+    on a handful of rows.  Returns (value, point as a tuple, evaluations,
+    gap) per start, in start order.
     """
-    best = [float(v) for v in f(np.array(starts, dtype=np.float64))]
-    s = [float(s0) for s0 in starts]
-    evals = [1] * len(s)
-    gap = [math.inf] * len(s)
-    steps = [step] * len(s)
+    X = np.array(starts, dtype=np.float64)
+    best = f(X).tolist()
+    x = X.tolist()
+    p = X.shape[1]
+    evals = [1] * len(x)
+    gap = [math.inf] * len(x)
+    steps = [float(step)] * len(x)
 
     def running(k):
-        return evals[k] < max_evals and steps[k] > period * 1e-15
+        return evals[k] < max_evals and steps[k] > min_step
 
-    live = [k for k in range(len(s)) if running(k)]
+    live = [k for k in range(len(x)) if running(k)]
     while live:
-        pairs = [((s[k] + steps[k]) % period, (s[k] - steps[k]) % period) for k in live]
-        vals = f(np.array(pairs).ravel()).tolist()
+        polls = []
+        for k in live:
+            xk, h = x[k], steps[k]
+            for j in range(p):
+                for v in (xk[j] + h, xk[j] - h):
+                    polls += xk[:j]
+                    polls.append(v)
+                    polls += xk[j + 1 :]
+        moved = move(np.array(polls).reshape(-1, p))
+        vals = f(moved).tolist()
         still = []
         for i, k in enumerate(live):
-            (plus, minus), v_plus, v_minus = pairs[i], vals[2 * i], vals[2 * i + 1]
-            if v_plus < best[k]:
-                evals[k] += 1
-                gap[k], best[k], s[k] = best[k] - v_plus, v_plus, plus
-            elif v_minus < best[k]:
-                evals[k] += 2
-                gap[k], best[k], s[k] = best[k] - v_minus, v_minus, minus
+            for m in range(2 * p * i, 2 * p * (i + 1)):
+                if vals[m] < best[k]:
+                    evals[k] += m + 1 - 2 * p * i
+                    gap[k], best[k], x[k] = best[k] - vals[m], vals[m], moved[m].tolist()
+                    break
             else:
-                evals[k] += 2
+                evals[k] += 2 * p
                 steps[k] *= 0.5
                 if gap[k] < refine_tol:
                     continue
             if running(k):
                 still.append(k)
         live = still
-    return list(zip(best, s, evals, gap))
-
-
-def _mu_generic(body, evaluator: ExcessEvaluator, eps: float, cfg: MuConfig) -> MuEstimate:
-    rng = stream(cfg.seed, "mu-coarse")
-    Y = np.array([geom.parallel_boundary_sample(body, eps, rng) for _ in range(cfg.coarse_samples)])
-    vals = evaluator.batch(Y)
-    evals = len(Y)
-    order = np.argsort(vals)
-    best_val = math.inf
-    best_y = Y[order[0]]
-    gap = math.inf
-    for idx in order[: cfg.restarts]:
-        val, y_ref, used, gap0 = _pattern_search_boundary(
-            body, evaluator, eps, Y[idx], eps * 0.5, cfg.refine_tol, cfg.max_refine // cfg.restarts
-        )
-        evals += used
-        if val < best_val:
-            best_val, best_y, gap = val, y_ref, gap0
-    return MuEstimate(best_val, best_y, evals, gap)
-
-
-def _reproject(body, eps: float, y: np.ndarray) -> np.ndarray:
-    """Nearest point of the offset boundary along the outward normal."""
-    d, p = geom.project(body, y)
-    if d <= 0.0:
-        # fell inside: push out along a fixed direction from the deepest vertex
-        g = y - body.vertices.mean(axis=0) if hasattr(body, "vertices") else y
-        n = np.linalg.norm(g)
-        g = g / n if n > 0 else np.eye(body.dim)[0]
-        d2, p2 = geom.project(body, y + 2.0 * eps * g)
-        return p2 + eps * (y + 2.0 * eps * g - p2) / max(d2, 1e-300)
-    return p + eps * (y - p) / d
-
-
-def _pattern_search_boundary(body, evaluator, eps, y0, step, refine_tol, max_evals):
-    y = _reproject(body, eps, y0)
-    best = evaluator.precise(y)
-    evals = 1
-    gap = math.inf
-    d = body.dim
-    while evals + 2 * d <= max_evals and step > eps * 1e-12:
-        improved = False
-        for j in range(d):
-            for sign in (1.0, -1.0):
-                cand = y.copy()
-                cand[j] += sign * step
-                cand = _reproject(body, eps, cand)
-                v = evaluator.precise(cand)
-                evals += 1
-                if v < best:
-                    gap = best - v
-                    best = v
-                    y = cand
-                    improved = True
-        if not improved:
-            step *= 0.5
-            if gap < refine_tol:
-                break
-    return best, y, evals, gap
+    return [(best[k], tuple(x[k]), evals[k], gap[k]) for k in range(len(x))]
 
 
 def mu_scaling(body, dist, eps_grid, cfg: MuConfig | None = None) -> ScalingFit:

@@ -31,6 +31,10 @@ def _bodies():
     return square, ball, stadium
 
 
+def _cube():
+    return geom.Polytope([[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)])
+
+
 def _cap_budget(n: int) -> float:
     """The counterexample's budget: unbounded at n = 1, then -log(1 - n^-2)."""
     return math.inf if n == 1 else abs(math.log1p(-(n**-2)))
@@ -39,7 +43,7 @@ def _cap_budget(n: int) -> float:
 def run_all(verbose: bool = True) -> list[CheckResult]:
     checks = [
         _c_support_sublinear,
-        _c_parallel_sample_distance,
+        _c_retraction_distance,
         _c_surface_mass,
         _c_hausdorff_dense_boundary,
         _c_integrate_constants,
@@ -55,6 +59,7 @@ def run_all(verbose: bool = True) -> list[CheckResult]:
         _c_intersection_oracle_3d,
         _c_coupled_grid_oracle_3d,
         _c_polytope_distance_3d,
+        _c_mu_closed_form_3d,
         _c_cell_contains_body,
         _c_cell_nesting,
         _c_certificate_stability,
@@ -90,14 +95,15 @@ def _c_support_sublinear() -> CheckResult:
     return CheckResult("support sublinearity", worst <= 1e-9, f"max violation {worst:.2e}")
 
 
-def _c_parallel_sample_distance() -> CheckResult:
-    rng = stream(SEED, "psample")
+def _c_retraction_distance() -> CheckResult:
+    rng = stream(SEED, "retract")
     worst = 0.0
-    for body in _bodies():
+    for body in (*_bodies(), _cube()):
         for eps in (0.05, 0.7):
-            Y = np.array([geom.parallel_boundary_sample(body, eps, rng) for _ in range(200)])
-            worst = max(worst, float(np.abs(body.distance_batch(Y) - eps).max()))
-    return CheckResult("offset boundary sampling distance", worst <= 1e-9, f"max |d-eps| {worst:.2e}")
+            U = rng.standard_normal((200, body.dim))
+            X = rng.uniform(1.01, 3.0, (200, 1)) * body.circumradius * U / np.linalg.norm(U, axis=1, keepdims=True)
+            worst = max(worst, float(np.abs(body.distance_batch(geom.retract(body, X, eps)) - eps).max()))
+    return CheckResult("offset boundary retraction distance", worst <= 1e-9, f"max |d-eps| {worst:.2e}")
 
 
 def _c_surface_mass() -> CheckResult:
@@ -325,13 +331,27 @@ def _c_coupled_grid_oracle_3d() -> CheckResult:
 def _c_polytope_distance_3d() -> CheckResult:
     # the facet-by-facet kernel against max(|max(|x| - 1, 0)| - r, 0) for
     # the cube [-1, 1]^3 (r = 0) and the cube + 0.25 B
-    cube = geom.Polytope([[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)])
+    cube = _cube()
     X = stream(SEED, "distance3d").uniform(-3, 3, size=(400, 3))
     outside = np.linalg.norm(np.maximum(np.abs(X) - 1.0, 0.0), axis=1)
     worst = 0.0
     for body, r in ((cube, 0.0), (geom.BallSum(cube.vertices, 0.25), 0.25)):
         worst = max(worst, float(np.abs(body.distance_batch(X) - np.maximum(outside - r, 0.0)).max()))
     return CheckResult("3-d polytope distance vs closed form", worst <= 1e-12, f"max |d err| {worst:.2e}")
+
+
+def _c_mu_closed_form_3d() -> CheckResult:
+    # the cube's minimum lies on its facet pieces; the regular tetrahedron's
+    # on its edge pieces, where one of two atoms 109.47 deg apart stops seeing y
+    eps = 2.0**-4
+    cube = _cube()
+    tet = geom.Polytope([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
+    cases = [
+        (cube, dn.Atomic.symmetrized(np.eye(3), [1 / 3] * 3), eps / 6),
+        (tet, dn.from_surface_measure(tet), math.sqrt(2) / 12 * eps),
+    ]
+    worst = max(abs(metrics.mu_estimate(body, law, eps).value / want - 1.0) for body, law, want in cases)
+    return CheckResult("3-d minimal excess vs closed form", worst <= 1e-6, f"max rel err {worst:.2e}")
 
 
 def _c_cell_contains_body() -> CheckResult:

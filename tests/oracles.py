@@ -95,7 +95,8 @@ def support_arc_bisect(body, y):
     which lies inside the interval.
     """
     y = np.asarray(y, dtype=np.float64)
-    dist_y, p = geom.project(body, y)
+    dist, P = geom.project(body, y)
+    dist_y, p = float(dist[0]), P[0]
     if dist_y <= 0.0:
         return None
     n = (y - p) / dist_y
@@ -144,28 +145,39 @@ def dense_circle_excess(body, density, y, n=1 << 22, chunk=1 << 18):
     return total / n
 
 
-def pattern_search_1d_sequential(f, s0, step, period, refine_tol, max_evals):
-    """Compass search on a circle trying s + step, then s - step, one call each."""
-    best = f(s0)
-    s = s0
+def compass_search_sequential(f, move, x0, step, min_step, refine_tol, max_evals):
+    """Compass search polling x + step e_1, x - step e_1, x + step e_2, ... one call each.
+
+    Each poll is mapped by `move` (a point to a point) before `f` (a
+    point to a value) sees it; the search moves to the first improving
+    poll, and halves the step when none improves.
+    """
+    best = f(tuple(x0))
+    x = tuple(x0)
     evals = 1
     gap = math.inf
-    while evals < max_evals and step > period * 1e-15:
+    while evals < max_evals and step > min_step:
         improved = False
-        for cand in (s + step, s - step):
-            v = f(cand % period)
-            evals += 1
-            if v < best:
-                gap = best - v
-                best = v
-                s = cand % period
-                improved = True
+        for j in range(len(x)):
+            for sign in (1.0, -1.0):
+                cand = list(x)
+                cand[j] += sign * step
+                cand = tuple(move(cand))
+                v = f(cand)
+                evals += 1
+                if v < best:
+                    gap = best - v
+                    best = v
+                    x = cand
+                    improved = True
+                    break
+            if improved:
                 break
         if not improved:
             step *= 0.5
             if gap < refine_tol:
                 break
-    return best, s, evals, gap
+    return best, x, evals, gap
 
 
 def mu_planar_sequential(evaluator, path, cfg):
@@ -173,7 +185,7 @@ def mu_planar_sequential(evaluator, path, cfg):
 
     The coarse scan is one batch over the arclength grid; the restart
     basins are picked from it as the package does, written out here.
-    Each restart is `pattern_search_1d_sequential` on one-row `precise`
+    Each restart is `compass_search_sequential` on one-row `precise`
     calls, and the first best restart in start order wins.  Returns
     (value, argmin point, evaluations, gap).
     """
@@ -188,11 +200,12 @@ def mu_planar_sequential(evaluator, path, cfg):
         if len(starts) >= cfg.restarts:
             break
     runs = [
-        pattern_search_1d_sequential(
-            lambda s: evaluator.precise(path.point_at(s)[0]),
-            s0,
+        compass_search_sequential(
+            lambda x: evaluator.precise(path.point_at(x)[0]),
+            lambda x: (x[0] % total,),
+            (s0,),
             total / m,
-            total,
+            total * 1e-15,
             cfg.refine_tol,
             cfg.max_refine // len(starts),
         )

@@ -419,6 +419,24 @@ class TestHalfspaceIntersection:
                 got = continued_insertion(U, T, box, k).inter.vertices
                 assert sorted_rows(got).tobytes() == want.tobytes()
 
+    def test_compaction_keeps_every_facet_at_a_degenerate_vertex(self):
+        # four facets meet at the apex of this pyramid, and `defining` names
+        # three; compaction once dropped the fourth, which the frustum cut
+        # from it below then violated
+        U = np.array([[1.0, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1]]) / math.sqrt(2)
+        T = np.full(4, 1 / math.sqrt(2))
+        builder = cell._CellBuilder(None, 3)
+        builder.rebuild(U, T, BOX3)
+        assert len(builder.T) == 4
+        cuts = [(np.array([[0.0, 0, -1]]), np.array([1.0])), (np.array([[0.0, 0, 1]]), np.array([0.5]))]
+        for U_new, T_new in cuts:
+            builder.add_incremental(U_new, T_new)
+        U_all = np.vstack([U, *(u for u, _ in cuts)])
+        T_all = np.concatenate([T, *(t for _, t in cuts)])
+        oracle = cell.halfspace_intersection_bruteforce(U_all, T_all, *BOX3)
+        assert len(oracle.vertices) == 8
+        assert cell._vertex_sets_match(builder.inter.vertices, oracle.vertices, 1e-7)
+
     def test_start_leaves_planar_path_unchanged(self, rng):
         for _ in range(20):
             U, T = random_instance(rng)

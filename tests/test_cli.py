@@ -6,6 +6,8 @@ import sys
 import pytest
 
 import hypercell
+from hypercell import direction as dn
+from hypercell import geom
 from hypercell.cli import dispatch
 
 BALL_ISO = {
@@ -192,6 +194,26 @@ class TestOtherCommands:
         for name in ("mu.csv", "mu.json"):
             b1, b2 = (open(os.path.join(out, name), "rb").read() for out in outs)
             assert b1 == b2
+
+    def test_mu_curve_3d_tetrahedron(self, tmp_path):
+        # mu = sqrt(2)/12 eps on the regular tetrahedron under its own law
+        tet = [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]
+        cfg = {
+            "body": {"type": "polytope", "vertices": tet},
+            "distribution": dn.distribution_to_json(dn.from_surface_measure(geom.Polytope(tet))),
+            "eps_grid": [2.0**-k for k in range(6, 1, -1)],
+        }
+        path = tmp_path / "mu.json"
+        path.write_text(json.dumps(cfg))
+        runs = [("o1", "5"), ("o2", "5"), ("o3", "6")]
+        for out, seed in runs:
+            assert dispatch(["mu-curve", "--config", str(path), "--out", str(tmp_path / out), "--seed", seed]) == 0
+        docs = [json.loads((tmp_path / out / "mu.json").read_text()) for out, _ in runs]
+        assert abs(docs[0]["fit"]["slope"] - 1.0) <= 1e-6
+        for name in ("mu.csv", "mu.json"):
+            assert (tmp_path / "o1" / name).read_bytes() == (tmp_path / "o2" / name).read_bytes()
+        for a, b in zip(docs[0]["estimates"], docs[2]["estimates"]):
+            assert b["value"] == pytest.approx(a["value"], rel=1e-6)
 
     def test_mu_curve_continuous_law_in_3d_exits_3(self, tmp_path, capsys):
         path = tmp_path / "mu.json"

@@ -93,15 +93,13 @@ class TestDistance:
         want = np.array([cube_distance_oracle(x) for x in X])
         assert np.abs(got - want).max() < 1e-9
 
-    def test_project_consistency(self, square, stadium, cube, rng):
-        for body in (square, stadium, cube):
-            for _ in range(40):
-                x = rng.uniform(-3, 3, size=body.dim)
-                d, p = geom.project(body, x)
-                assert d == pytest.approx(geom.distance(body, x), abs=1e-9)
-                assert geom.distance(body, p) <= 1e-9
-                if d > 0:
-                    assert np.linalg.norm(x - p) == pytest.approx(d, abs=1e-9)
+    def test_project_consistency(self, square, stadium, cube, ball3, rng):
+        for body in (square, stadium, cube, ball3, geom.BallSum(cube.vertices, 0.25)):
+            X = rng.uniform(-3, 3, size=(40, body.dim))
+            d, P = geom.project(body, X)
+            assert np.abs(d - body.distance_batch(X)).max() <= 1e-9
+            assert body.distance_batch(P).max() <= 1e-9
+            assert np.abs(np.linalg.norm(X - P, axis=1) - d).max() <= 1e-9
 
     def test_3d_faces_match_wolfe_oracle(self, cube, rng):
         # a d = 3 core is projected onto facet by facet through the planar
@@ -123,8 +121,7 @@ class TestDistance:
                 assert np.abs(px - p_ref).max() <= 1e-12
             core = d if isinstance(body, geom.Polytope) else np.maximum(0.0, d - body.radius)
             assert np.array_equal(body.distance_batch(X), core)
-            for x, dx in zip(X[:20], core[:20]):
-                assert geom.project(body, x)[0] == pytest.approx(dx, abs=1e-12)
+            assert np.abs(geom.project(body, X)[0] - core).max() <= 1e-12
 
     def test_planar_projection_returns_its_distance(self, rng):
         # one kernel serves distance_batch and project: the distance is the
@@ -145,30 +142,37 @@ class TestDistance:
                 assert np.abs(px - p_loop).max() <= 1e-12 * (1.0 + np.abs(p_loop).max())
             core = d if isinstance(body, geom.Polytope) else np.maximum(0.0, d - body.radius)
             assert np.array_equal(body.distance_batch(X), core)
-            for x, dx in zip(X[:20], core[:20]):
-                assert geom.project(body, x)[0] == dx
+            assert np.array_equal(geom.project(body, X)[0], core)
 
 
 class TestParallelBoundarySample:
-    def test_sphere_radius_exact(self, ball, rng):
-        for _ in range(100):
-            y = geom.parallel_boundary_sample(ball, 0.5, rng)
-            assert np.linalg.norm(y) == pytest.approx(1.5, abs=1e-12)
+    """Points on the boundary of the parallel body, by `geom.retract`."""
 
-    def test_distance_equals_offset(self, square, stadium, rng):
-        for body in (square, stadium):
-            Y = np.array([geom.parallel_boundary_sample(body, 0.1, rng) for _ in range(300)])
-            assert np.abs(body.distance_batch(Y) - 0.1).max() < 1e-9
+    def test_sphere_radius_exact(self, ball, rng):
+        U = rng.standard_normal((100, 2))
+        X = rng.uniform(1.01, 4.0, (100, 1)) * U / np.linalg.norm(U, axis=1, keepdims=True)
+        Y = geom.retract(ball, X, 0.5)
+        assert np.abs(np.linalg.norm(Y, axis=1) - 1.5).max() <= 1e-12
+
+    def test_distance_equals_offset(self, square, stadium, cube, rng):
+        for body in (square, stadium, cube, geom.BallSum(cube.vertices, 0.25)):
+            X = rng.uniform(-4, 4, size=(600, body.dim))
+            Y = geom.retract(body, X[body.distance_batch(X) > 0], 0.1)
+            assert len(Y) > 300 and np.abs(body.distance_batch(Y) - 0.1).max() < 1e-9
 
     def test_facet_pieces_are_reached(self, square, rng):
         # flat parts of the offset boundary must carry positive mass
-        Y = np.array([geom.parallel_boundary_sample(square, 0.1, rng) for _ in range(400)])
+        U = rng.standard_normal((400, 2))
+        Y = geom.retract(square, 2.0 * (square.circumradius + 0.1) * U / np.linalg.norm(U, axis=1, keepdims=True), 0.1)
         on_right_facet = (np.abs(Y[:, 0] - 1.1) < 1e-12) & (np.abs(Y[:, 1]) < 1.0 - 1e-9)
         assert on_right_facet.sum() > 10
 
     def test_rejects_nonpositive_offset(self, square, rng):
-        with pytest.raises(ValueError):
-            geom.parallel_boundary_sample(square, 0.0, rng)
+        with pytest.raises(ValueError, match="eps"):
+            geom.retract(square, [[2.0, 0.0]], 0.0)
+        # a point of the body has no ray to the offset boundary
+        with pytest.raises(ValueError, match="inside"):
+            geom.retract(square, [[2.0, 0.0], [1.0, 0.5]], 0.1)
 
 
 class TestSurfaceMeasure:

@@ -14,7 +14,7 @@ from oracles import (
     dense_boundary_minimum,
     dense_circle_excess,
     mu_planar_sequential,
-    pattern_search_1d_sequential,
+    compass_search_sequential,
     support_arc_bisect,
 )
 
@@ -61,11 +61,17 @@ def _counterexample_law():
 
 
 def _offset_points(body, rng, size, reach=2.0):
-    return np.array([geom.parallel_boundary_sample(body, e, rng) for e in rng.uniform(1e-3, reach, size)])
+    paths = [geom.boundary_path(body, e) for e in rng.uniform(1e-3, reach, size)]
+    return np.vstack([path.point_at(rng.uniform(0.0, path.total)) for path in paths])
 
 
 def _batched(f):
-    return lambda S: np.array([f(float(x)) for x in S])
+    """A function of one arclength as a function of rows of one arclength each."""
+    return lambda S: np.array([f(float(x[0])) for x in S])
+
+
+def _on_circle(period):
+    return lambda S: np.asarray(S) % period
 
 
 def _assert_arcs_match(body, Y, tol=1e-12):
@@ -119,7 +125,8 @@ class TestExcess:
 
     def test_batch_agrees_with_precise(self, stadium, iso, rng):
         ev = metrics.ExcessEvaluator(stadium, iso)
-        Y = np.array([geom.parallel_boundary_sample(stadium, 0.4, rng) for _ in range(40)])
+        path = geom.boundary_path(stadium, 0.4)
+        Y = path.point_at(rng.uniform(0.0, path.total, 40))
         batch = ev.batch(Y)
         precise = np.array([ev.precise(y) for y in Y])
         assert np.abs(batch - precise).max() < 1e-3 * precise.max()
@@ -295,8 +302,12 @@ class TestMuEstimate:
         period = 2 * math.pi
         cases = [(wavy, 0.3, 0.2, 4000), (wavy, 5.9, 0.05, 40), (wavy, 2.0, 1.0, 7), (peak, 3.0, 0.5, 200)]
         for f, s0, step, budget in cases:
-            want = pattern_search_1d_sequential(f, s0, step, period, 1e-12, budget)
-            got = metrics._pattern_search_1d(_batched(f), [s0], step, period, 1e-12, budget)
+            want = compass_search_sequential(
+                lambda x: f(x[0]), _on_circle(period), (s0,), step, period * 1e-15, 1e-12, budget
+            )
+            got = metrics._compass_search(
+                _batched(f), _on_circle(period), [(s0,)], step, period * 1e-15, 1e-12, budget
+            )
             assert got == [want]
 
     def test_lockstep_searches_equal_sequential_ones(self):
@@ -309,14 +320,17 @@ class TestMuEstimate:
 
         period, step, tol, budget = 2 * math.pi, 0.01, 1e-6, 150
         starts = [0.5, 2.3, 4.0, 2.9]
-        want = [pattern_search_1d_sequential(f, s0, step, period, tol, budget) for s0 in starts]
+        move, min_step = _on_circle(period), period * 1e-15
+        want = [
+            compass_search_sequential(lambda x: f(x[0]), move, (s0,), step, min_step, tol, budget) for s0 in starts
+        ]
         sizes = []
 
         def g(S):
             sizes.append(len(S))
             return _batched(f)(S)
 
-        got = metrics._pattern_search_1d(g, starts, step, period, tol, budget)
+        got = metrics._compass_search(g, move, [(s0,) for s0 in starts], step, min_step, tol, budget)
         assert got == want
         (_, _, e_flat, gap_flat), (_, _, e_bowl, gap_bowl), (_, _, e_slope, _), _ = got
         assert e_flat < budget and gap_flat == math.inf
@@ -325,6 +339,30 @@ class TestMuEstimate:
         # one call for the starts, then both neighbours of every live search per call
         assert sizes[:2] == [len(starts), 2 * len(starts)]
         assert sorted(sizes[1:], reverse=True) == sizes[1:] and sizes[-1] == 2
+
+    def test_retracted_searches_equal_sequential_ones(self, cube):
+        # p = 3 with every poll retracted onto the offset boundary; the cube's
+        # projection and an atomic excess treat each row alone.  Budget 120
+        # stops every search on its budget; at 400 two stop on refine_tol and
+        # two on the step floor, one of them never improving on its start
+        eps = 0.1
+        atoms = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 2.0, 3.0], [0.0, 1.0, -1.0]])
+        law = dn.Atomic.symmetrized(atoms / np.linalg.norm(atoms, axis=1, keepdims=True), [0.2, 0.2, 0.2, 0.25, 0.15])
+        ev = metrics.ExcessEvaluator(cube, law)
+
+        def move(X):
+            return geom.retract(cube, X, eps)
+
+        U = np.random.default_rng(3).standard_normal((4, 3))
+        starts = move(3.0 * U / np.linalg.norm(U, axis=1, keepdims=True))
+        for budget in (120, 400):
+            want = [
+                compass_search_sequential(ev.precise, lambda x: move([x])[0], x0, eps / 2, eps * 1e-12, 1e-10, budget)
+                for x0 in starts
+            ]
+            got = metrics._compass_search(ev.batch, move, starts, eps / 2, eps * 1e-12, 1e-10, budget)
+            assert got == want
+            assert np.abs(cube.distance_batch(np.array([x for _, x, _, _ in got])) - eps).max() <= 1e-12
 
     @pytest.mark.parametrize("name", MU_CONFIGS)
     def test_restarts_equal_sequential_reference(self, name):
@@ -423,6 +461,37 @@ class TestHigherDimensions:
         for call in calls:
             with pytest.raises(UnsupportedBody, match="d = 3"):
                 call()
+
+    @pytest.mark.parametrize("eps", [2.0**-2, 2.0**-4, 2.0**-8])
+    def test_tetrahedron_minimum_on_edge_pieces(self, eps):
+        # adjacent facet normals are 109.47 deg apart, so on an edge piece at
+        # 19.47 deg from one normal the other atom just stops seeing y:
+        # (1/8) eps cos(19.47 deg) = sqrt(2)/12 eps, below the facets' eps/8
+        tet = geom.Polytope([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
+        est = metrics.mu_estimate(tet, dn.from_surface_measure(tet), eps)
+        assert est.value == pytest.approx(math.sqrt(2) / 12 * eps, rel=1e-6)
+        assert tet.distance(est.argmin_point) == pytest.approx(eps, abs=1e-12)
+
+    def test_octahedron_facet_minimum(self):
+        octa = geom.Polytope(np.vstack([np.eye(3), -np.eye(3)]))
+        eps = 2.0**-4
+        est = metrics.mu_estimate(octa, dn.from_surface_measure(octa), eps)
+        assert est.value == pytest.approx(eps / 8, rel=1e-6)
+        assert octa.distance(est.argmin_point) == pytest.approx(eps, abs=1e-12)
+
+    @pytest.mark.parametrize("eps", [0.1, 2.0**-8])
+    def test_coarse_points_reach_every_piece_kind(self, cube, eps, monkeypatch):
+        # a point of the cube's offset boundary lies on a facet, edge or vertex
+        # piece when 1, 2 or 3 of its coordinates exceed 1 in absolute value
+        batches = []
+        batch = metrics.ExcessEvaluator.batch
+        monkeypatch.setattr(metrics.ExcessEvaluator, "batch", lambda ev, Y: batches.append(Y) or batch(ev, Y))
+        metrics.mu_estimate(cube, dn.Atomic.symmetrized(np.eye(3), [1 / 3] * 3), eps, metrics.MuConfig(max_refine=0))
+        coarse = batches[0]  # then the starts, and no search round at max_refine = 0
+        assert coarse.shape == (4096, 3)
+        kind = (np.abs(coarse) > 1.0).sum(axis=1)
+        share = np.bincount(kind, minlength=4) / len(coarse)
+        assert share[0] == 0.0 and share[1:].min() >= 0.1, share
 
     def test_cube_axis_atoms_exact(self, cube):
         # on a facet's offset only that facet's two atoms see y, one of them by eps

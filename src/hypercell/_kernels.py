@@ -3,10 +3,10 @@
 Convex hull (the dual of the planar halfspace intersection; a monotone
 chain run on Python floats), projection of points onto a convex polygon
 (distance and nearest point, for every planar distance and projection),
-and the cut filter that tests which new halfspaces reach an existing
-cell.  Callers go through the module attribute
-(`_kernels.convex_hull_2d(...)`) so the kernels can be wrapped from
-outside, for example by a tracer.
+the cut filter that tests which new halfspaces reach an existing cell,
+and the row-independent matrix product `dots`.  Callers go through the
+module attribute (`_kernels.convex_hull_2d(...)`) so the kernels can be
+wrapped from outside, for example by a tracer.
 """
 from __future__ import annotations
 
@@ -19,20 +19,25 @@ def convex_hull_2d(points: np.ndarray) -> np.ndarray:
     Andrew's monotone chain over the lexicographic order.  Collinear
     interior points are dropped.  A fully collinear input yields its two
     lexicographic extremes (the first and last index if all points are
-    equal); a single point yields itself.  The chain runs on Python
-    floats: they do the same IEEE operations as NumPy float64 scalars,
-    at a fraction of the cost of indexing the array on every step.
+    equal); a single point yields itself.
+    """
+    return np.asarray(hull_chain(points)[0], dtype=np.int64)
+
+
+def hull_chain(points: np.ndarray) -> tuple[list, list, list]:
+    """`convex_hull_2d` as a list of indices, with the x and y coordinate lists it ran on.
+
+    The chain runs on Python floats: they do the same IEEE operations as
+    NumPy float64 scalars, at a fraction of the cost of indexing the
+    array on every step.  A caller that goes on to work on the hull's
+    points in Python takes the lists instead of converting them again.
     """
     pts = np.ascontiguousarray(points, dtype=np.float64)
-    n = pts.shape[0]
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    if n == 1:
-        return order[:1]
     xs = pts[:, 0].tolist()
     ys = pts[:, 1].tolist()
-    seq = order.tolist()
+    if len(xs) <= 1:
+        return list(range(len(xs))), xs, ys
+    seq = np.lexsort((pts[:, 1], pts[:, 0])).tolist()
 
     def build(seq):
         out = []
@@ -50,7 +55,7 @@ def convex_hull_2d(points: np.ndarray) -> np.ndarray:
 
     lower = build(seq)
     upper = build(seq[::-1])
-    return np.asarray(lower[:-1] + upper[:-1], dtype=np.int64)
+    return lower[:-1] + upper[:-1], xs, ys
 
 
 def polygon_project(poly: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -106,3 +111,15 @@ def cut_mask(normals: np.ndarray, offsets: np.ndarray, vertices: np.ndarray) -> 
         return np.zeros(len(offsets), dtype=bool)
     best = (normals @ vertices.T).max(axis=1)
     return best > offsets
+
+
+def dots(Y: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Y @ A.T one coordinate at a time, so no entry depends on the row count.
+
+    A BLAS product blocks its sums by the shape of the call, so a row's
+    last bits can change with the rows that share it.
+    """
+    out = Y[:, :1] * A[:, 0]
+    for j in range(1, Y.shape[1]):
+        out += Y[:, j : j + 1] * A[:, j]
+    return out

@@ -241,8 +241,7 @@ def _intersect_dual_2d(U, T, BU, BT) -> Intersection:
     A = np.vstack([U, BU])
     b = np.concatenate([T, BT])
     D = A / b[:, None]
-    hull = _kernels.convex_hull_2d(D).tolist()
-    xs, ys = D[:, 0].tolist(), D[:, 1].tolist()
+    hull, xs, ys = _kernels.hull_chain(D)
     # one vertex per hull edge, on Python floats: they round each operation as
     # float64 arrays do, without the per-call cost of NumPy on some 20 rows
     defin, flat = [], []

@@ -15,6 +15,7 @@ and density helpers serve the excess evaluator in `metrics`.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -337,7 +338,16 @@ def _orthonormal_complement(axis: np.ndarray) -> np.ndarray:
 # operations
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 32-point Gauss-Legendre rule on [-1, 1].
+
+    Built on first use, so a run that never integrates never imports
+    `numpy.polynomial`.
+    """
+    return np.polynomial.legendre.leggauss(32)
+
+
 _TWO_PI = 2.0 * math.pi
 _BASE_EDGES = np.linspace(0.0, _TWO_PI, 9)  # the circle in 8 panels before any split
 
@@ -366,13 +376,14 @@ def _panel_integral(dist, f, breaks) -> float:
     edges = np.unique(np.concatenate([_BASE_EDGES, np.mod(cuts, _TWO_PI)]))
     half = 0.5 * np.diff(edges)
     centre = 0.5 * (edges[1:] + edges[:-1])
-    ang = (centre[:, None] + half[:, None] * _GL_NODES).ravel()
+    nodes, weights = _gauss_legendre()
+    ang = (centre[:, None] + half[:, None] * nodes).ravel()
     U = np.column_stack([np.cos(ang), np.sin(ang)])
     vals = _eval_batch(f, U)
     density = _planar_density(dist)
     if density is not None:
         vals = vals * density(U)
-    return float(half @ (vals.reshape(len(half), -1) @ _GL_WEIGHTS)) / _TWO_PI
+    return float(half @ (vals.reshape(len(half), -1) @ weights)) / _TWO_PI
 
 
 def exact_parts(dist: DirectionalDistribution, weight: float = 1.0) -> list:

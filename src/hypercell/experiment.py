@@ -17,7 +17,6 @@ import csv
 import json
 import math
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -270,11 +269,17 @@ def _coupled_rep(args) -> list[tuple[RunRecord, bool | None]]:
 
 
 def _run_reps(cfg, grid, dist, y_points, threads: int) -> list[tuple[RunRecord, bool | None]]:
-    """Rows of every replication along the grid, sorted by (rep, n)."""
+    """Rows of every replication along the grid, sorted by (rep, n).
+
+    With threads > 1 the replications run in a process pool, imported
+    only then: a serial run never loads `multiprocessing`.
+    """
     tasks = [(cfg, grid, rep, dist, y_points) for rep in range(cfg.reps)]
     if threads <= 1:
         chunks = [_coupled_rep(t) for t in tasks]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             chunks = list(
                 pool.map(_coupled_rep, tasks, chunksize=max(1, len(tasks) // (4 * threads)))

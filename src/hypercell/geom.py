@@ -203,14 +203,17 @@ class Ball(_BodyBase):
         self.diameter = 2.0 * self.radius
         self.circumradius = self.radius
 
+    # the centre is the origin, so h(B, u) = r and dist(x, B) = max(0, |x| - r)
     def support_batch(self, U: np.ndarray) -> np.ndarray:
-        return U @ self.center + self.radius
+        return np.full(len(U), self.radius)
 
     def distance_batch(self, X: np.ndarray) -> np.ndarray:
-        return np.maximum(0.0, np.linalg.norm(X - self.center, axis=1) - self.radius)
+        return np.maximum(0.0, np.linalg.norm(X, axis=1) - self.radius)
 
     def inradius_origin(self) -> float:
-        return self.radius - float(np.linalg.norm(self.center))
+        # still reads the centre, on Python floats: the samplers refuse a
+        # ball whose centre was moved off the origin by hand (`OriginOutside`)
+        return self.radius - math.hypot(*self.center.tolist())
 
 
 class BallSum(_CoreBody):
@@ -290,18 +293,23 @@ class _Faces:
     def project(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Distance from each row of X to the core, and the nearest core point."""
         X = np.asarray(X, dtype=np.float64)
-        outside = X @ self.normals.T > self.offsets if self.facets else np.ones((len(X), 1), dtype=bool)
+        # every product one coordinate at a time (`_kernels.dots`), so each
+        # row's result is the same bits whatever rows share the call
+        outside = (
+            _kernels.dots(X, self.normals) > self.offsets if self.facets else np.ones((len(X), 1), dtype=bool)
+        )
         dist = np.where(outside.any(axis=1), np.inf, 0.0)
         nearest = X.copy()
         for f in np.flatnonzero(outside.any(axis=0)).tolist():
             rows = np.flatnonzero(outside[:, f])
             R = X[rows] - self.origins[f]
-            d, p = _kernels.polygon_project(self.polygons[f], R @ self.bases[f].T)
-            d = np.hypot(d, R @ self.normals[f])
+            B = self.bases[f]
+            d, p = _kernels.polygon_project(self.polygons[f], _kernels.dots(R, B))
+            d = np.hypot(d, _kernels.dots(R, self.normals[f : f + 1])[:, 0])
             closer = d < dist[rows]
             rows = rows[closer]
             dist[rows] = d[closer]
-            nearest[rows] = self.origins[f] + p[closer] @ self.bases[f]
+            nearest[rows] = self.origins[f] + _kernels.dots(p[closer], B.T)
         return dist, nearest
 
 

@@ -192,18 +192,12 @@ def mu_planar_sequential(evaluator, path, cfg):
     total, m = path.total, cfg.coarse_samples
     s_grid = (np.arange(m) + 0.5) * (total / m)
     coarse = evaluator.batch(path.point_at(s_grid))
-    starts = []
-    for idx in np.argsort(coarse):
-        s = float(s_grid[idx])
-        if all(min(abs(s - t) % total, total - abs(s - t) % total) >= total / 16.0 for t in starts):
-            starts.append(s)
-        if len(starts) >= cfg.restarts:
-            break
+    starts = separated_minima_loop(coarse, s_grid, total, cfg.restarts)
     runs = [
         compass_search_sequential(
             lambda x: evaluator.precise(path.point_at(x)[0]),
             lambda x: (x[0] % total,),
-            (s0,),
+            s0,
             total / m,
             total * 1e-15,
             cfg.refine_tol,
@@ -213,6 +207,29 @@ def mu_planar_sequential(evaluator, path, cfg):
     ]
     value, s, _, gap = min(runs, key=lambda run: run[0])
     return value, path.point_at(s)[0], m + sum(run[2] for run in runs), gap
+
+
+def separated_minima_loop(vals, s_grid, period, count):
+    """The restart picking of the planar mu search, one argsort entry at a time.
+
+    The reference for `metrics._separated_minima`: an entry is taken when
+    it lies at least period / 16 round the circle from every one taken
+    before, until `count` are taken.
+    """
+    starts = []
+    min_gap = period / 16.0
+    for idx in np.argsort(vals):
+        s = s_grid[idx]
+        if all(_circ_dist(s, s0[0], period) >= min_gap for s0 in starts):
+            starts.append((float(s),))
+        if len(starts) >= count:
+            break
+    return starts
+
+
+def _circ_dist(a, b, period):
+    d = abs(a - b) % period
+    return min(d, period - d)
 
 
 def cube_distance_oracle(x):

@@ -293,3 +293,21 @@ def test_import_loads_no_scipy():
     proc = _run_child("-c", "import sys, hypercell; print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_serial_run_loads_no_pool_or_quadrature_rule():
+    # the process pool is imported only for threads > 1, and the Gauss-Legendre
+    # rule (numpy.polynomial) only by the first quadrature
+    code = (
+        "import sys, hypercell\n"
+        "from hypercell import direction as dn, experiment as ex, geom\n"
+        "lazy = ('multiprocessing', 'concurrent.futures', 'numpy.polynomial')\n"
+        "print([m for m in lazy if m in sys.modules])\n"
+        "ex.run_rate(ex.RateRunConfig(geom.Ball([0, 0], 1.0), dn.Isotropic(2), [8, 16], reps=2, seed=1))\n"
+        "print([m for m in lazy if m in sys.modules])\n"
+        "dn.integrate(dn.Isotropic(2), lambda U: U[:, 0] ** 2)\n"
+        "print([m for m in lazy if m in sys.modules])\n"
+    )
+    proc = _run_child("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == ["[]", "[]", "['numpy.polynomial']", ""]

@@ -160,6 +160,18 @@ class TestParallelBoundarySample:
             Y = geom.retract(body, X[body.distance_batch(X) > 0], 0.1)
             assert len(Y) > 300 and np.abs(body.distance_batch(Y) - 0.1).max() < 1e-9
 
+    def test_rows_retract_alone_as_in_the_batch(self):
+        # oblique facets: a BLAS product in the projection would round some
+        # rows differently alone than in a batch of thousands
+        rng = np.random.default_rng(8123)
+        tetra = geom.Polytope([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
+        for body in (geom.Polytope(rng.standard_normal((20, 3))), tetra):
+            X = rng.uniform(-3.0, 3.0, (3000, 3))
+            X = X[body.distance_batch(X) > 0]
+            Y = geom.retract(body, X, 0.3)
+            alone = np.vstack([geom.retract(body, X[i : i + 1], 0.3) for i in range(len(X))])
+            assert len(X) > 2000 and Y.tobytes() == alone.tobytes()
+
     def test_facet_pieces_are_reached(self, square, rng):
         # flat parts of the offset boundary must carry positive mass
         U = rng.standard_normal((400, 2))

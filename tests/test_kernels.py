@@ -93,13 +93,13 @@ class TestHullChain:
     def test_dual_point_sets_equal_chain(self, monkeypatch):
         # record the dual points that planar cell builds hand to the hull
         seen = []
-        hull = _kernels.convex_hull_2d
+        chain = _kernels.hull_chain
 
         def record(pts):
             seen.append(pts)
-            return hull(pts)
+            return chain(pts)
 
-        monkeypatch.setattr(_kernels, "convex_hull_2d", record)
+        monkeypatch.setattr(_kernels, "hull_chain", record)
         square = geom.Polytope([[-1, -1], [1, -1], [1, 1], [-1, 1]])
         atoms = dn.Atomic.symmetrized([[1, 0], [0, 1]], [0.5, 0.5])  # many exact ties
         for body, law in ((geom.Ball([0, 0], 1.0), dn.Isotropic(2)), (square, atoms)):
@@ -113,8 +113,12 @@ class TestHullChain:
         body = geom.body_from_json(doc["body"])
         ex.run_counterexample(ex.CounterexampleConfig(body, doc["beta"], doc["n_grid"], reps=240, seed=doc["seed"]))
         assert len(seen) - n_iso_atomic >= 1000 and max(map(len, seen[n_iso_atomic:])) >= 80
+        monkeypatch.undo()
         for pts in seen:
-            assert np.array_equal(hull(pts), convex_hull_2d_loop(pts))
+            idx, xs, ys = chain(pts)
+            assert xs == pts[:, 0].tolist() and ys == pts[:, 1].tolist()
+            assert np.array_equal(_kernels.convex_hull_2d(pts), convex_hull_2d_loop(pts))
+            assert np.array_equal(idx, convex_hull_2d_loop(pts))
 
     def test_random_inputs_equal_chain(self, rng):
         for k in range(200):

@@ -15,6 +15,7 @@ from oracles import (
     dense_circle_excess,
     mu_planar_sequential,
     compass_search_sequential,
+    separated_minima_loop,
     support_arc_bisect,
 )
 
@@ -184,6 +185,19 @@ class TestBatchIndependence:
         self._assert_rows_independent(ev, Y, np.arange(0, len(Y), 8))
 
 
+    @pytest.mark.parametrize("law", ["cap-starved", "isotropic", "stadium-adapted"])
+    def test_panel_block_size_leaves_every_bit(self, law, ball, stadium, monkeypatch):
+        # blocks end only between rows, so no row's panels are summed in two pieces
+        body = ball if law == "cap-starved" else stadium
+        ev = metrics.ExcessEvaluator(body, self.LAWS[law]())
+        Y = _offset_points(body, np.random.default_rng(6153), 400, reach=0.5)
+        out = []
+        for block in (4096, 512, 7):
+            monkeypatch.setattr(metrics, "_PANEL_BLOCK", block)
+            out.append(ev.batch(Y).tobytes())
+        assert out[0] == out[1] == out[2]
+
+
 class TestSupportArcs:
     @pytest.mark.parametrize("body", [b for _, b in ARC_BODIES], ids=[n for n, _ in ARC_BODIES])
     def test_closed_form_matches_bisection(self, body):
@@ -340,18 +354,17 @@ class TestMuEstimate:
         assert sizes[:2] == [len(starts), 2 * len(starts)]
         assert sorted(sizes[1:], reverse=True) == sizes[1:] and sizes[-1] == 2
 
-    def test_retracted_searches_equal_sequential_ones(self, cube):
-        # p = 3 with every poll retracted onto the offset boundary; the cube's
-        # projection and an atomic excess treat each row alone.  Budget 120
-        # stops every search on its budget; at 400 two stop on refine_tol and
-        # two on the step floor, one of them never improving on its start
+    @staticmethod
+    def _assert_retracted_searches_sequential(body):
+        # p = 3 with every poll retracted onto the offset boundary: the
+        # projection and an atomic excess treat each row alone
         eps = 0.1
         atoms = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 2.0, 3.0], [0.0, 1.0, -1.0]])
         law = dn.Atomic.symmetrized(atoms / np.linalg.norm(atoms, axis=1, keepdims=True), [0.2, 0.2, 0.2, 0.25, 0.15])
-        ev = metrics.ExcessEvaluator(cube, law)
+        ev = metrics.ExcessEvaluator(body, law)
 
         def move(X):
-            return geom.retract(cube, X, eps)
+            return geom.retract(body, X, eps)
 
         U = np.random.default_rng(3).standard_normal((4, 3))
         starts = move(3.0 * U / np.linalg.norm(U, axis=1, keepdims=True))
@@ -362,7 +375,16 @@ class TestMuEstimate:
             ]
             got = metrics._compass_search(ev.batch, move, starts, eps / 2, eps * 1e-12, 1e-10, budget)
             assert got == want
-            assert np.abs(cube.distance_batch(np.array([x for _, x, _, _ in got])) - eps).max() <= 1e-12
+            assert np.abs(body.distance_batch(np.array([x for _, x, _, _ in got])) - eps).max() <= 1e-12
+
+    def test_retracted_searches_equal_sequential_ones(self, cube):
+        # budget 120 stops every search on its budget; at 400 two stop on
+        # refine_tol and two on the step floor, one of them never improving
+        # on its start
+        self._assert_retracted_searches_sequential(cube)
+
+    def test_retracted_searches_on_oblique_facets(self):
+        self._assert_retracted_searches_sequential(geom.Polytope([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]))
 
     @pytest.mark.parametrize("name", MU_CONFIGS)
     def test_restarts_equal_sequential_reference(self, name):
@@ -395,6 +417,29 @@ class TestMuEstimate:
             path = geom.boundary_path(body, eps)
             oracle = dense_boundary_minimum(ev, path, n=400_000)
             assert abs(est.value - oracle) <= 1e-4 * oracle
+
+    def test_separated_minima_equal_loop(self):
+        doc = _bundled("mu_square_atomic")
+        body = geom.body_from_json(doc["body"])
+        ev = metrics.ExcessEvaluator(body, dn.distribution_from_json(doc["distribution"]))
+        rng = np.random.default_rng(3307)
+        m = metrics.MuConfig().coarse_samples
+        cases = []
+        # the square's facets give long plateaus of equal coarse values
+        for eps in (doc["eps_grid"]["start"], doc["eps_grid"]["stop"]):
+            path = geom.boundary_path(body, eps)
+            s_grid = (np.arange(m) + 0.5) * (path.total / m)
+            cases.append((ev.batch(path.point_at(s_grid)), s_grid, path.total))
+        for k in range(20):
+            period = rng.uniform(0.5, 20.0)
+            s_grid = (np.arange(m) + 0.5) * (period / m)
+            vals = rng.random(m)
+            cases.append((np.round(vals, 2) if k % 2 else vals, s_grid, period))
+        for vals, s_grid, period in cases:
+            for count in (1, 5, 16, 40):
+                got = metrics._separated_minima(vals, s_grid, period, count)
+                assert got == separated_minima_loop(vals, s_grid, period, count)
+                assert all(type(s) is float for s, in got)
 
 
 class TestMuScaling:

@@ -51,10 +51,17 @@ def _parse_common(cfg: dict, args):
 
 
 def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
+    """--threads, else HYPERCELL_THREADS, else 1; a value below 1 is refused."""
     env = os.environ.get("HYPERCELL_THREADS")
-    return max(1, int(env)) if env else 1
+    if args.threads is not None:
+        threads, source = args.threads, "--threads"
+    elif env:
+        threads, source = int(env), "HYPERCELL_THREADS"
+    else:
+        return 1
+    if threads < 1:
+        raise ConfigError(f"{source} must be at least 1, got {threads}")
+    return threads
 
 
 def _out_path(args, name: str) -> str:
@@ -217,17 +224,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     # each subcommand registers only the flags it reads
-    for name, fn, builds_cells in (
-        ("rate", _cmd_rate, True),
-        ("tail", _cmd_tail, True),
-        ("counterexample", _cmd_counterexample, True),
-        ("mu-curve", _cmd_mu_curve, False),
+    for name, fn, plots, builds_cells in (
+        ("rate", _cmd_rate, True, True),
+        ("tail", _cmd_tail, True, True),
+        ("counterexample", _cmd_counterexample, False, True),
+        ("mu-curve", _cmd_mu_curve, True, False),
     ):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--plot", action="store_true", help="emit an SVG plot")
+        if plots:
+            p.add_argument("--plot", action="store_true", help="emit an SVG plot")
         if builds_cells:
             p.add_argument("--threads", type=int, default=None, help="worker processes (default HYPERCELL_THREADS or 1)")
             p.add_argument(

@@ -153,7 +153,7 @@ class CounterexampleConfig:
             raise ConfigError("counterexample n_grid values must be integers")
         if self.n_grid[-1] < 2:
             raise ConfigError("counterexample n_grid must reach n >= 2")
-        if not isinstance(self.body, (geom.Ball, geom.BallSum)):
+        if not self.body.radius > 0:
             raise ConfigError(
                 "counterexample body must carry a rolling ball (Ball or BallSum)"
             )
@@ -271,18 +271,20 @@ def _coupled_rep(args) -> list[tuple[RunRecord, bool | None]]:
 def _run_reps(cfg, grid, dist, y_points, threads: int) -> list[tuple[RunRecord, bool | None]]:
     """Rows of every replication along the grid, sorted by (rep, n).
 
-    With threads > 1 the replications run in a process pool, imported
-    only then: a serial run never loads `multiprocessing`.
+    With threads > 1 the replications run in a pool of at most one
+    process per replication, imported only then: a serial run never
+    loads `multiprocessing`.
     """
     tasks = [(cfg, grid, rep, dist, y_points) for rep in range(cfg.reps)]
-    if threads <= 1:
+    workers = min(threads, len(tasks))
+    if workers <= 1:
         chunks = [_coupled_rep(t) for t in tasks]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(
-                pool.map(_coupled_rep, tasks, chunksize=max(1, len(tasks) // (4 * threads)))
+                pool.map(_coupled_rep, tasks, chunksize=max(1, len(tasks) // (4 * workers)))
             )
     rows = [row for chunk in chunks for row in chunk]
     rows.sort(key=lambda row: (row[0].rep, row[0].n))
@@ -363,17 +365,12 @@ def _counterexample_distribution(cfg: CounterexampleConfig):
     """The starved law (or isotropic control) plus the probe points y_n."""
     body = cfg.body
     r = body.radius
-    if isinstance(body, geom.Ball):
-        axis = np.zeros(body.dim)
-        axis[0] = 1.0
-        x_touch = body.center + r * axis
-    else:
-        # outer normal in a vertex's normal cone: boundary point on an arc
-        hull = body.hull_vertices if body.dim == 2 else body.vertices
-        v = hull[int(np.argmax(np.linalg.norm(hull, axis=1)))]
-        nv = np.linalg.norm(v)
-        axis = v / nv if nv > 0 else np.eye(body.dim)[0]
-        x_touch = v + r * axis
+    # outer normal in a vertex's normal cone: boundary point on an arc (e_1 at a point core)
+    hull = body.hull_vertices if body.dim == 2 else body.vertices
+    v = hull[int(np.argmax(np.linalg.norm(hull, axis=1)))]
+    nv = np.linalg.norm(v)
+    axis = v / nv if nv > 0 else np.eye(body.dim)[0]
+    x_touch = v + r * axis
     n_max = int(max(cfg.n_grid))
     if cfg.control:
         dist = dn.Isotropic(body.dim)

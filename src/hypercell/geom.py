@@ -1,12 +1,16 @@
 """Convex bodies with closed-form support functions.
 
-Three body classes are supported: polytopes given by vertices, Euclidean
-balls, and Minkowski sums polytope + ball (`BallSum`).  The family is
-closed under outer parallel sets (h(K + rB, u) = h(K, u) + r, which is
-how `process.sample_annulus` bounds an annulus by two distances from K),
+One body model: every body is K = conv(V) + rB, a polytope core plus a
+ball of radius r >= 0.  `Polytope` has r = 0, `Ball` has the point core
+{0}, and `BallSum` has any core (polytope, segment or point) and r > 0;
+each carries its core `vertices` and `radius`, and a planar one its
+core's CCW hull `hull_vertices`.  The family is closed under outer
+parallel sets (h(K + rB, u) = h(K, u) + r, which is how
+`process.sample_annulus` bounds an annulus by two distances from K),
 every member has an exactly evaluable support function, and the
 boundary of a planar member decomposes into arcs and segments, which
-the rest of the package leans on heavily.
+the rest of the package leans on heavily.  Code that needs the shape
+reads (V, r), never the class.
 
 Constructors translate each body so the vertex centroid (or ball center)
 sits at the origin; all downstream code assumes an interior origin.
@@ -15,7 +19,8 @@ d = 2 and 3 only (`UnsupportedBody` beyond).  Distances and projections
 to a polytope core go through one kernel, `_kernels.polygon_project`,
 which returns the distance and the nearest point together: in the plane
 on the core polygon itself, in R^3 on each planar face of the core in
-the face's own 2-d frame (`_Faces`).
+the face's own 2-d frame (`_Faces`).  A ball keeps its closed forms
+h = r and dist = max(0, |x| - r).
 """
 from __future__ import annotations
 
@@ -82,33 +87,52 @@ def _dedupe_rows(arr: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 
 
 class _BodyBase:
-    """Shared caching body interface; see module docstring for the family."""
+    """The one body model: conv(`vertices`) + `radius` B about an interior origin.
+
+    `radius` is 0.0 for a `Polytope`; a `Ball`'s core is its centre, also
+    its planar `hull_vertices`.  `_project_core` gives each point's
+    distance to the core and its nearest core point; `project` steps
+    `radius` on from there.
+    """
 
     dim: int
+    radius: float
+    vertices: np.ndarray
 
     def support(self, u) -> float:
         return float(self.support_batch(np.asarray(u, dtype=np.float64)[None, :])[0])
 
-    # subclasses implement support_batch / distance_batch / diameter /
-    # circumradius / inradius_origin
+    # subclasses implement support_batch / distance_batch / _project_core /
+    # inradius_origin and set diameter / circumradius
 
     def distance(self, x) -> float:
         return float(self.distance_batch(np.asarray(x, dtype=np.float64)[None, :])[0])
 
 
-def _core_vertices(vertices, kind: str) -> np.ndarray:
-    """Distinct vertex rows recentred on their mean; d >= 4 is refused."""
-    V = np.atleast_2d(np.asarray(vertices, dtype=np.float64))
-    if V.shape[1] > 3:
-        raise UnsupportedBody(f"{kind} bodies are supported in d = 2 and 3 only, got d = {V.shape[1]}")
-    V = _dedupe_rows(V)
-    return V - V.mean(axis=0)
-
-
 class _CoreBody(_BodyBase):
-    """`Polytope` and `BallSum`: a body on the polytope core `vertices` of rank `_rank`."""
+    """`Polytope` and `BallSum`: a polytope core of rank `_rank`, d = 2 or 3."""
 
     _faces: _Faces | None = None
+    _inradius: float | None = None
+
+    def _init_core(self, vertices, kind: str, radius: float):
+        """Distinct vertices recentred on their mean, and the data every core body keeps."""
+        V = np.atleast_2d(np.asarray(vertices, dtype=np.float64))
+        if V.shape[1] < 2:
+            raise ValueError(f"{kind} vertices need dimension >= 2, got d = {V.shape[1]}")
+        if V.shape[1] > 3:
+            raise UnsupportedBody(f"{kind} bodies are supported in d = 2 and 3 only, got d = {V.shape[1]}")
+        V = _dedupe_rows(V)
+        V = self.vertices = V - V.mean(axis=0)
+        self.radius = radius
+        self.dim = V.shape[1]
+        self._rank = int(np.linalg.matrix_rank(V, tol=1e-12))
+        core_diam = float(np.sqrt(((V[:, None, :] - V[None, :, :]) ** 2).sum(-1).max()))
+        self.diameter = core_diam + 2.0 * radius
+        self.circumradius = float(np.linalg.norm(V, axis=1).max()) + radius
+        if self.dim == 2:
+            self._hull = _kernels.convex_hull_2d(V)
+            self.hull_vertices = V[self._hull]
 
     def _face_data(self) -> _Faces:
         if self._faces is None:
@@ -121,60 +145,33 @@ class _CoreBody(_BodyBase):
             return _kernels.polygon_project(self.hull_vertices, X)
         return self._face_data().project(X)
 
-
-class Polytope(_CoreBody):
-    """Convex hull of finitely many points with nonempty interior, d = 2 or 3.
-
-    Vertices are deduplicated and recentred on their mean.  For d = 2 the
-    hull is ordered counterclockwise and edge data is cached; for d = 3
-    facet and face data is computed lazily from the hull.
-    """
-
-    def __init__(self, vertices):
-        V = _core_vertices(vertices, "polytope")
-        if V.shape[0] < 2 or V.shape[1] < 2:
-            raise ValueError("polytope needs at least d+1 vertices in dimension >= 2")
-        d = V.shape[1]
-        if V.shape[0] < d + 1 or np.linalg.matrix_rank(V, tol=1e-12) < d:
-            raise ValueError("polytope vertices must affinely span R^d")
-        self.vertices = V
-        self.dim = d
-        self._rank = d
-        self.diameter = float(
-            np.sqrt(((V[:, None, :] - V[None, :, :]) ** 2).sum(-1).max())
-        )
-        self.circumradius = float(np.linalg.norm(V, axis=1).max())
-        if d == 2:
-            self._init_polygon()
-
-    def _init_polygon(self):
-        hull = _kernels.convex_hull_2d(self.vertices)
-        self.hull_vertices = self.vertices[hull]
-        a = self.hull_vertices
-        b = np.roll(a, -1, axis=0)
-        e = b - a
-        lengths = np.linalg.norm(e, axis=1)
-        normals = np.column_stack([e[:, 1], -e[:, 0]]) / lengths[:, None]
-        self.edge_normals = normals
-        self.edge_lengths = lengths
-        self.edge_offsets = np.einsum("ij,ij->i", a, normals)
-
     @property
     def facets(self):
-        """List of (normal, offset, area, vertex index array); lazy for d = 3."""
-        if self.dim == 2:
-            hull_idx = _kernels.convex_hull_2d(self.vertices)
-            m = len(hull_idx)
-            return [
-                (
-                    self.edge_normals[i],
-                    float(self.edge_offsets[i]),
-                    float(self.edge_lengths[i]),
-                    np.array([hull_idx[i], hull_idx[(i + 1) % m]]),
-                )
-                for i in range(m)
-            ]
-        return self._face_data().facets
+        """(outward normal, offset, area, vertex indices) of each facet of a full-dimensional core.
+
+        Planar facets are the hull edges (`_polygon_edges`); in R^3 they
+        come from qhull on first use.
+        """
+        if self.dim == 3:
+            return self._face_data().facets
+        ids = np.column_stack([self._hull, np.roll(self._hull, -1)])
+        return [(n, float(a @ n), ln, i) for (a, _, n, ln), i in zip(_polygon_edges(self.hull_vertices), ids)]
+
+    def inradius_origin(self) -> float:
+        # a lower-dimensional core has no interior, so only the ball is inscribed
+        if self._inradius is None:
+            core = min(off for _, off, _, _ in self.facets) if self._rank == self.dim else 0.0
+            self._inradius = core + self.radius
+        return self._inradius
+
+
+class Polytope(_CoreBody):
+    """Convex hull of finitely many points with nonempty interior, d = 2 or 3; radius 0."""
+
+    def __init__(self, vertices):
+        self._init_core(vertices, "polytope", 0.0)
+        if self._rank < self.dim:
+            raise ValueError("polytope vertices must affinely span R^d")
 
     def support_batch(self, U: np.ndarray) -> np.ndarray:
         return (U @ self.vertices.T).max(axis=1)
@@ -182,14 +179,9 @@ class Polytope(_CoreBody):
     def distance_batch(self, X: np.ndarray) -> np.ndarray:
         return self._project_core(X)[0]
 
-    def inradius_origin(self) -> float:
-        if self.dim == 2:
-            return float(self.edge_offsets.min())
-        return min(off for _, off, _, _ in self.facets)
-
 
 class Ball(_BodyBase):
-    """Euclidean ball; the constructor recentres it on the origin."""
+    """Euclidean ball in any dimension d >= 2: a point core at the origin plus radius B."""
 
     def __init__(self, center, radius: float):
         c = np.asarray(center, dtype=np.float64)
@@ -198,10 +190,13 @@ class Ball(_BodyBase):
         if radius <= 0:
             raise ValueError(f"ball radius must be positive, got {radius}")
         self.center = np.zeros_like(c)
+        self.vertices = self.center[None, :]
         self.radius = float(radius)
         self.dim = c.shape[0]
         self.diameter = 2.0 * self.radius
         self.circumradius = self.radius
+        if self.dim == 2:
+            self.hull_vertices = self.vertices
 
     # the centre is the origin, so h(B, u) = r and dist(x, B) = max(0, |x| - r)
     def support_batch(self, U: np.ndarray) -> np.ndarray:
@@ -209,6 +204,9 @@ class Ball(_BodyBase):
 
     def distance_batch(self, X: np.ndarray) -> np.ndarray:
         return np.maximum(0.0, np.linalg.norm(X, axis=1) - self.radius)
+
+    def _project_core(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return np.linalg.norm(X, axis=1), np.zeros_like(X)
 
     def inradius_origin(self) -> float:
         # still reads the centre, on Python floats: the samplers refuse a
@@ -220,39 +218,19 @@ class BallSum(_CoreBody):
     """Minkowski sum of a (possibly lower-dimensional) polytope and a ball, d = 2 or 3.
 
     Realizes bodies in which a ball of the given radius slides freely.
-    The polytope part may degenerate to a segment or point, so it is kept
-    as a raw vertex array rather than a `Polytope`.
+    The core may degenerate to a segment or a point.
     """
 
     def __init__(self, vertices, radius: float):
         if radius <= 0:
             raise ValueError(f"ballsum radius must be positive, got {radius}")
-        V = _core_vertices(vertices, "ballsum")
-        self.vertices = V
-        self.radius = float(radius)
-        self.dim = V.shape[1]
-        core_diam = float(np.sqrt(((V[:, None, :] - V[None, :, :]) ** 2).sum(-1).max())) if len(V) > 1 else 0.0
-        self.diameter = core_diam + 2.0 * self.radius
-        self.circumradius = float(np.linalg.norm(V, axis=1).max()) + self.radius
-        self._rank = int(np.linalg.matrix_rank(V, tol=1e-12)) if len(V) > 1 else 0
-        if self.dim == 2:
-            hull = _kernels.convex_hull_2d(V)
-            self.hull_vertices = V[hull]
-        core_inradius = 0.0
-        if self._rank == self.dim == 2:
-            core_inradius = Polytope(V).inradius_origin()
-        elif self._rank == self.dim:
-            core_inradius = min(off for _, off, _, _ in self._face_data().facets)
-        self._inradius_origin = core_inradius + self.radius
+        self._init_core(vertices, "ballsum", float(radius))
 
     def support_batch(self, U: np.ndarray) -> np.ndarray:
         return (U @ self.vertices.T).max(axis=1) + self.radius
 
     def distance_batch(self, X: np.ndarray) -> np.ndarray:
         return np.maximum(0.0, self._project_core(X)[0] - self.radius)
-
-    def inradius_origin(self) -> float:
-        return self._inradius_origin
 
 
 Body = Polytope | Ball | BallSum
@@ -382,10 +360,8 @@ def _polygon_edges(hull: np.ndarray):
 def kink_angles(body: Body) -> np.ndarray:
     """Angles of a planar body's outward edge normals, where its support function kinks.
 
-    Empty for a ball and for a point core.
+    Empty for a point core (a ball).
     """
-    if isinstance(body, Ball):
-        return np.empty(0)
     hull = body.hull_vertices
     if len(hull) < 2:
         return np.empty(0)
@@ -419,19 +395,23 @@ class SurfaceMeasure:
 
 
 def surface_measure(body: Body) -> SurfaceMeasure:
-    """Surface area measure: facet atoms and/or a constant spherical density."""
-    if isinstance(body, Ball):
-        return SurfaceMeasure(atoms=[], sphere_density=body.radius ** (body.dim - 1), dim=body.dim)
-    if isinstance(body, Polytope):
-        atoms = [(n.copy(), float(area)) for n, _, area, _ in body.facets]
-        return SurfaceMeasure(atoms=atoms, sphere_density=0.0, dim=body.dim)
-    if isinstance(body, BallSum):
-        if body.dim != 2:
-            raise UnsupportedBody("surface measure of polytope+ball sums is only available in d = 2")
+    """Surface area measure of conv(V) + rB: the core's facet atoms and the density r^(d-1).
+
+    Planar atoms are the core's hull edges (a segment counts both sides,
+    a point none).  In R^3 a ball over a segment or polytope core also
+    carries mass on the normal arcs of its edges, which neither part
+    holds, so it is refused.
+    """
+    if body.dim == 2:
         hull = body.hull_vertices
         atoms = [] if len(hull) == 1 else [(n.copy(), ln) for _, _, n, ln in _polygon_edges(hull)]
-        return SurfaceMeasure(atoms=atoms, sphere_density=body.radius, dim=2)
-    raise TypeError(f"not a body: {body!r}")
+    elif not body.radius:
+        atoms = [(n.copy(), float(area)) for n, _, area, _ in body.facets]
+    elif len(body.vertices) == 1:
+        atoms = []
+    else:
+        raise UnsupportedBody("surface measure of polytope+ball sums is only available in d = 2")
+    return SurfaceMeasure(atoms=atoms, sphere_density=body.radius ** (body.dim - 1), dim=body.dim)
 
 
 def hausdorff_containing(body: Body, vertices, certificate=None) -> float:
@@ -457,15 +437,9 @@ def hausdorff_containing(body: Body, vertices, certificate=None) -> float:
 def project(body: Body, X) -> tuple[np.ndarray, np.ndarray]:
     """Distance from each row of X to the body, and the nearest body point (the row itself inside)."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if isinstance(body, Ball):
-        P = np.broadcast_to(body.center, X.shape)
-        d = np.linalg.norm(X - P, axis=1)
-    elif isinstance(body, (Polytope, BallSum)):
-        d, P = body._project_core(X)
-        if isinstance(body, Polytope):
-            return d, P
-    else:
-        raise TypeError(f"not a body: {body!r}")
+    d, P = body._project_core(X)
+    if not body.radius:
+        return d, P
     # body = core + rB: from the nearest core point p, step r along x - p
     out = d > body.radius
     nearest = X.copy()
@@ -497,22 +471,15 @@ class BoundaryPath2D:
 
     The boundary of K + R*B splits into straight edge translates and
     circular arcs around hull vertices; `point_at` maps arclength values
-    in [0, total) to boundary points.  Exact for all three body classes.
+    in [0, total) to boundary points.  Exact for every body: with
+    body = conv(V) + rB the arcs have radius r + offset.
     """
 
     def __init__(self, body: Body, offset: float):
         if body.dim != 2:
             raise ValueError("boundary path is only defined for planar bodies")
-        if isinstance(body, Ball):
-            core = body.center[None, :]
-            radius = body.radius + offset
-        elif isinstance(body, Polytope):
-            core = body.hull_vertices
-            radius = offset
-        else:
-            core = body.hull_vertices
-            radius = body.radius + offset
-        self.radius = radius
+        core = body.hull_vertices
+        radius = self.radius = body.radius + offset
         pieces = []  # (kind, length, data)
         m = len(core)
         if m == 1:

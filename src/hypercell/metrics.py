@@ -152,7 +152,6 @@ class ExcessEvaluator:
             for _, comp in self._parts
         ]
         if self.dim == 2:
-            self._core, self._radius = _planar_core(body)
             kinks = geom.kink_angles(body)
             # per continuous component: its density (None if uniform) and split angles
             self._panels = [
@@ -174,13 +173,14 @@ class ExcessEvaluator:
         intersection is [max(c - w), min(c + w)]; it is empty or reversed
         exactly when y lies in the body.
         """
-        D = Y[:, None, :] - self._core[None, :, :]
+        r = self.body.radius
+        D = Y[:, None, :] - self.body.hull_vertices[None, :, :]
         rho = np.hypot(D[..., 0], D[..., 1])
         c = np.arctan2(D[..., 1], D[..., 0])
         ref = c[:, 0].copy()
         c -= ref[:, None]
         c -= _TWO_PI * np.round(c / _TWO_PI)
-        w = np.arccos(np.divide(self._radius, rho, out=np.ones_like(rho), where=rho > self._radius))
+        w = np.arccos(np.divide(r, rho, out=np.ones_like(rho), where=rho > r))
         lo = (c - w).max(axis=1)
         hi = (c + w).min(axis=1)
         rows = np.flatnonzero(lo < hi)
@@ -188,15 +188,15 @@ class ExcessEvaluator:
 
     def _core_support(self, cos: np.ndarray, sin: np.ndarray):
         """h(body, u) at u = (cos, sin), one entry at a time, from body = conv(V) + rB."""
-        V = self._core
-        if len(V) == 1 and not V.any():  # bodies are recentred, so a ball's core is the origin
-            return self._radius
+        V, r = self.body.hull_vertices, self.body.radius
+        if len(V) == 1 and not V.any():  # bodies are recentred, so a point core is the origin
+            return r
         h = None
         for vx, vy in V.tolist():
             t = cos * vx
             t += sin * vy
             h = t if h is None else np.maximum(h, t, out=h)
-        h += self._radius
+        h += r
         return h
 
     def _arc_quadrature(self, Y: np.ndarray, arcs, density, breaks: np.ndarray) -> np.ndarray:
@@ -261,15 +261,6 @@ def _row_blocks(owner: np.ndarray):
             j = max(int(np.searchsorted(owner, owner[j])), int(np.searchsorted(owner, owner[i], "right")))
         yield slice(i, j)
         i = j
-
-
-def _planar_core(body) -> tuple[np.ndarray, float]:
-    """(V, r) with body = conv(V) + rB, V the hull vertices (a ball's centre)."""
-    if isinstance(body, geom.Ball):
-        return body.center[None, :], body.radius
-    if isinstance(body, geom.BallSum):
-        return body.hull_vertices, body.radius
-    return body.hull_vertices, 0.0
 
 
 def excess(body, dist, y) -> float:

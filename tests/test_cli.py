@@ -262,9 +262,22 @@ class TestOtherCommands:
     def test_unread_flags_refused(self, cfg_path, capsys):
         assert dispatch(["validate", "--threads", "2"]) == 2
         assert dispatch(["mu-curve", "--config", cfg_path, "--debug-oracle"]) == 2
+        assert dispatch(["counterexample", "--config", cfg_path, "--plot"]) == 2
         err = capsys.readouterr().err
         assert "unrecognized arguments: --threads 2" in err
         assert "unrecognized arguments: --debug-oracle" in err
+        assert "unrecognized arguments: --plot" in err
+
+    @pytest.mark.parametrize("flag, env", [("0", None), ("-3", None), (None, "0")])
+    def test_threads_below_one_refused(self, cfg_path, tmp_path, monkeypatch, capsys, flag, env):
+        monkeypatch.delenv("HYPERCELL_THREADS", raising=False)
+        if env is not None:
+            monkeypatch.setenv("HYPERCELL_THREADS", env)
+        argv = ["rate", "--config", cfg_path, "--out", str(tmp_path / "out")]
+        assert dispatch(argv + (["--threads", flag] if flag is not None else [])) == 2
+        source = "--threads" if flag is not None else "HYPERCELL_THREADS"
+        assert f"ConfigError: {source} must be at least 1, got {flag or env}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_validate_passes(capsys):

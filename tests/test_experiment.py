@@ -75,6 +75,32 @@ class TestRunRate:
         parallel = ex.run_rate(small_rate_cfg, threads=2)
         assert serial.records == parallel.records
 
+    def test_pool_has_at_most_one_worker_per_rep(self, ball, iso, monkeypatch):
+        # a stub executor records the pool size and maps in this process
+        import concurrent.futures
+
+        started = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        for reps, threads, pools in ((3, 64, [3]), (3, 2, [2]), (1, 4, [])):
+            cfg = ex.RateRunConfig(ball, iso, [8, 16], reps=reps, seed=7)
+            started.clear()
+            assert ex.run_rate(cfg, threads=threads).records == ex.run_rate(cfg).records
+            assert started == pools
+
     def test_overflow_reps_excluded_with_count(self, ball, iso):
         from hypercell.cell import WindowPolicy
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypercell import _kernels, geom
+from hypercell import _kernels, geom, metrics
+from hypercell import direction as dn
 from hypercell.errors import ContainmentViolated, UnsupportedBody
 
 from oracles import (
@@ -119,7 +120,7 @@ class TestDistance:
                 d_ref, p_ref = wolfe_project_loop(V, x)
                 assert abs(dx - d_ref) <= 1e-12
                 assert np.abs(px - p_ref).max() <= 1e-12
-            core = d if isinstance(body, geom.Polytope) else np.maximum(0.0, d - body.radius)
+            core = np.maximum(0.0, d - body.radius)
             assert np.array_equal(body.distance_batch(X), core)
             assert np.abs(geom.project(body, X)[0] - core).max() <= 1e-12
 
@@ -140,7 +141,7 @@ class TestDistance:
                 d_loop, p_loop = polygon_project_loop(body.hull_vertices, x)
                 assert abs(dx - d_loop) <= 1e-12 * (1.0 + d_loop)
                 assert np.abs(px - p_loop).max() <= 1e-12 * (1.0 + np.abs(p_loop).max())
-            core = d if isinstance(body, geom.Polytope) else np.maximum(0.0, d - body.radius)
+            core = np.maximum(0.0, d - body.radius)
             assert np.array_equal(body.distance_batch(X), core)
             assert np.array_equal(geom.project(body, X)[0], core)
 
@@ -261,7 +262,7 @@ class TestHausdorffContaining:
         assert geom.hausdorff_containing(square, verts) == pytest.approx(math.sqrt(2))
 
     def test_ball_in_square(self, ball, square):
-        cert = list(zip(square.edge_normals, square.edge_offsets))
+        cert = [(n, off) for n, off, _, _ in square.facets]
         got = geom.hausdorff_containing(ball, square.vertices, certificate=cert)
         assert got == pytest.approx(math.sqrt(2) - 1, abs=1e-12)
 
@@ -321,13 +322,53 @@ class TestParallelBodies:
     def test_ballsum_inradius_equals_core_plus_radius(self, cube, rng):
         # a full-dimensional core adds its own inradius; a lower-dimensional
         # one (segment, point) leaves the radius alone
-        full = [geom.BallSum(rng.standard_normal((6, 2)), 0.4) for _ in range(5)]
-        full += [geom.BallSum(cube.vertices, 0.25), geom.BallSum([[-1, -1], [1, -1], [0, 1]], 0.3)]
-        for body in full:
-            assert body.inradius_origin() == geom.Polytope(body.vertices).inradius_origin() + body.radius
+        # one input builds both: recentring the recentred vertices again can move their last bit
+        cores = [rng.standard_normal((6, 2)) for _ in range(5)] + [cube.vertices, [[-1, -1], [1, -1], [0, 1]]]
+        for core, r in zip(cores, [0.4] * 5 + [0.25, 0.3]):
+            assert geom.BallSum(core, r).inradius_origin() == geom.Polytope(core).inradius_origin() + r
         for core in ([[-1, 0], [1, 0]], [[0.0, 0.0]], [[0, 0, 0], [1, 0, 0], [0, 1, 0]]):
             body = geom.BallSum(core, 0.7)
             assert body.inradius_origin() == 0.7
+
+
+class TestOneBodyModel:
+    """A ball is the body conv({0}) + rB: `Ball` and a point-core `BallSum` agree."""
+
+    def test_ball_equals_point_core_ballsum(self, rng):
+        laws = [dn.Isotropic(2), dn.Atomic.symmetrized([[1, 0], [0.6, 0.8]], [0.5, 0.5]),
+                dn.Mixture([(0.5, dn.DensityOnSphere(lambda U: 1 + 0.5 * U[:, 0] ** 2, 1.5, 2)),
+                            (0.5, dn.Isotropic(2))])]
+        for r in (0.3, 1.0, 2.5):
+            ball, point = geom.Ball([0, 0], r), geom.BallSum([[0.0, 0.0]], r)
+            U = rng.standard_normal((200, 2))
+            U /= np.linalg.norm(U, axis=1, keepdims=True)
+            # the same bits in the plane, where both run on (hull_vertices, radius)
+            assert np.array_equal(ball.support_batch(U), point.support_batch(U))
+            s = rng.uniform(0.0, 20.0, 500)
+            assert np.array_equal(geom.boundary_path(ball, 0.2).point_at(s), geom.boundary_path(point, 0.2).point_at(s))
+            assert len(geom.kink_angles(ball)) == len(geom.kink_angles(point)) == 0
+            for sm in (geom.surface_measure(ball), geom.surface_measure(point)):
+                assert sm.atoms == [] and sm.sphere_density == r
+            Y = rng.uniform(-2 * r - 1, 2 * r + 1, (300, 2))
+            for law in laws:
+                assert np.array_equal(metrics.ExcessEvaluator(ball, law).batch(Y),
+                                      metrics.ExcessEvaluator(point, law).batch(Y))
+            a, b = metrics.mu_estimate(ball, laws[0], 0.1), metrics.mu_estimate(point, laws[0], 0.1)
+            assert (a.value, a.evaluations, a.refinement_gap) == (b.value, b.evaluations, b.refinement_gap)
+            assert np.array_equal(a.argmin_point, b.argmin_point)
+
+    def test_ball_distances_within_rounding_of_point_core(self, rng):
+        # the ball's norm and the core kernel's hypot round differently
+        for d in (2, 3):
+            ball, point = geom.Ball(np.zeros(d), 1.0), geom.BallSum([[0.0] * d], 1.0)
+            U = rng.standard_normal((300, d))
+            U /= np.linalg.norm(U, axis=1, keepdims=True)
+            outside = rng.uniform(1.5, 3.0, (300, 1)) * U
+            X = np.vstack([rng.uniform(-3, 3, (300, d)), outside])
+            assert np.abs(ball.distance_batch(X) - point.distance_batch(X)).max() <= 1e-15
+            for got, want in zip(geom.project(ball, X), geom.project(point, X)):
+                assert np.abs(got - want).max() <= 1e-15
+            assert np.abs(geom.retract(ball, outside, 0.2) - geom.retract(point, outside, 0.2)).max() <= 1e-15
 
 
 class TestSerialization:
@@ -347,6 +388,12 @@ class TestSerialization:
     def test_degenerate_polytope_rejected(self):
         with pytest.raises(ValueError):
             geom.Polytope([[0, 0], [1, 1], [2, 2]])
+
+    def test_cores_below_2d_refused(self):
+        for make in (geom.Polytope, lambda V: geom.BallSum(V, 0.5)):
+            for V in ([[0.0]], [[0.0], [1.0]], []):
+                with pytest.raises(ValueError, match="dimension >= 2"):
+                    make(V)
 
     def test_polytope_bodies_beyond_3d_refused(self):
         simplex = np.vstack([np.zeros(4), np.eye(4)])

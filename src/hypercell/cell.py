@@ -44,10 +44,17 @@ and that edge lies on d-1 planes through the cut vertex (the adjacency
 step of the double description method: Motzkin, Raiffa, Thompson &
 Thrall 1953; Fukuda & Prodon 1996).  So each halfspace that cuts a
 current vertex is solved together with the (d-1)-subsets of the planes
-incident to a cut vertex, all in one stacked `np.linalg.solve`; subsets
-holding both box planes +e_j and -e_j are dropped first, since they are
-exactly singular, and an insertion whose stack still meets an exactly
-singular system solves its subsets one at a time.  Window rings inside
+incident to a cut vertex, all in one stacked `np.linalg.solve`.  The
+subsets are listed from each cut vertex's incidence row: a simple vertex,
+on exactly d planes, gives its d subsets by one fixed index pattern, all
+such vertices at once, a degenerate vertex its own combinations, and one
+sort of integer keys drops repeats and restores `itertools.combinations`
+order.  So an insertion costs by its cut vertices, not by the planes of
+the cell.  Subsets holding both box planes +e_j and -e_j are dropped
+first, since they are exactly singular, and an insertion whose stack
+still meets an exactly singular system solves its subsets one at a time.
+The final merge of nearly equal vertices compares only the vertices the
+insertions added: those of a given start cell already lie apart.  Window rings inside
 the box and intensity bands insert their cutting halfspaces into the
 current cell: d >= 3 starts from its vertices, the planar path computes
 its dual hull again from the active constraints and the new ones.
@@ -57,6 +64,7 @@ dimension, is checked against it.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -74,6 +82,7 @@ FEAS_TOL = 1e-9
 MERGE_TOL = 1e-9  # vertices closer than MERGE_TOL * (1 + |v|) are one vertex
 SOLVE_RESIDUAL_TOL = 1e-7
 ORACLE_CHUNK = 2048  # d-subsets per stacked solve in the brute-force oracle
+_KEY_BITS = 63  # bits of a nonnegative int64 key; wider plane subsets sort as rows
 # a build for window round r uses the axis box of round r + _LOOK_AHEAD, so the next
 # rings go into the current cell; a 3-d unit ball at intensity 8 certifies in 2 or
 # 3 rounds (129 and 71 of 200 cells), all within the first box
@@ -211,17 +220,25 @@ def halfspace_intersection(
     and each insertion that cuts a vertex solves, in one stacked solve,
     the (d-1)-subsets of the planes through a cut vertex (its defining
     planes and those with slack at most FEAS_TOL (1 + |t|), t the
-    plane's offset), in `itertools.combinations` order.  Subsets holding a box pair
+    plane's offset), in `itertools.combinations` order.  They are listed
+    per cut vertex, from its row of incident planes: d planes give the
+    d subsets of one fixed pattern, more give their own combinations,
+    and one sort-unique of integer keys orders them, so the cost of an
+    insertion grows with its cut vertices, not with the planes of the
+    cell.  Subsets holding a box pair
     +e_j, -e_j are screened out beforehand; if the stack still raises on
     an exactly singular system, that insertion solves its subsets one at
     a time.  Subsets whose solve fails or leaves a residual above
     SOLVE_RESIDUAL_TOL are skipped.  Box normals must be
-    [e_1, ..., e_d, -e_1, ..., -e_d] for d >= 3.
+    [e_1, ..., e_d, -e_1, ..., -e_d] for d >= 3, in this order, else
+    ValueError: the corner and box-pair plane ids depend on it.
 
     `start`, the intersection of the first `start.n_halfspaces`
-    halfspaces with the same box, lets d >= 3 begin from its vertices
-    instead of the box corners and insert only the remaining halfspaces.
-    The planar path computes the whole dual hull either way.
+    halfspaces with the same box, as this function returned it, lets
+    d >= 3 begin from its vertices instead of the box corners and insert
+    only the remaining halfspaces; its vertices lie pairwise apart, so
+    the final merge compares only the vertices added since.  The planar
+    path computes the whole dual hull either way.
     """
     U = np.atleast_2d(np.asarray(normals, dtype=np.float64))
     T = np.asarray(offsets, dtype=np.float64)
@@ -234,6 +251,8 @@ def halfspace_intersection(
     d = BU.shape[1]
     if d == 2:
         return _intersect_dual_2d(U, T, BU, BT)
+    if not np.array_equal(BU, _box_normals(d)):
+        raise ValueError("box normals must be [e_1, ..., e_d, -e_1, ..., -e_d] for d >= 3")
     return _intersect_incremental(U, T, BU, BT, start)
 
 
@@ -301,24 +320,24 @@ def _intersect_incremental(U, T, BU, BT, start: Intersection | None = None) -> I
     n = len(T)
     A = np.vstack([U, BU])
     b = np.concatenate([T, BT])
+    touch = FEAS_TOL * (1.0 + np.abs(b))  # the slack within which a plane passes through a vertex
     if start is None:
-        # start from the box corners: plane n + j is +e_j, n + d + j is -e_j,
-        # and the corners run from (-1, ..., -1) to (1, ..., 1) in product order
-        corners = n + np.arange(d) + d * np.array(list(itertools.product((1, 0), repeat=d)))
+        corners = n + _corner_planes(d)
         X, ok = _solve_subsets(A, b, corners)
-        V, D, n_old = X[ok], corners[ok], 0
+        V, D, n_old, apart = X[ok], corners[ok], 0, 0
     else:
-        # the box plane ids of the given cell follow the new constraint count
+        # the box plane ids of the given cell follow the new constraint count;
+        # its vertices, a result of this function, lie pairwise apart
         n_old = start.n_halfspaces
         V, D = start.vertices, start.defining + (n - n_old) * (start.defining >= n_old)
+        apart = len(V)
     # a later exact copy of a halfspace adds nothing; inserted, a vertex it
     # cuts by rounding would come back with points solved from both copies
-    copy = np.ones(n, dtype=bool)
-    copy[np.unique(np.column_stack([U, T]), axis=0, return_index=True)[1]] = False
+    copy = _exact_copies(np.column_stack([U, T]))
     # the planes of the current cell: the start's, the box's, and each one inserted
     present = np.concatenate([~copy[:n_old], np.zeros(n - n_old, dtype=bool), np.ones(2 * d, dtype=bool)])
     order = n_old + np.argsort(T[n_old:])
-    for i in order[~copy[order]]:
+    for i in order[~copy[order]].tolist():
         u, t = A[i], b[i]
         viol = V @ u > t
         if not viol.any():
@@ -328,44 +347,102 @@ def _intersect_incremental(U, T, BU, BT, start: Intersection | None = None) -> I
         # row names, and any other plane of the cell with slack at most
         # FEAS_TOL (1 + |t|) there, since where more than d planes meet
         # `defining` names only d of them
-        cur = np.flatnonzero(present)
-        inc = b[cur] - V[viol] @ A[cur].T <= FEAS_TOL * (1.0 + np.abs(b[cur]))
-        inc[np.arange(len(inc))[:, None], np.searchsorted(cur, D[viol])] = True
-        idx = cur[_shared_subsets(inc, d - 1)]
-        idx = idx[~_holds_box_pair(idx, n, d)]
-        idx = np.column_stack([np.full(len(idx), i), idx])
+        cur = present.nonzero()[0]
+        A_cur, b_cur, cut = A[cur].T, b[cur], V[viol]
+        inc = b_cur - cut @ A_cur <= touch[cur]
+        inc[np.arange(len(cut))[:, None], cur.searchsorted(D[viol])] = True
+        sub = _vertex_subsets(inc, d - 1)
+        # box planes are the last 2d columns; only a vertex on both +e_j and
+        # -e_j lists a subset that holds both
+        if (inc[:, -2 * d : -d] & inc[:, -d:]).any():
+            sub = sub[~_holds_box_pair(sub, len(cur) - 2 * d, d)]
+        idx = np.empty((len(sub), d), dtype=np.int64)
+        idx[:, 0] = i
+        idx[:, 1:] = cur[sub]
         X, ok = _solve_subsets(A, b, idx)
-        slack = b[cur] - X[ok] @ A[cur].T
+        slack = b_cur - X[ok] @ A_cur
         ok[ok] = (slack.min(axis=1) >= -FEAS_TOL * (1.0 + abs(t))) & (X[ok] @ u <= t + FEAS_TOL)
-        V = np.vstack([V[~viol], X[ok]])
-        D = np.vstack([D[~viol], idx[ok]])
+        if apart:  # the start's vertices stay in front
+            apart -= np.count_nonzero(viol[:apart])
+        kept = ~viol
+        V = np.concatenate([V[kept], X[ok]])
+        D = np.concatenate([D[kept], idx[ok]])
         present[i] = True
         if len(V) == 0:
             break
-    V, D = _dedupe_vertices(V, D)
+    V, D = _dedupe_after(V, D, apart)
     return Intersection(V, D, n)
 
 
-def _shared_subsets(inc: np.ndarray, k: int) -> np.ndarray:
+@functools.cache
+def _box_normals(d: int) -> np.ndarray:
+    return np.vstack([np.eye(d), -np.eye(d)])
+
+
+@functools.cache
+def _corner_planes(d: int) -> np.ndarray:
+    """Box plane ids, less the halfspace count, of the 2^d box corners.
+
+    Plane j is +e_j and d + j is -e_j; the corners run from (-1, ..., -1)
+    to (1, ..., 1) in product order.
+    """
+    return np.arange(d) + d * np.array(list(itertools.product((1, 0), repeat=d)))
+
+
+@functools.cache
+def _drop_one(k: int) -> np.ndarray:
+    """The (k-1)-subsets of range(k), in `itertools.combinations` order."""
+    return np.array(list(itertools.combinations(range(k), k - 1)), dtype=np.int64).reshape(k, k - 1)
+
+
+def _exact_copies(rows: np.ndarray) -> np.ndarray:
+    """Mask of the rows equal to an earlier row.
+
+    One stable `lexsort` puts equal rows next to each other in input
+    order, so an adjacent-row compare marks all but the first of each
+    group, the one `np.unique(rows, axis=0, return_index=True)` returns.
+    """
+    order = np.lexsort(rows.T[::-1])
+    srt = rows[order]
+    copy = np.zeros(len(rows), dtype=bool)
+    copy[order[1:][(srt[1:] == srt[:-1]).all(axis=1)]] = True
+    return copy
+
+
+def _vertex_subsets(inc: np.ndarray, k: int) -> np.ndarray:
     """The k-subsets of the columns of `inc` that hold True together in some row.
 
     Rows are vertices and columns planes, so these are the plane subsets
-    through a common vertex.  Each row of the result holds sorted column
-    ids, and the rows come in `itertools.combinations` order: a subset
-    grows by every larger column that shares a row with all its columns,
-    and `np.nonzero` lists the extensions row-major.  For k = 2 this is
-    `np.nonzero(np.triu(inc.T @ inc, 1))`.
+    through a common vertex, listed vertex by vertex.  A row with exactly
+    k + 1 True columns (a simple vertex) drops each of its sorted column
+    ids in turn, one fixed index pattern for all such rows at once; any
+    other row (a degenerate vertex) lists its own `itertools.combinations`.
+    Each subset becomes one integer key, its ids as fixed-width binary
+    digits, and one sort of the keys drops repeats and puts the subsets
+    in `itertools.combinations` order.  Returns them as rows of sorted ids.
     """
-    m = inc.shape[1]
-    on = inc.astype(np.float64)
-    idx = np.arange(m)[:, None]
-    share = on.T  # share[s, r]: row r holds every column of subset s
-    for step in range(k - 1):
-        if step:  # the subsets of the last step extend nothing, so they need no share
-            share = share[rows] * on.T[cols]
-        rows, cols = np.nonzero((share @ on > 0) & (np.arange(m) > idx[:, -1:]))
-        idx = np.column_stack([idx[rows], cols])
-    return idx
+    rows, cols = inc.nonzero()  # row-major, so each row's ids come sorted
+    count = np.bincount(rows, minlength=len(inc))
+    simple = count == k + 1
+    every = simple.all()
+    sub = (cols if every else cols[simple[rows]]).reshape(-1, k + 1)[:, _drop_one(k + 1)].reshape(-1, k)
+    if not every:
+        ends = np.cumsum(count)
+        more = [
+            c
+            for r in np.flatnonzero(~simple)
+            for c in itertools.combinations(cols[ends[r] - count[r] : ends[r]].tolist(), k)
+        ]
+        sub = np.concatenate([sub, np.array(more, dtype=np.int64).reshape(-1, k)])
+    bits = max(inc.shape[1] - 1, 1).bit_length()
+    if bits * k > _KEY_BITS:
+        return np.unique(sub, axis=0)
+    shifts = bits * np.arange(k - 1, -1, -1)  # the first id is the highest digit
+    keys = sub @ (1 << shifts)
+    keys.sort()
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return (keys[first, None] >> shifts) & ((1 << bits) - 1)
 
 
 def _holds_box_pair(idx: np.ndarray, n: int, d: int) -> np.ndarray:
@@ -400,7 +477,7 @@ def _solve_subsets(A: np.ndarray, b: np.ndarray, idx: np.ndarray):
                 X[k] = np.linalg.solve(M[k], r[k])
             except np.linalg.LinAlgError:
                 pass
-    ok = np.all(np.isfinite(X), axis=1)
+    ok = np.isfinite(X).all(axis=1)
     residual = np.abs(np.matmul(M[ok], X[ok][..., None])[..., 0] - r[ok]).max(axis=1)
     ok[ok] = residual <= SOLVE_RESIDUAL_TOL * (1.0 + np.abs(r[ok]).max(axis=1))
     return X, ok
@@ -409,17 +486,27 @@ def _solve_subsets(A: np.ndarray, b: np.ndarray, idx: np.ndarray):
 def _dedupe_vertices(V: np.ndarray, D: np.ndarray):
     """Drop each vertex within MERGE_TOL * (1 + |w|) of an earlier kept vertex w.
 
-    Greedy keep-first in row order.  A vertex with no earlier vertex that
-    close is kept outright; only the rest are resolved in order, against
-    the vertices kept before them.
+    Greedy keep-first in row order: `_dedupe_after` with no rows known apart.
     """
-    if len(V) <= 1:
+    return _dedupe_after(V, D, 0)
+
+
+def _dedupe_after(V: np.ndarray, D: np.ndarray, apart: int):
+    """`_dedupe_vertices` when the first `apart` rows are known to lie pairwise apart.
+
+    Those rows are all kept, and only each later row is compared, with
+    every row before it.  A later vertex with no earlier vertex that close
+    is kept outright; only the rest are resolved in order, against the
+    vertices kept before them.
+    """
+    if len(V) <= max(apart, 1):
         return V, D
-    gap = np.linalg.norm(V[:, None, :] - V[None, :, :], axis=2)
-    near = np.tril(gap <= MERGE_TOL * (1.0 + np.linalg.norm(V, axis=1)), -1)
-    keep = ~near.any(axis=1)
-    for i in np.flatnonzero(~keep):
-        keep[i] = not (near[i] & keep).any()
+    gap = np.linalg.norm(V[apart:, None, :] - V[None, :, :], axis=2)
+    near = np.tril(gap <= MERGE_TOL * (1.0 + np.linalg.norm(V, axis=1)), apart - 1)
+    keep = np.ones(len(V), dtype=bool)
+    keep[apart:] = ~near.any(axis=1)
+    for i in np.flatnonzero(~keep[apart:]):
+        keep[apart + i] = not (near[i] & keep).any()
     return V[keep], D[keep]
 
 

@@ -51,12 +51,15 @@ def _parse_common(cfg: dict, args):
 
 
 def _threads(args) -> int:
-    """--threads, else HYPERCELL_THREADS, else 1; a value below 1 is refused."""
+    """--threads, else HYPERCELL_THREADS, else 1; a value below 1 or not an integer is refused."""
     env = os.environ.get("HYPERCELL_THREADS")
     if args.threads is not None:
         threads, source = args.threads, "--threads"
     elif env:
-        threads, source = int(env), "HYPERCELL_THREADS"
+        try:
+            threads, source = int(env), "HYPERCELL_THREADS"
+        except ValueError:
+            raise ConfigError(f"HYPERCELL_THREADS must be an integer, got {env!r}") from None
     else:
         return 1
     if threads < 1:

@@ -169,6 +169,28 @@ class DensityOnSphere:
         )
 
 
+def _sin_power_integral(n: int, lo: float, hi: float) -> float:
+    """The integral of sin^n over [lo, hi] within [0, pi], in closed form.
+
+    n = 0 gives hi - lo and n = 1 gives cos lo - cos hi; larger n take the
+    reduction  int sin^n = -sin^(n-1) cos / n + (n-1)/n int sin^(n-2).
+    Each difference of values at hi and lo is written as a product with
+    sin((hi - lo) / 2), as in cos lo - cos hi = 2 sin((lo + hi) / 2)
+    sin((hi - lo) / 2), so a narrow band keeps its relative precision.
+    """
+    if n == 0:
+        return hi - lo
+    mid, half = 0.5 * (lo + hi), math.sin(0.5 * (hi - lo))
+    if n == 1:
+        return 2.0 * math.sin(mid) * half
+    a, c = math.sin(hi), math.sin(lo)
+    # sin^(n-1) cos at hi less at lo, from cos hi - cos lo and sin hi - sin lo
+    d_cos = -2.0 * math.sin(mid) * half
+    d_pow = 2.0 * math.cos(mid) * half * sum(a**j * c ** (n - 2 - j) for j in range(n - 1))
+    d_edge = a ** (n - 1) * d_cos + math.cos(lo) * d_pow
+    return -d_edge / n + (n - 1) / n * _sin_power_integral(n - 2, lo, hi)
+
+
 class CapStarved:
     """Piecewise-constant even density, starved on shrinking polar caps.
 
@@ -209,7 +231,6 @@ class CapStarved:
         )
         self._draw_lo, self._draw_hi = np.array(self._piece_angles + [(ang[0], math.pi - ang[0])]).T
         self._basis = _orthonormal_complement(self.axis)
-        self._sigma_cache: dict[tuple, float] = {}
         # density lookup: theta in [edges[k-1], edges[k]) reads _density_table[k]
         # for edges [0, ang[-1], ..., ang[0]]; below 0 and from ang[0] on, the outside band
         outside = (
@@ -229,15 +250,7 @@ class CapStarved:
         """Spherical Lebesgue measure of one polar band {lo <= theta <= hi}."""
         if self.dim == 2:
             return 2.0 * (hi - lo)
-        key = (lo, hi)
-        cached = self._sigma_cache.get(key)
-        if cached is None:
-            from scipy.integrate import quad
-
-            val, _ = quad(lambda t: math.sin(t) ** (self.dim - 2), lo, hi)
-            cached = sphere_area(self.dim - 1) * val
-            self._sigma_cache[key] = cached
-        return cached
+        return sphere_area(self.dim - 1) * _sin_power_integral(self.dim - 2, lo, hi)
 
     def density(self, U: np.ndarray) -> np.ndarray:
         """Density with respect to the uniform probability measure."""

@@ -429,6 +429,106 @@ def incremental_vertices_loop(U, T, BU, BT, feas_tol, residual_tol, merge_tol=1e
     return dedupe_vertices_loop(V, D, merge_tol)
 
 
+def shared_subsets(inc, k):
+    """The k-subsets of the columns of `inc` that hold True together in some row.
+
+    Rows are vertices and columns planes, so these are the plane subsets
+    through a common vertex.  Each row of the result holds sorted column
+    ids, and the rows come in `itertools.combinations` order: a subset
+    grows by every larger column that shares a row with all its columns,
+    and `np.nonzero` lists the extensions row-major.  The products run
+    over every column, so their cost grows with the square of the number
+    of planes.
+    """
+    m = inc.shape[1]
+    on = inc.astype(np.float64)
+    idx = np.arange(m)[:, None]
+    share = on.T  # share[s, r]: row r holds every column of subset s
+    for step in range(k - 1):
+        if step:  # the subsets of the last step extend nothing, so they need no share
+            share = share[rows] * on.T[cols]
+        rows, cols = np.nonzero((share @ on > 0) & (np.arange(m) > idx[:, -1:]))
+        idx = np.column_stack([idx[rows], cols])
+    return idx
+
+
+def _solve_stack(A, b, idx):
+    """One stacked solve of A[idx[k]] x = b[idx[k]], one solve per row if a system is singular."""
+    M, r = A[idx], b[idx]
+    try:
+        X = np.linalg.solve(M, r[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        X = np.full(r.shape, np.nan)
+        for k in range(len(idx)):
+            try:
+                X[k] = np.linalg.solve(M[k], r[k])
+            except np.linalg.LinAlgError:
+                pass
+    ok = np.all(np.isfinite(X), axis=1)
+    residual = np.abs(np.matmul(M[ok], X[ok][..., None])[..., 0] - r[ok]).max(axis=1)
+    ok[ok] = residual <= cell.SOLVE_RESIDUAL_TOL * (1.0 + np.abs(r[ok]).max(axis=1))
+    return X, ok
+
+
+def incremental_by_plane(U, T, BU, BT, start=None):
+    """The d >= 3 incremental enumerator that lists subsets by active plane.
+
+    The reference for `cell._intersect_incremental`, with the same
+    signature and the same rules: box corners or `start`, insertion by
+    increasing offset, exact copies skipped, the (d-1)-subsets of planes
+    through a cut vertex in `itertools.combinations` order, box pairs
+    screened, one stacked solve per insertion, the same residual and
+    feasibility checks, and one greedy all-pairs merge at the end.  The
+    subsets come from `shared_subsets`' products over every plane of the
+    cell, and exact copies from `np.unique`.
+    """
+    d = BU.shape[1]
+    n = len(T)
+    A = np.vstack([U, BU])
+    b = np.concatenate([T, BT])
+    if start is None:
+        corners = n + np.arange(d) + d * np.array(list(itertools.product((1, 0), repeat=d)))
+        X, ok = _solve_stack(A, b, corners)
+        V, D, n_old = X[ok], corners[ok], 0
+    else:
+        n_old = start.n_halfspaces
+        V, D = start.vertices, start.defining + (n - n_old) * (start.defining >= n_old)
+    copy = np.ones(n, dtype=bool)
+    copy[np.unique(np.column_stack([U, T]), axis=0, return_index=True)[1]] = False
+    present = np.concatenate([~copy[:n_old], np.zeros(n - n_old, dtype=bool), np.ones(2 * d, dtype=bool)])
+    order = n_old + np.argsort(T[n_old:])
+    for i in order[~copy[order]]:
+        u, t = A[i], b[i]
+        viol = V @ u > t
+        if not viol.any():
+            continue
+        cur = np.flatnonzero(present)
+        inc = b[cur] - V[viol] @ A[cur].T <= cell.FEAS_TOL * (1.0 + np.abs(b[cur]))
+        inc[np.arange(len(inc))[:, None], np.searchsorted(cur, D[viol])] = True
+        idx = cur[shared_subsets(inc, d - 1)]
+        pair = np.zeros(len(idx), dtype=bool)
+        for a, c in itertools.combinations(range(d - 1), 2):
+            pair |= (idx[:, a] >= n) & (idx[:, c] - idx[:, a] == d)
+        idx = idx[~pair]
+        idx = np.column_stack([np.full(len(idx), i), idx])
+        X, ok = _solve_stack(A, b, idx)
+        slack = b[cur] - X[ok] @ A[cur].T
+        ok[ok] = (slack.min(axis=1) >= -cell.FEAS_TOL * (1.0 + abs(t))) & (X[ok] @ u <= t + cell.FEAS_TOL)
+        V = np.vstack([V[~viol], X[ok]])
+        D = np.vstack([D[~viol], idx[ok]])
+        present[i] = True
+        if len(V) == 0:
+            break
+    if len(V) > 1:
+        gap = np.linalg.norm(V[:, None, :] - V[None, :, :], axis=2)
+        near = np.tril(gap <= cell.MERGE_TOL * (1.0 + np.linalg.norm(V, axis=1)), -1)
+        keep = ~near.any(axis=1)
+        for k in np.flatnonzero(~keep):
+            keep[k] = not (near[k] & keep).any()
+        V, D = V[keep], D[keep]
+    return cell.Intersection(V, D, n)
+
+
 def intersect_dual_2d_arrays(U, T, BU, BT):
     """The planar dual-hull intersection with every step on whole arrays.
 

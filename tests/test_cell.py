@@ -19,8 +19,10 @@ from oracles import (
     cells_ring_by_ring,
     compact_unique,
     dedupe_vertices_loop,
+    incremental_by_plane,
     incremental_vertices_loop,
     intersect_dual_2d_arrays,
+    shared_subsets,
     subset_vertices_loop,
     vertex_sets_match_loop,
 )
@@ -395,15 +397,111 @@ class TestHalfspaceIntersection:
 
     def test_shared_subsets_equal_filtered_combinations(self, rng):
         # the combinations of all columns, less those with no common row,
-        # in the same order
+        # in the same order: listed by vertex and by plane
         for k in (2, 3):
             for _ in range(30):
                 inc = rng.random((int(rng.integers(1, 6)), int(rng.integers(k, 12)))) < 0.4
                 want = [c for c in itertools.combinations(range(inc.shape[1]), k)
                         if inc[:, list(c)].all(axis=1).any()]
-                got = cell._shared_subsets(inc, k)
-                assert got.shape == (len(want), k)
-                assert got.tolist() == [list(c) for c in want]
+                for got in (cell._vertex_subsets(inc, k), shared_subsets(inc, k)):
+                    assert got.shape == (len(want), k)
+                    assert got.tolist() == [list(c) for c in want]
+
+    def test_vertex_subsets_equal_shared_subsets_on_every_insertion(self, rng, monkeypatch):
+        # record the incidence rows of every cutting insertion, then list
+        # their subsets by vertex and by plane
+        seen = []
+        listing = cell._vertex_subsets
+
+        def record(inc, k):
+            seen.append((inc, k))
+            return listing(inc, k)
+
+        monkeypatch.setattr(cell, "_vertex_subsets", record)
+        pyramid = [inst for inst in singular_subset_instances() if inst[2] is BOX3][-1]
+        instances = [(*random_spatial_instance(rng), BOX3) for _ in range(40)]
+        instances += [(*random_spatial_instance(rng, d=4, max_n=11), BOX4) for _ in range(15)]
+        instances += concurrent_integer_instances() + [pyramid]
+        for U, T, box in instances:
+            cell.halfspace_intersection(U, T, *box)
+        # a cut through the top corner of each integer instance, where d + 3
+        # or more planes meet; inserted into a compacted cell, which keeps
+        # every plane through a vertex, it cuts those degenerate vertices
+        for U, T, box in concurrent_integer_instances():
+            top = cell.halfspace_intersection(U, T, *box).vertices.sum(axis=1).max()
+            U, T = np.vstack([U, np.ones(U.shape[1])]), np.append(T, top - 0.5)
+            for k in range(1, len(T)):
+                continued_insertion(U, T, box, k)
+        monkeypatch.undo()
+        # vertices on more than d planes take the per-row path, in 3-d and 4-d
+        degenerate = [k for inc, k in seen if (inc.sum(axis=1) > k + 1).any()]
+        assert degenerate.count(2) >= 20 and degenerate.count(3) >= 5
+        for inc, k in seen:
+            got, want = cell._vertex_subsets(inc, k), shared_subsets(inc, k)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    def test_thin_box_screens_box_pairs(self, rng, monkeypatch):
+        # a box 2e-12 thick in z: its vertices lie within FEAS_TOL of both
+        # z planes, so subsets holding both are listed and must be screened
+        screened = []
+        screen = cell._holds_box_pair
+
+        def record(idx, n, d):
+            pair = screen(idx, n, d)
+            screened.append(int(pair.sum()))
+            return pair
+
+        monkeypatch.setattr(cell, "_holds_box_pair", record)
+        box = (BOX3[0], np.array([20.0, 20, 1e-12, 20, 20, 1e-12]))
+        for _ in range(10):
+            U, T = random_spatial_instance(rng)
+            assert_same_intersection(cell.halfspace_intersection(U, T, *box), incremental_by_plane(U, T, *box))
+        assert sum(screened) >= 10
+
+    def test_vertex_subsets_without_integer_keys(self, rng, monkeypatch):
+        # where the integer keys could overflow, the rows are sorted instead
+        incs = [rng.random((int(rng.integers(1, 6)), 9)) < 0.5 for _ in range(20)]
+        want = [cell._vertex_subsets(inc, 3) for inc in incs]
+        monkeypatch.setattr(cell, "_KEY_BITS", 11)
+        for inc, w in zip(incs, want):
+            assert np.array_equal(cell._vertex_subsets(inc, 3), w)
+
+    def test_exact_copies_equal_unique_rule(self, rng):
+        # the first of equal rows is kept, as `np.unique(..., axis=0)` keeps
+        # it; -0.0 and 0.0 are equal to both
+        for _ in range(30):
+            rows = rng.integers(-1, 2, (int(rng.integers(1, 30)), 4)).astype(np.float64)
+            rows[rng.random(rows.shape) < 0.2] *= -1.0
+            want = np.ones(len(rows), dtype=bool)
+            want[np.unique(rows, axis=0, return_index=True)[1]] = False
+            assert np.array_equal(cell._exact_copies(rows), want)
+
+    def test_fast_path_dedupe_equals_reference_loop(self, rng, monkeypatch):
+        # the fast path compares only the vertices after those known apart
+        # (the start's survivors); the greedy result equals the all-pairs loop
+        seen = []
+        dedupe = cell._dedupe_after
+
+        def record(V, D, apart):
+            seen.append((V, D, apart))
+            return dedupe(V, D, apart)
+
+        monkeypatch.setattr(cell, "_dedupe_after", record)
+        instances = [inst for inst in singular_subset_instances() if inst[2] is BOX3]
+        instances += [(*random_spatial_instance(rng), BOX3) for _ in range(10)]
+        instances += concurrent_integer_instances()
+        for U, T, box in instances:
+            for k in range(1, len(T)):
+                continued_insertion(U, T, box, k)
+        params = process.ProcessParams(1.0, dn.Isotropic(3), 3)
+        cell.cells_along_intensity(params, geom.Ball([0, 0, 0], 1.0), [8, 32, 128], stream_key=KeyedStream(7, 0))
+        monkeypatch.undo()
+        assert sum(apart > 0 for _, _, apart in seen) >= 50
+        for V, D, apart in seen:
+            got, want = dedupe(V, D, apart), dedupe_vertices_loop(V, D)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert np.array_equal(got[1], want[1])
 
     def test_continued_insertion_equals_full_build(self, rng):
         # inserting constraints into the compacted cell of the others gives
@@ -436,6 +534,19 @@ class TestHalfspaceIntersection:
         oracle = cell.halfspace_intersection_bruteforce(U_all, T_all, *BOX3)
         assert len(oracle.vertices) == 8
         assert cell._vertex_sets_match(builder.inter.vertices, oracle.vertices, 1e-7)
+
+    def test_defining_planes_listed_beyond_feasibility_tolerance(self):
+        # a solve may leave its vertex up to SOLVE_RESIDUAL_TOL off its own
+        # planes, farther than FEAS_TOL: here every cube corner sits 5e-9
+        # inside them, so only its `defining` row names the planes of its
+        # edges, and the cut through (1, 1, 1) must still find three vertices
+        U, T = np.vstack([np.eye(3), -np.eye(3)]), np.ones(6)
+        cube = cell.halfspace_intersection(U, T, *BOX3)
+        start = cell.Intersection(cube.vertices * (1 - 5e-9), cube.defining, len(T))
+        U, T = np.vstack([U, [1.0, 1, 1]]), np.append(T, 2.5)
+        got = cell.halfspace_intersection(U, T, *BOX3, start)
+        assert_same_intersection(got, incremental_by_plane(U, T, *BOX3, start))
+        assert len(got.vertices) == 10 and (got.defining[-3:, 0] == 6).all()
 
     def test_start_leaves_planar_path_unchanged(self, rng):
         for _ in range(20):
@@ -505,6 +616,17 @@ class TestHalfspaceIntersection:
         got = [match(A, B, tol) for A, B, tol in cases]
         assert got == [vertex_sets_match_loop(A, B, tol) for A, B, tol in cases]
         assert len(seen) >= 10 and True in got and False in got
+
+    @pytest.mark.parametrize("perm", [[1, 0, 2, 3, 4, 5], [3, 4, 5, 0, 1, 2], [0, 1, 2, 3, 5, 4]])
+    def test_permuted_box_rejected(self, perm):
+        # the corner ids and the box-pair screen read +e_j as plane n + j
+        # and -e_j as plane n + d + j
+        U, T = random_spatial_instance(np.random.default_rng(3))
+        cell.halfspace_intersection(U, T, *BOX3)
+        with pytest.raises(ValueError, match="box normals"):
+            cell.halfspace_intersection(U, T, BOX3[0][perm], BOX3[1])
+        with pytest.raises(ValueError, match="box normals"):
+            cell.halfspace_intersection(U, T, BOX3[0][:5], BOX3[1][:5])
 
     def test_offsets_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -858,6 +980,25 @@ class TestCellsAlongIntensity:
                     assert sorted_rows(z.vertices).tobytes() == sorted_rows(ref["vertices"]).tobytes()
         if initial_radius is not None:  # 6-8 rounds: rings past the first box start again
             assert len(rebuilds) - runs >= 2
+
+    def test_3d_cells_equal_by_plane_enumerator(self, monkeypatch):
+        # a 3-d ball at high intensity: listing each insertion's subsets by
+        # cut vertex gives the cells of the listing by active plane, byte for byte
+        params = process.ProcessParams(1.0, dn.Isotropic(3), 3)
+        ball3 = geom.Ball([0, 0, 0], 1.0)
+        grid = [2.0**k for k in range(6, 12)]
+        keys = [KeyedStream(42, rep) for rep in range(3)]
+        got = [cell.cells_along_intensity(params, ball3, grid, stream_key=key) for key in keys]
+        monkeypatch.setattr(cell, "_intersect_incremental", incremental_by_plane)
+        want = [cell.cells_along_intensity(params, ball3, grid, stream_key=key) for key in keys]
+        assert len(got[0][-1].offsets) > 150
+        for cells, ref in zip(got, want):
+            for z, w in zip(cells, ref):
+                assert z.vertices.tobytes() == w.vertices.tobytes()
+                assert np.array_equal(z.defining, w.defining)
+                assert z.offsets.tobytes() == w.offsets.tobytes()
+                assert z.normals.tobytes() == w.normals.tobytes()
+                assert z.stats == w.stats
 
     def test_atomic_directions_respected_end_to_end(self, facet_atoms, square):
         params = process.ProcessParams(1.0, facet_atoms, 2)

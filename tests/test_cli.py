@@ -279,6 +279,14 @@ class TestOtherCommands:
         assert f"ConfigError: {source} must be at least 1, got {flag or env}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("env", ["abc", "1.5", "2x"])
+    def test_non_integer_thread_variable_refused(self, cfg_path, tmp_path, monkeypatch, capsys, env):
+        monkeypatch.setenv("HYPERCELL_THREADS", env)
+        argv = ["rate", "--config", cfg_path, "--out", str(tmp_path / "out")]
+        assert dispatch(argv) == 2
+        assert f"ConfigError: HYPERCELL_THREADS must be an integer, got '{env}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 def test_validate_passes(capsys):
     assert dispatch(["validate"]) == 0
@@ -306,6 +314,21 @@ def test_import_loads_no_scipy():
     proc = _run_child("-c", "import sys, hypercell; print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cap_starved_3d_loads_no_scipy():
+    # the band measures of a d >= 3 cap-starved law are closed forms
+    code = (
+        "import sys\n"
+        "from hypercell import direction as dn, rng\n"
+        "law = dn.cap_starved([0, 0, 1], lambda n: n ** -0.25, 64, lambda n: 1.0 / n ** 2)\n"
+        "U = law.sample_batch(rng.stream(1, 'law'), 1000)\n"
+        "print(law.cap_mass(0.9) > 0, law.density(U).min() > 0)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    proc = _run_child("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == ["True True", "[]", ""]
 
 
 def test_serial_run_loads_no_pool_or_quadrature_rule():

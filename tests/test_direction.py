@@ -276,6 +276,21 @@ class TestCapStarved:
                 emp = float((sign * U @ starved3.axis >= thresh).mean())
                 assert abs(emp - p) < 4 * math.sqrt(p * (1 - p) / 200_000)
 
+    @pytest.mark.parametrize("dim", [3, 4, 5])
+    def test_band_sigma_equals_quad(self, dim):
+        # every band of laws with 64 and 4096 pieces (the narrowest some
+        # 1e-5 wide), partial bands as cap_mass cuts them, and random bands
+        axis = np.eye(dim)[0]
+        rng = stream(13, "bands", dim)
+        for n_max in (64, 4096):
+            law = dn.cap_starved(axis, lambda n: n**-0.25, n_max, cap_budget, radius=1.0)
+            bands = law._piece_angles + [(law.cap_angles[0], math.pi - law.cap_angles[0])]
+            bands += [(lo, lo + (hi - lo) * f) for (lo, hi), f in zip(bands[::50], rng.random(len(bands)))]
+            bands += [tuple(sorted(rng.uniform(0.0, math.pi, 2))) for _ in range(20)]
+            for lo, hi in bands:
+                want = geom.sphere_area(dim - 1) * quad(lambda t: math.sin(t) ** (dim - 2), lo, hi)[0]
+                assert law._band_sigma(lo, hi) == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_infeasible_budget(self):
         with pytest.raises(InfeasibleBudget):
             dn.cap_starved([1, 0], lambda n: n**-0.5, 8, lambda n: -1.0)

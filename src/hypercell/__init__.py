@@ -28,7 +28,6 @@ from hypercell.direction import (
     cap_starved,
     from_surface_measure,
     integrate,
-    support_of,
     supports_approximation,
 )
 from hypercell.experiment import (

@@ -6,18 +6,24 @@ finitely supported (antipodal atom pairs), density-weighted, the
 cap-starved construction that suppresses mass near one normal direction,
 and finite mixtures.
 
+Every law is read through one part model, the direction-side twin of the
+body model conv(V) + rB: a law flattens into (weight, part) pairs in
+component order, mixtures flattened.  A part is atomic (`atoms` and
+`weights`) or continuous (`atoms` None, a `density` against the uniform
+law, None for the uniform law itself, and `breaks`, the planar angles
+where that density jumps).  Integrals, the support tests and the excess
+evaluator in `metrics` branch only on that: atoms or continuous.
+
 Integration is exact: sums for atoms in any dimension, and 32-point
-Gauss-Legendre panels split at the integrand's kinks and the law's
-density breaks for a continuous law in the plane.  `exact_parts` holds
-the one rule for d >= 3: only atomic laws are integrated there, and a
-continuous component raises `UnsupportedBody`.  The same parts, nodes
-and density helpers serve the excess evaluator in `metrics`.
+Gauss-Legendre panels split at the integrand's kinks and the part's
+density breaks for a continuous part in the plane.  `exact_parts` holds
+the one rule for d >= 3: only atomic parts are integrated there, and a
+continuous part raises `UnsupportedBody`.
 """
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -35,10 +41,8 @@ __all__ = [
     "DensityOnSphere",
     "CapStarved",
     "Mixture",
-    "MeasureSupport",
     "exact_parts",
     "integrate",
-    "support_of",
     "supports_approximation",
     "from_surface_measure",
     "cap_starved",
@@ -88,11 +92,23 @@ def _uniform_sphere(rng, n, dim):
 # variants
 
 
-class Isotropic:
+class _Continuous:
+    """A continuous part: no atoms, a density against the uniform law, its planar breaks.
+
+    `density` is None for the uniform law itself; `breaks` are the angles
+    where a planar density jumps.
+    """
+
+    atoms = None
+    density = None
+    breaks = np.empty(0)
+
+
+class Isotropic(_Continuous):
     """Rotation invariant distribution (normalized spherical Lebesgue)."""
 
     def __init__(self, dim: int):
-        if dim < 2:
+        if not dim >= 2:
             raise ValueError("dimension must be >= 2")
         self.dim = dim
 
@@ -109,11 +125,12 @@ class Atomic:
         if len(U) != len(w) or len(U) == 0:
             raise ValueError("atoms and weights must be equal-length and nonempty")
         norms = np.linalg.norm(U, axis=1)
-        if np.abs(norms - 1.0).max() > 1e-12:
+        # each test is written to fail on NaN
+        if not np.abs(norms - 1.0).max() <= 1e-12:
             raise ValueError("atoms must be unit vectors")
-        if w.min() <= 0:
+        if not w.min() > 0:
             raise ValueError("weights must be positive")
-        if abs(w.sum() - 1.0) > MASS_TOL:
+        if not abs(w.sum() - 1.0) <= MASS_TOL:
             raise ValueError(f"weights sum to {w.sum()!r}, expected 1")
         self.atoms = U
         self.weights = w
@@ -140,7 +157,7 @@ class Atomic:
         return self.atoms[hrng.categorical_variates(rng, self._cdf, n)]
 
 
-class DensityOnSphere:
+class DensityOnSphere(_Continuous):
     """Distribution with density g relative to the uniform distribution.
 
     g maps an (n, d) array of unit vectors to n values.  It is
@@ -150,8 +167,8 @@ class DensityOnSphere:
     """
 
     def __init__(self, g: Callable, sup_bound: float, dim: int):
-        if sup_bound <= 0:
-            raise ValueError("sup_bound must be positive")
+        if not 0 < sup_bound < math.inf:
+            raise ValueError(f"sup_bound must be positive and finite, got {sup_bound!r}")
         self._raw = g
         self.sup_bound = float(sup_bound)
         self.dim = dim
@@ -191,7 +208,7 @@ def _sin_power_integral(n: int, lo: float, hi: float) -> float:
     return -d_edge / n + (n - 1) / n * _sin_power_integral(n - 2, lo, hi)
 
 
-class CapStarved:
+class CapStarved(_Continuous):
     """Piecewise-constant even density, starved on shrinking polar caps.
 
     The sphere is split into nested caps about ``axis`` (and their
@@ -205,8 +222,10 @@ class CapStarved:
         self.dim = self.axis.shape[0]
         ang = np.asarray(cap_angles, dtype=np.float64)  # decreasing half-angles
         m = np.asarray(cap_masses, dtype=np.float64)  # one-sided cap masses, decreasing
-        if len(ang) != len(m):
-            raise ValueError("cap_angles and cap_masses must have equal length")
+        if len(ang) != len(m) or len(ang) == 0:
+            raise ValueError("cap_angles and cap_masses must be nonempty and of equal length")
+        if not (np.isfinite(ang).all() and np.isfinite(m).all() and math.isfinite(outside_mass)):
+            raise ValueError("cap angles, cap masses and outside mass must be finite")
         if np.any(np.diff(ang) >= 0) or ang[0] >= math.pi / 2 or ang[-1] <= 0:
             raise ValueError("cap angles must decrease strictly within (0, pi/2)")
         if np.any(np.diff(m) >= 0) or m[-1] <= 0:
@@ -244,6 +263,9 @@ class CapStarved:
         ]
         self._density_edges = np.concatenate([[0.0], ang[::-1]])
         self._density_table = np.array([outside] + pieces[::-1] + [outside])
+        # in the plane the density jumps at the cap edges about the axis and its antipode
+        alpha = math.atan2(self.axis[1], self.axis[0])
+        self.breaks = np.concatenate([alpha + s * ang + k for s in (1.0, -1.0) for k in (0.0, math.pi)])
 
     # -- geometry of polar pieces -------------------------------------
     def _band_sigma(self, lo: float, hi: float) -> float:
@@ -315,7 +337,7 @@ class Mixture:
         if not comps:
             raise ValueError("mixture needs at least one component")
         w = np.array([float(c[0]) for c in comps])
-        if w.min() <= 0 or abs(w.sum() - 1.0) > MASS_TOL:
+        if not (w.min() > 0 and abs(w.sum() - 1.0) <= MASS_TOL):  # fails on NaN
             raise ValueError("mixture weights must be positive and sum to 1")
         dims = {c[1].dim for c in comps}
         if len(dims) != 1:
@@ -365,27 +387,9 @@ _TWO_PI = 2.0 * math.pi
 _BASE_EDGES = np.linspace(0.0, _TWO_PI, 9)  # the circle in 8 panels before any split
 
 
-def _planar_density(comp):
-    """Density of a continuous planar law against the uniform one (None if uniform)."""
-    if isinstance(comp, Isotropic):
-        return None
-    if isinstance(comp, (DensityOnSphere, CapStarved)):
-        return comp.density
-    raise TypeError(f"unsupported planar component {type(comp).__name__}")
-
-
-def _density_breaks(comp) -> np.ndarray:
-    """Angles where a planar law's density jumps: the cap-starved piece edges."""
-    if isinstance(comp, CapStarved):
-        alpha = math.atan2(comp.axis[1], comp.axis[0])
-        angs = comp.cap_angles
-        return np.concatenate([alpha + s * angs + k for s in (1.0, -1.0) for k in (0.0, math.pi)])
-    return np.empty(0)
-
-
-def _panel_integral(dist, f, breaks) -> float:
-    """Average of f times the density over the circle, on panels split at the breaks."""
-    cuts = np.concatenate([np.asarray(breaks, dtype=np.float64), _density_breaks(dist)])
+def _panel_integral(part, f, breaks) -> float:
+    """Average of f times a continuous part's density over the circle, on panels split at the breaks."""
+    cuts = np.concatenate([np.asarray(breaks, dtype=np.float64), part.breaks])
     edges = np.unique(np.concatenate([_BASE_EDGES, np.mod(cuts, _TWO_PI)]))
     half = 0.5 * np.diff(edges)
     centre = 0.5 * (edges[1:] + edges[:-1])
@@ -393,57 +397,61 @@ def _panel_integral(dist, f, breaks) -> float:
     ang = (centre[:, None] + half[:, None] * nodes).ravel()
     U = np.column_stack([np.cos(ang), np.sin(ang)])
     vals = _eval_batch(f, U)
-    density = _planar_density(dist)
-    if density is not None:
-        vals = vals * density(U)
+    if part.density is not None:
+        vals = vals * part.density(U)
     return float(half @ (vals.reshape(len(half), -1) @ weights)) / _TWO_PI
 
 
-def exact_parts(dist: DirectionalDistribution, weight: float = 1.0) -> list:
-    """The law as (weight, component) pairs with mixtures flattened, in component order.
+def _flatten(dist, weight: float = 1.0) -> list:
+    """The law as (weight, part) pairs in component order, mixtures flattened.
 
-    This is the package's exactness rule: in d >= 3 only atomic laws have
-    exact integrals, so any other component there raises `UnsupportedBody`.
+    A component's weight is `weight * w`, outer weight first, so every sum
+    over the parts adds the same products in the same order.
     """
-    if isinstance(dist, Mixture):
-        return [
-            part
-            for w, comp in zip(dist.weights, dist.components)
-            for part in exact_parts(comp, weight * w)
-        ]
-    if dist.dim >= 3 and not isinstance(dist, Atomic):
-        raise UnsupportedBody(
-            f"no exact integral for the {type(dist).__name__} law in d = {dist.dim}; "
-            "d >= 3 supports atomic laws only"
-        )
-    return [(weight, dist)]
+    if not hasattr(dist, "components"):
+        return [(weight, dist)]
+    return [part for w, comp in zip(dist.weights, dist.components) for part in _flatten(comp, weight * w)]
+
+
+def exact_parts(dist: DirectionalDistribution) -> list:
+    """The law's (weight, part) pairs, each part atomic or continuous, in component order.
+
+    This is the package's exactness rule: in d >= 3 only atomic parts have
+    exact integrals, so a continuous part there raises `UnsupportedBody`.
+    """
+    parts = _flatten(dist)
+    for _, part in parts:
+        if dist.dim >= 3 and part.atoms is None:
+            raise UnsupportedBody(
+                f"no exact integral for the {type(part).__name__} law in d = {dist.dim}; "
+                "d >= 3 supports atomic laws only"
+            )
+    return parts
 
 
 def integrate(dist: DirectionalDistribution, f, breaks=()) -> float:
     """Integral of f against the distribution.
 
     f maps an (n, d) array of unit vectors to n values (ValueError on any
-    other shape).  Atoms are exact sums; a continuous planar law uses
-    32-point Gauss-Legendre panels over a fixed partition of the circle,
-    split at `breaks` (angles, taken mod 2 pi, where f may have a kink,
-    such as `geom.kink_angles`) and at the law's density breaks.  A
-    continuous law in d >= 3 raises `UnsupportedBody` (`exact_parts`).
+    other shape).  Atomic parts are exact sums; a continuous planar part
+    uses 32-point Gauss-Legendre panels over a fixed partition of the
+    circle, split at `breaks` (angles, taken mod 2 pi, where f may have a
+    kink, such as `geom.kink_angles`) and at the part's density breaks.
+    A continuous part in d >= 3 raises `UnsupportedBody` (`exact_parts`).
     """
     total = 0.0
-    for weight, comp in exact_parts(dist):
-        if isinstance(comp, Atomic):
-            total += weight * (_eval_batch(f, comp.atoms) @ comp.weights)
+    for weight, part in exact_parts(dist):
+        if part.atoms is not None:
+            total += weight * (_eval_batch(f, part.atoms) @ part.weights)
         else:
-            total += weight * _panel_integral(comp, f, breaks)
+            total += weight * _panel_integral(part, f, breaks)
     return float(total)
 
 
-@dataclass(frozen=True)
-class MeasureSupport:
-    """Support descriptor: the full sphere or a finite antipodal atom set."""
-
-    kind: str  # "full" | "atoms"
-    atoms: np.ndarray | None = None
+def _support_atoms(dist) -> np.ndarray | None:
+    """Every atom of a purely atomic law, in part order; None when a continuous part has full support."""
+    atoms = [part.atoms for _, part in _flatten(dist)]
+    return None if any(a is None for a in atoms) else np.vstack(atoms)
 
 
 def nondegenerate(dist: DirectionalDistribution) -> bool:
@@ -453,22 +461,8 @@ def nondegenerate(dist: DirectionalDistribution) -> bool:
     process bounded; it applies to the distribution as a whole, so an
     atomic component on a subsphere is fine inside a richer mixture.
     """
-    sup = support_of(dist)
-    if sup.kind == "full":
-        return True
-    return int(np.linalg.matrix_rank(sup.atoms, tol=1e-9)) == dist.dim
-
-
-def support_of(dist: DirectionalDistribution) -> MeasureSupport:
-    """Support of the distribution (full sphere unless purely atomic)."""
-    if isinstance(dist, Atomic):
-        return MeasureSupport("atoms", dist.atoms.copy())
-    if isinstance(dist, Mixture):
-        subs = [support_of(c) for c in dist.components]
-        if any(s.kind == "full" for s in subs):
-            return MeasureSupport("full")
-        return MeasureSupport("atoms", np.vstack([s.atoms for s in subs]))
-    return MeasureSupport("full")
+    atoms = _support_atoms(dist)
+    return atoms is None or int(np.linalg.matrix_rank(atoms, tol=1e-9)) == dist.dim
 
 
 def supports_approximation(body, dist: DirectionalDistribution) -> bool:
@@ -478,13 +472,13 @@ def supports_approximation(body, dist: DirectionalDistribution) -> bool:
     body by cells of the process is possible.
     """
     sm = surface_measure(body)
-    sup = support_of(dist)
-    if sup.kind == "full":
+    atoms = _support_atoms(dist)
+    if atoms is None:
         return True
     if sm.has_density:
         return False
     for normal, _ in sm.atoms:
-        dev = np.linalg.norm(sup.atoms - normal, axis=1).min()
+        dev = np.linalg.norm(atoms - normal, axis=1).min()
         if dev > math.sqrt(2.0 * ANGULAR_TOL):  # chord length for angular tol
             return False
     return True

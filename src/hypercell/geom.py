@@ -64,7 +64,7 @@ def as_unit_vector(u, dim: int | None = None) -> np.ndarray:
     if dim is not None and v.shape[0] != dim:
         raise ValueError(f"expected dimension {dim}, got {v.shape[0]}")
     norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > UNIT_NORM_TOL:
+    if not abs(norm - 1.0) <= UNIT_NORM_TOL:  # fails on NaN
         raise ValueError(f"vector norm {norm!r} deviates from 1 beyond {UNIT_NORM_TOL}")
     return v
 

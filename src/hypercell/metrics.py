@@ -13,10 +13,12 @@ split at the body's kink directions and the law's density breaks; this
 keeps relative accuracy flat as eps shrinks, which a global grid cannot
 do once the arc is narrower than the grid spacing.  Every planar body is
 conv(V) + rB, so the arc has a closed form (h(P + rB, u) = h(P, u) + r),
-and one evaluator serves both the coarse scan and the refinement.  In
-d >= 3 only atomic laws (exact sums) are evaluated; a continuous law is
-refused with `UnsupportedBody` before anything is computed
-(`direction.exact_parts`, the one rule for every integral against a law).
+and one evaluator serves both the coarse scan and the refinement.  Every
+law is read as its parts (`direction.exact_parts`): an atomic part is an
+exact sum, a continuous part is that quadrature with the part's density
+and density breaks.  In d >= 3 only atomic parts are evaluated; a
+continuous part is refused with `UnsupportedBody` before anything is
+computed (the one rule for every integral against a law).
 
 In any dimension a row's excess is the same bits whatever else shares its
 batch: every product and sum is taken one row at a time, never by a BLAS
@@ -125,13 +127,15 @@ _PANEL_BLOCK = 512
 class ExcessEvaluator:
     """Support-excess integrals for one body/distribution pair.
 
-    Atomic parts are exact sums.  Planar continuous parts go through one
-    quadrature: 32-point Gauss-Legendre panels over the closed-form
-    support arc of each point, split at the body's kink directions and
-    the law's density breaks.  A continuous part in d >= 3 raises
-    `UnsupportedBody` here (`direction.exact_parts`).  `batch` and
-    `precise` are the same computation on many points or on one; the
-    body data, split angles and the body's support at atoms are
+    The law is read as its (weight, part) pairs (`direction.exact_parts`),
+    each with one branch.  An atomic part is an exact sum over its atoms.
+    A planar continuous part goes through one quadrature: 32-point
+    Gauss-Legendre panels over the closed-form support arc of each point,
+    split at the body's kink directions and the part's density breaks,
+    with the part's density as a factor (none for the uniform law).  A
+    continuous part in d >= 3 raises `UnsupportedBody` here.  `batch`
+    and `precise` are the same computation on many points or on one; the
+    body's support at each part's atoms and each part's split angles are
     precomputed here so minimization loops stay cheap.
 
     Every part is row-independent, in any dimension: a row's value is
@@ -145,21 +149,17 @@ class ExcessEvaluator:
         self.body = body
         self.dist = dist
         self.dim = body.dim
-        self._parts = dn.exact_parts(dist)
-        # h(K, atoms) of each atomic component, fixed for the evaluator's life
-        self._atom_support = [
-            body.support_batch(comp.atoms) if isinstance(comp, dn.Atomic) else None
-            for _, comp in self._parts
+        parts = dn.exact_parts(dist)
+        kinks = geom.kink_angles(body) if self.dim == 2 else None
+        # per part, fixed for the evaluator's life: h(K, atoms) of an atomic
+        # part, the split angles of a continuous one (planar: exact_parts
+        # refuses a continuous part in d >= 3)
+        self._parts = [
+            (weight, part, body.support_batch(part.atoms))
+            if part.atoms is not None
+            else (weight, part, np.concatenate([kinks, part.breaks]))
+            for weight, part in parts
         ]
-        if self.dim == 2:
-            kinks = geom.kink_angles(body)
-            # per continuous component: its density (None if uniform) and split angles
-            self._panels = [
-                None
-                if isinstance(comp, dn.Atomic)
-                else (dn._planar_density(comp), np.concatenate([kinks, dn._density_breaks(comp)]))
-                for _, comp in self._parts
-            ]
 
     # -- planar continuous part ---------------------------------------
     def _support_arcs(self, Y: np.ndarray):
@@ -233,14 +233,14 @@ class ExcessEvaluator:
     def _eval(self, Y: np.ndarray) -> np.ndarray:
         out = np.zeros(len(Y))
         arcs = None
-        for i, (weight, comp) in enumerate(self._parts):
-            if isinstance(comp, dn.Atomic):
-                gaps = np.maximum(_kernels.dots(Y, comp.atoms) - self._atom_support[i], 0.0)
-                out += weight * np.einsum("pk,k->p", gaps, comp.weights)
+        for weight, part, fixed in self._parts:
+            if part.atoms is not None:
+                gaps = np.maximum(_kernels.dots(Y, part.atoms) - fixed, 0.0)
+                out += weight * np.einsum("pk,k->p", gaps, part.weights)
             else:
                 if arcs is None:
                     arcs = self._support_arcs(Y)
-                out += weight * self._arc_quadrature(Y, arcs, *self._panels[i])
+                out += weight * self._arc_quadrature(Y, arcs, part.density, fixed)
         return out
 
     def batch(self, Y: np.ndarray) -> np.ndarray:

@@ -102,6 +102,23 @@ class TestRateCommand:
         assert dispatch(["tail", "--config", str(path), "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_nan_atomic_weight_exits_2(self, tmp_path, monkeypatch):
+        # json reads the NaN literal; the law refuses it, where the run used not to end
+        from hypercell import experiment
+
+        monkeypatch.setattr(experiment, "_coupled_rep", lambda *a, **k: pytest.fail("a replication ran"))
+        configs = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+        with open(os.path.join(configs, "rate_square_atomic.json")) as fh:
+            cfg = json.load(fh)
+        cfg["distribution"]["weights"] = [float("nan"), 0.25, 0.25, 0.25]
+        cfg.update(n_grid=[256, 512], reps=2)
+        path = tmp_path / "nan_weight.json"
+        path.write_text(json.dumps(cfg))
+        assert "NaN" in path.read_text()
+        out = tmp_path / "o"
+        assert dispatch(["rate", "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_fractional_max_rounds_exits_2(self, tmp_path):
         path = tmp_path / "rounds.json"
         path.write_text(json.dumps(dict(BALL_ISO, policy={"max_rounds": 2.5})))

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +9,8 @@ from scipy.spatial import ConvexHull
 from scipy.stats import kstest
 
 from hypercell import direction as dn
-from hypercell import geom
-from hypercell.errors import InfeasibleBudget, RejectionStall
+from hypercell import geom, process
+from hypercell.errors import InfeasibleBudget, RejectionStall, UnsupportedBody
 from hypercell.rng import stream
 
 from oracles import cap_starved_density_loop, piecewise_quad_integral, square_mean_support_oracle
@@ -52,6 +54,19 @@ PERIMETER_CASES = (
     + [f"polygon_{i}" for i in range(4)]
     + ["stadium", "triangle_ballsum"]
 )
+
+
+def nan_at(values, i):
+    """A copy of values with entry i set to NaN."""
+    out = np.array(values, dtype=np.float64)
+    out[i] = math.nan
+    return out
+
+
+def cap_starved_with(law, **change):
+    """The cap-starved law's constructor arguments, some of them changed."""
+    args = dict(axis=law.axis, cap_angles=law.cap_angles, cap_masses=law.cap_masses, outside_mass=law.outside_mass)
+    return dn.CapStarved(**{**args, **change})
 
 
 @pytest.fixture
@@ -155,23 +170,82 @@ class TestIntegrate:
         assert dn.integrate(law, cube.support_batch) == pytest.approx(1.0, abs=1e-15)
 
 
-class TestSupportOf:
-    def test_atomic(self, facet_atoms):
-        sup = dn.support_of(facet_atoms)
-        assert sup.kind == "atoms" and len(sup.atoms) == 4
+class TestPartSupport:
+    """The support tests read the flattened parts: any continuous part means full support."""
 
-    def test_isotropic(self, iso):
-        assert dn.support_of(iso).kind == "full"
+    def test_atomic(self, facet_atoms, square, ball):
+        assert dn.nondegenerate(facet_atoms)
+        assert dn.supports_approximation(square, facet_atoms)
+        assert not dn.supports_approximation(ball, facet_atoms)
 
-    def test_mixture_with_full_component(self, iso, facet_atoms):
+    def test_isotropic(self, iso, square, ball, stadium):
+        assert dn.nondegenerate(iso)
+        assert all(dn.supports_approximation(body, iso) for body in (square, ball, stadium))
+
+    def test_mixture_with_full_component(self, iso, facet_atoms, ball):
         mix = dn.Mixture([(0.5, facet_atoms), (0.5, iso)])
-        assert dn.support_of(mix).kind == "full"
+        assert dn.nondegenerate(mix)
+        assert dn.supports_approximation(ball, mix)
 
-    def test_mixture_of_atomics(self):
+    def test_mixture_of_atomics(self, square, ball):
         a = dn.Atomic.symmetrized([[1, 0]], [1.0])
         b = dn.Atomic.symmetrized([[0, 1]], [1.0])
-        sup = dn.support_of(dn.Mixture([(0.5, a), (0.5, b)]))
-        assert sup.kind == "atoms" and len(sup.atoms) == 4
+        mix = dn.Mixture([(0.5, a), (0.5, b)])
+        # each component alone lies on a great subsphere; their four atoms span the plane
+        assert not dn.nondegenerate(a) and not dn.nondegenerate(b)
+        assert dn.nondegenerate(mix)
+        assert dn.supports_approximation(square, mix)
+        assert not dn.supports_approximation(square, a)
+        assert not dn.supports_approximation(ball, mix)
+
+    def test_isotropic_3d(self, ball3):
+        law = dn.Isotropic(3)
+        assert dn.nondegenerate(law)
+        assert process.ProcessParams(1.0, law, 3).dist is law
+        assert dn.supports_approximation(ball3, law)
+        assert not dn.supports_approximation(ball3, dn.Atomic.symmetrized(np.eye(3), [1 / 3] * 3))
+
+    def test_3d_cap_starved_mixture_with_subsphere_atoms(self, ball3):
+        starved3 = dn.cap_starved([0, 0, 1], lambda n: n**-0.25, 16, cap_budget, radius=1.0)
+        equator = dn.Atomic.symmetrized([[1, 0, 0], [0, 1, 0]], [0.5, 0.5])
+        mix = dn.Mixture([(0.5, starved3), (0.5, equator)])
+        assert not dn.nondegenerate(equator)
+        assert dn.nondegenerate(mix)
+        assert dn.supports_approximation(ball3, mix)
+        with pytest.raises(UnsupportedBody, match="CapStarved"):
+            dn.exact_parts(mix)
+
+
+class TestFlattening:
+    @pytest.fixture
+    def nested(self, iso, facet_atoms, starved):
+        # weights 0.3, 0.7, 0.1 multiply to different bits in the two groupings
+        assert (0.3 * 0.7) * 0.1 != 0.3 * (0.7 * 0.1)
+        other = dn.Atomic.symmetrized([[0.6, 0.8]], [1.0])
+        inner = dn.Mixture([(0.1, facet_atoms), (0.9, iso)])
+        middle = dn.Mixture([(0.7, inner), (0.3, starved)])
+        return dn.Mixture([(0.3, middle), (0.7, other)]), [facet_atoms, iso, starved, other]
+
+    def test_parts_in_component_order_with_outer_first_weights(self, nested):
+        law, leaves = nested
+        parts = dn.exact_parts(law)
+        assert [part for _, part in parts] == leaves
+        want = [((1.0 * 0.3) * 0.7) * 0.1, ((1.0 * 0.3) * 0.7) * 0.9, (1.0 * 0.3) * 0.3, 1.0 * 0.7]
+        assert [w.tobytes() for w, _ in parts] == [np.float64(w).tobytes() for w in want]
+
+    def test_each_part_is_atomic_or_continuous(self, nested):
+        atomic, iso, starved, other = (part for _, part in dn.exact_parts(nested[0]))
+        assert atomic.atoms.shape == (4, 2) and other.atoms.shape == (2, 2)
+        assert iso.atoms is None and iso.density is None and len(iso.breaks) == 0
+        assert starved.atoms is None and len(starved.breaks) == 4 * len(starved.cap_angles)
+
+    def test_integrate_equals_weighted_part_integrals(self, nested, square):
+        law, _ = nested
+        kinks = geom.kink_angles(square)
+        total = 0.0
+        for w, part in dn.exact_parts(law):
+            total += w * dn.integrate(part, square.support_batch, breaks=kinks)
+        assert dn.integrate(law, square.support_batch, breaks=kinks).hex() == total.hex()
 
 
 class TestSupportsApproximation:
@@ -222,13 +296,14 @@ class TestFromSurfaceMeasure:
     def test_mix_blends_isotropic(self, square):
         dist = dn.from_surface_measure(square, 0.25)
         assert isinstance(dist, dn.Mixture)
-        assert dn.support_of(dist).kind == "full"
+        assert dn.supports_approximation(geom.Ball([0, 0], 1.0), dist)  # full support
 
     def test_support_matches_surface_measure_support(self, square, ball, stadium):
         for body in (square, ball, stadium):
-            sup = dn.support_of(dn.from_surface_measure(body, 0.0))
-            sm = geom.surface_measure(body)
-            assert (sup.kind == "full") == sm.has_density
+            law = dn.from_surface_measure(body, 0.0)
+            assert dn.supports_approximation(body, law)
+            # a ball's smooth boundary needs full support, which a smooth part gives
+            assert dn.supports_approximation(ball, law) == geom.surface_measure(body).has_density
 
 
 class TestCapStarved:
@@ -346,3 +421,80 @@ class TestValidation:
         assert dn.nondegenerate(iso)
         assert dn.nondegenerate(facet_atoms)
         assert not dn.nondegenerate(dn.Atomic.symmetrized([[1, 0]], [1.0]))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda s: dn.Atomic([[math.nan, 0], [-1, 0]], [0.5, 0.5]), id="atomic-atom"),
+            pytest.param(lambda s: dn.Atomic([[1, 0], [-1, 0]], [math.nan, 0.5]), id="atomic-weight"),
+            pytest.param(lambda s: dn.Mixture([(0.5, dn.Isotropic(2)), (math.nan, dn.Isotropic(2))]), id="mixture"),
+            pytest.param(lambda s: cap_starved_with(s, axis=[math.nan, 0]), id="cap-axis"),
+            pytest.param(lambda s: cap_starved_with(s, cap_angles=nan_at(s.cap_angles, 0)), id="cap-angle-0"),
+            pytest.param(lambda s: cap_starved_with(s, cap_angles=nan_at(s.cap_angles, -1)), id="cap-angle-1"),
+            pytest.param(lambda s: cap_starved_with(s, cap_masses=nan_at(s.cap_masses, 1)), id="cap-mass"),
+            pytest.param(lambda s: cap_starved_with(s, outside_mass=math.nan), id="cap-outside"),
+            pytest.param(lambda s: dn.DensityOnSphere(lambda U: np.ones(len(U)), math.nan, 2), id="density-bound"),
+            pytest.param(lambda s: dn.Isotropic(math.nan), id="isotropic-dim"),
+        ],
+    )
+    def test_nan_parameter_refused(self, starved, build):
+        # every check is written to fail on NaN; `x <= 0` alone lets NaN through
+        with pytest.raises(ValueError):
+            build(starved)
+
+    def test_cap_starved_needs_caps(self):
+        # an empty cap list used to fail on an index, outside the CLI's error codes
+        with pytest.raises(ValueError, match="nonempty"):
+            dn.CapStarved([1, 0], [], [], 1.0)
+
+
+LAW_CLASSES = {"Isotropic", "Atomic", "DensityOnSphere", "CapStarved", "Mixture"}
+JSON_CODEC = {"distribution_to_json", "distribution_from_json"}
+
+
+def law_isinstance_calls(source: str) -> list:
+    """Line numbers of `isinstance` calls on a law class outside the JSON codec."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and len(node.args) == 2
+            and function not in JSON_CODEC
+        ):
+            named = {
+                n.attr if isinstance(n, ast.Attribute) else n.id
+                for n in ast.walk(node.args[1])
+                if isinstance(n, (ast.Attribute, ast.Name))
+            }
+            if named & LAW_CLASSES:
+                found.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_law_guard_sees_class_checks():
+    source = (
+        "def distribution_to_json(d):\n    return isinstance(d, Atomic)\n"
+        "def f(p):\n    return isinstance(p, (float, dn.CapStarved))\n"
+        "def g(p):\n    return isinstance(p, Ball)\n"
+    )
+    assert law_isinstance_calls(source) == [4]
+
+
+def test_no_law_class_isinstance_outside_json_codec():
+    # every law is read through its parts (atoms or continuous), never by its class
+    package = Path(dn.__file__).parent
+    found = {
+        path.name: lines
+        for path in sorted(package.glob("*.py"))
+        if (lines := law_isinstance_calls(path.read_text()))
+    }
+    assert found == {}

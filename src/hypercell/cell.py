@@ -37,7 +37,13 @@ convex hull of the points u/t).  One loop on Python floats turns each
 hull edge into a vertex, with the IEEE operations of the equivalent
 array code and without its per-call cost on some 20 rows; only a cell
 with two adjacent vertices that an exact screen cannot keep apart goes
-to the array merge.  For d >= 3 an incremental vertex
+to the array merge.  A planar rebuild of more than 2 * SCREEN_NEAR lines
+first intersects its SCREEN_NEAR nearest lines in the same box and hands
+the hull only those and the lines that cut a vertex of that larger cell,
+in row order (a throw-away step in the spirit of Akl & Toussaint 1978):
+a line that cuts no vertex of a larger cell is redundant for every
+smaller one, so the hull and the active constraints stay those of the
+whole input.  For d >= 3 an incremental vertex
 enumerator starts from the box corners and inserts the halfspaces by
 increasing offset.  A new vertex ends an edge that leaves a cut vertex,
 and that edge lies on d-1 planes through the cut vertex (the adjacency
@@ -68,6 +74,7 @@ import functools
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,6 +94,9 @@ _KEY_BITS = 63  # bits of a nonnegative int64 key; wider plane subsets sort as r
 # rings go into the current cell; a 3-d unit ball at intensity 8 certifies in 2 or
 # 3 rounds (129 and 71 of 200 cells), all within the first box
 _LOOK_AHEAD = 2
+# a planar rebuild of more than 2 * SCREEN_NEAR lines first intersects its SCREEN_NEAR
+# nearest; a `rate` cell keeps 29.6 active lines on average (seed 1)
+SCREEN_NEAR = 32
 
 __all__ = [
     "WindowPolicy",
@@ -114,6 +124,11 @@ class WindowPolicy:
     max_rounds: int = 40
 
     def __post_init__(self):
+        # a string would otherwise fail in a comparison below, and a bool pass as 0 or 1
+        radius = 1.0 if self.initial_radius is None else self.initial_radius
+        for name, value in (("initial radius", radius), ("growth factor", self.growth_factor)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TypeError(f"{name} must be a number, got {value!r}")
         if self.initial_radius is not None and not self.initial_radius > 0:
             raise ValueError(f"initial radius must be positive, got {self.initial_radius}")
         if not self.growth_factor > 1.0:
@@ -612,8 +627,28 @@ class _CellBuilder:
         self._margins: np.ndarray | None = None  # of `inter`, once computed
 
     def rebuild(self, U, T, box):
-        """Build the cell of constraints U, T from scratch inside `box` (normals, offsets)."""
-        self.U, self.T, self._box = U, T, box
+        """Build the cell of constraints U, T from scratch inside `box` (normals, offsets).
+
+        In the plane, more than 2 * SCREEN_NEAR lines are screened first:
+        the lines with the SCREEN_NEAR smallest offsets, ties included,
+        are intersected in the same box, and only they and the lines that
+        cut a vertex of that larger cell go on to the dual hull, in their
+        row order.  A line that cuts no vertex of a larger cell in the box
+        is redundant for every smaller one (the rule `add_incremental`
+        relies on), so the hull, its vertices and the active constraints
+        are those of the unscreened call.  A `rate` rebuild at intensity
+        2^8 has on average 512 (ball) or 724 (square) lines and its cell
+        keeps about 30.  The screen took the mean rows per intersection
+        from 126.9 to 49.1 on a traced `rate` pass (seed 1), and the
+        untraced `rate` `wall_s` from 0.387 s to 0.328 s (medians of 10
+        pairs, 2-core host).
+        """
+        self._box = box
+        if self.dim == 2 and len(T) > 2 * SCREEN_NEAR:
+            near = T <= np.partition(T, SCREEN_NEAR - 1)[SCREEN_NEAR - 1]
+            keep = near | _kernels.cut_mask(U, T, self._checked(U[near], T[near], None).vertices)
+            U, T = U[keep], T[keep]
+        self.U, self.T = U, T
         self._intersect(None)
 
     def add_incremental(self, U_new, T_new):
@@ -634,16 +669,20 @@ class _CellBuilder:
         self._intersect(self.inter)
 
     def _intersect(self, start: Intersection | None):
-        BU, BT = self._box
-        self.inter = halfspace_intersection(self.U, self.T, BU, BT, start)
+        self.inter = self._checked(self.U, self.T, start)
         self._margins = None
-        if self.debug_oracle:
-            self._cross_check(BU, BT)
         self._compact()
 
-    def _cross_check(self, BU, BT):
-        oracle = halfspace_intersection_bruteforce(self.U, self.T, BU, BT)
-        if not _vertex_sets_match(self.inter.vertices, oracle.vertices, 1e-7):
+    def _checked(self, U, T, start: Intersection | None) -> Intersection:
+        """`halfspace_intersection` of U, T in the current box, checked against the oracle if asked."""
+        inter = halfspace_intersection(U, T, *self._box, start)
+        if self.debug_oracle:
+            self._cross_check(inter, U, T)
+        return inter
+
+    def _cross_check(self, inter: Intersection, U, T):
+        oracle = halfspace_intersection_bruteforce(U, T, *self._box)
+        if not _vertex_sets_match(inter.vertices, oracle.vertices, 1e-7):
             raise AssertionError("fast-path intersection deviates from the subset oracle")
 
     def _compact(self):

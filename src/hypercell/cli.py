@@ -30,9 +30,14 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config file not found: {path}")
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
+    except OSError as exc:  # a directory, or a file that cannot be opened
+        raise ConfigError(f"config file {path} cannot be read: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object, got {type(cfg).__name__}")
+    return cfg
 
 
 def _require(cfg: dict, key: str):
@@ -41,13 +46,25 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+def _object(cfg: dict, key: str, default: dict | None = None) -> dict:
+    """The JSON object under `key`: required unless a default is given."""
+    obj = _require(cfg, key) if default is None else cfg.get(key, default)
+    if not isinstance(obj, dict):
+        raise ConfigError(f"config key {key!r} must be a JSON object, got {type(obj).__name__}")
+    return obj
+
+
 def _parse_common(cfg: dict, args):
     """Body, seed and window policy of an experiment config."""
-    body = geom.body_from_json(_require(cfg, "body"))
+    body = geom.body_from_json(_object(cfg, "body"))
     seed = args.seed if args.seed is not None else cfg.get("seed")
     if seed is None:
         raise ConfigError("seed must be given in the config or with --seed")
-    return body, seed, ex.policy_from_json(cfg.get("policy", {}))
+    try:
+        policy = ex.policy_from_json(_object(cfg, "policy", {}))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config key 'policy': {exc}") from exc
+    return body, seed, policy
 
 
 def _threads(args) -> int:
@@ -77,7 +94,7 @@ def _cmd_rate(args) -> int:
     body, seed, policy = _parse_common(cfg, args)
     run_cfg = ex.RateRunConfig(
         body,
-        dn.distribution_from_json(_require(cfg, "distribution")),
+        dn.distribution_from_json(_object(cfg, "distribution")),
         _require(cfg, "n_grid"),
         cfg.get("reps", 100),
         seed,
@@ -115,7 +132,7 @@ def _cmd_tail(args) -> int:
     body, seed, policy = _parse_common(cfg, args)
     run_cfg = ex.TailRunConfig(
         body,
-        dn.distribution_from_json(_require(cfg, "distribution")),
+        dn.distribution_from_json(_object(cfg, "distribution")),
         float(_require(cfg, "eps")),
         _require(cfg, "gamma_grid"),
         cfg.get("reps", 1000),
@@ -167,8 +184,8 @@ def _cmd_counterexample(args) -> int:
 
 def _cmd_mu_curve(args) -> int:
     cfg = _load_config(args.config)
-    body = geom.body_from_json(_require(cfg, "body"))
-    dist = dn.distribution_from_json(_require(cfg, "distribution"))
+    body = geom.body_from_json(_object(cfg, "body"))
+    dist = dn.distribution_from_json(_object(cfg, "distribution"))
     seed = args.seed if args.seed is not None else cfg.get("seed", 99173)
     grid_cfg = _require(cfg, "eps_grid")
     if isinstance(grid_cfg, dict):

@@ -589,6 +589,8 @@ def distribution_to_json(dist: DirectionalDistribution) -> dict:
 
 
 def distribution_from_json(obj: dict) -> DirectionalDistribution:
+    if not isinstance(obj, dict):  # also a mixture component's "dist"
+        raise TypeError(f"a distribution must be a JSON object, got {type(obj).__name__}")
     kind = obj.get("type")
     if kind == "isotropic":
         return Isotropic(obj["dim"])

@@ -1026,6 +1026,132 @@ class TestCellsAlongIntensity:
                 assert cell.CellPolytope.from_json(json.loads(z.dumps())).stats.hausdorff.hex() == want
 
 
+def bundled_planar_case(name):
+    """Body, law, grid, seed and window policy of a bundled planar config, as its experiment builds cells."""
+    doc = json.loads((CONFIGS / f"{name}.json").read_text())
+    body = geom.body_from_json(doc["body"])
+    if "distribution" in doc:
+        return body, dn.distribution_from_json(doc["distribution"]), doc["n_grid"], doc["seed"], None
+    cfg = ex.CounterexampleConfig(body, doc["beta"], doc["n_grid"], 1, doc["seed"])
+    return body, ex._counterexample_distribution(cfg)[0], doc["n_grid"], doc["seed"], cfg.policy
+
+
+class TestRebuildScreen:
+    """A planar rebuild of many lines intersects its nearest lines first; the cells must not change."""
+
+    @staticmethod
+    def record_intersections(monkeypatch):
+        seen = []
+        inner = cell.halfspace_intersection
+
+        def record(U, T, BU, BT, start=None):
+            seen.append(inner(U, T, BU, BT, start))
+            return seen[-1]
+
+        monkeypatch.setattr(cell, "halfspace_intersection", record)
+        return seen
+
+    @staticmethod
+    def rebuilt(U, T, box):
+        builder = cell._CellBuilder(geom.Ball([0, 0], 0.1), 2)
+        builder.rebuild(U, T, box)
+        return cell._finalize(builder, 1.0, len(T), 1).dumps()
+
+    def assert_screen_exact(self, monkeypatch, U, T, box=BOX2):
+        """The rebuilt cell with and without the screen; returns the screened run's intersections."""
+        seen = self.record_intersections(monkeypatch)
+        got = self.rebuilt(U, T, box)
+        assert len(seen) == 1 + (len(T) > 2 * cell.SCREEN_NEAR)
+        near = seen[:-1]
+        monkeypatch.setattr(cell, "SCREEN_NEAR", 10**9)
+        assert self.rebuilt(U, T, box) == got
+        return near
+
+    @pytest.mark.parametrize(
+        "name, reps",
+        [("rate_ball_isotropic", range(20)), ("rate_square_atomic", range(20)),
+         ("rate_square_isotropic", range(20)), ("counterexample_ball", [74, 129, 237, 319])],
+    )
+    def test_bundled_cells_equal_unscreened(self, name, reps, monkeypatch):
+        body, law, grid, seed, policy = bundled_planar_case(name)
+        params = process.ProcessParams(1.0, law, 2)
+        rebuilds = []
+        rebuild = cell._CellBuilder.rebuild
+
+        def record(builder, U, T, box):
+            rebuilds.append(len(T))
+            rebuild(builder, U, T, box)
+
+        monkeypatch.setattr(cell._CellBuilder, "rebuild", record)
+
+        def dumps():
+            keys = [KeyedStream(seed, rep) for rep in reps]
+            return [[z.dumps() for z in cell.cells_along_intensity(params, body, grid, policy, key)] for key in keys]
+
+        got = dumps()
+        assert sum(n > 2 * cell.SCREEN_NEAR for n in rebuilds) >= len(reps)
+        monkeypatch.setattr(cell, "SCREEN_NEAR", 10**9)
+        assert dumps() == got
+
+    def test_ties_at_the_kth_offset(self, rng, monkeypatch):
+        k = cell.SCREEN_NEAR
+        th = rng.uniform(0, 2 * math.pi, 100)
+        U = np.column_stack([np.cos(th), np.sin(th)])
+        T = np.sort(rng.uniform(0.5, 2.0, 100))
+        T[k - 5 : k + 6] = T[k - 1]  # 11 lines tie at the k-th smallest offset
+        perm = rng.permutation(100)
+        (near,) = self.assert_screen_exact(monkeypatch, U[perm], T[perm])
+        assert near.n_halfspaces == k + 6
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_at_and_past_the_threshold(self, extra, rng, monkeypatch):
+        k = cell.SCREEN_NEAR
+        th = rng.uniform(0, 2 * math.pi, 2 * k + extra)
+        U, T = np.column_stack([np.cos(th), np.sin(th)]), rng.uniform(0.5, 2.0, 2 * k + extra)
+        near = self.assert_screen_exact(monkeypatch, U, T)
+        assert [z.n_halfspaces for z in near] == [k] * extra
+
+    def test_near_cell_with_box_vertices(self, rng, monkeypatch):
+        # the nearest lines all face right, so their cell reaches the box on the left
+        k = cell.SCREEN_NEAR
+        th = np.concatenate([rng.uniform(-1.0, 1.0, k), rng.uniform(0, 2 * math.pi, 60)])
+        U = np.column_stack([np.cos(th), np.sin(th)])
+        T = np.concatenate([rng.uniform(0.5, 1.0, k), rng.uniform(1.5, 3.0, 60)])
+        perm = rng.permutation(len(T))
+        (near,) = self.assert_screen_exact(monkeypatch, U[perm], T[perm])
+        assert (near.defining >= near.n_halfspaces).any()
+
+    def test_debug_oracle_checks_both_intersections(self, monkeypatch):
+        body, law, grid, seed, _ = bundled_planar_case("rate_ball_isotropic")
+        seen = self.record_intersections(monkeypatch)
+        checked = []
+        check = cell._CellBuilder._cross_check
+
+        def record(builder, inter, U, T):
+            check(builder, inter, U, T)
+            checked.append(inter)
+
+        monkeypatch.setattr(cell._CellBuilder, "_cross_check", record)
+        ex.run_rate(ex.RateRunConfig(body, law, grid[:3], 2, seed, debug_oracle=True))
+        assert len(checked) == len(seen) and all(a is b for a, b in zip(checked, seen))
+        # each rebuild past the threshold made a near intersection of SCREEN_NEAR lines
+        assert any(z.n_halfspaces == cell.SCREEN_NEAR for z in seen)
+
+    def test_screen_saves_intersection_rows(self, monkeypatch):
+        # a window rebuild hands the hull some 500-750 lines of which a cell keeps about 30
+        seen = self.record_intersections(monkeypatch)
+        total = []
+        for screen in (cell.SCREEN_NEAR, 10**9):
+            monkeypatch.setattr(cell, "SCREEN_NEAR", screen)
+            seen.clear()
+            for name in ("rate_ball_isotropic", "rate_square_atomic"):
+                body, law, grid, seed, _ = bundled_planar_case(name)
+                ex.run_rate(ex.RateRunConfig(body, law, grid, 3, seed))
+            total.append(sum(z.n_halfspaces for z in seen))
+        # 2,623 of 6,017 rows at seed 42
+        assert total[0] <= 0.6 * total[1]
+
+
 class TestCellSerialization:
     def test_json_round_trip(self, params50, ball):
         z = cell.k_cell(params50, ball, stream_key=KeyedStream(44, 0))

@@ -53,6 +53,42 @@ class TestRateCommand:
         bad.write_text("{not json")
         assert dispatch(["rate", "--config", str(bad)]) == 2
 
+    def test_directory_as_config_exits_2(self, tmp_path, capsys):
+        assert dispatch(["rate", "--config", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"ConfigError: config file {tmp_path} cannot be read" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "command, doc, message",
+        [
+            ("rate", 3, "config file {path} must hold a JSON object, got int"),
+            ("rate", [BALL_ISO], "config file {path} must hold a JSON object, got list"),
+            ("rate", {**BALL_ISO, "body": [[0, 0], 1.0]}, "config key 'body' must be a JSON object, got list"),
+            ("rate", {**BALL_ISO, "distribution": "isotropic"}, "config key 'distribution' must be a JSON object, got str"),
+            ("tail", {**BALL_ISO, "policy": [2.0]}, "config key 'policy' must be a JSON object, got list"),
+            ("rate", {**BALL_ISO, "policy": {"growth_factor": "2"}}, "config key 'policy': growth factor must be a number, got '2'"),
+            ("rate", {**BALL_ISO, "policy": {"initial_radius": True}}, "config key 'policy': initial radius must be a number, got True"),
+            ("mu-curve", {**BALL_ISO, "distribution": [], "eps_grid": [0.1]}, "config key 'distribution' must be a JSON object, got list"),
+        ],
+    )
+    def test_config_of_wrong_type_exits_2(self, tmp_path, capsys, command, doc, message):
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert dispatch([command, "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: ConfigError: {message.format(path=path)}"]
+        assert not out.exists()
+
+    def test_mixture_component_of_wrong_type_exits_2(self, tmp_path, capsys):
+        mixture = {"type": "mixture", "components": [{"weight": 1.0, "dist": ["isotropic"]}]}
+        path = tmp_path / "nested.json"
+        path.write_text(json.dumps({**BALL_ISO, "distribution": mixture}))
+        assert dispatch(["rate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: TypeError: a distribution must be a JSON object, got list\n"
+        assert not (tmp_path / "o").exists()
+
     def test_hash_equal_reruns(self, cfg_path, tmp_path):
         out1, out2 = str(tmp_path / "o1"), str(tmp_path / "o2")
         assert dispatch(["rate", "--config", cfg_path, "--out", out1]) == 0

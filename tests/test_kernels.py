@@ -91,15 +91,22 @@ class TestHullChain:
             assert np.array_equal(_kernels.convex_hull_2d(pts), convex_hull_2d_loop(pts))
 
     def test_dual_point_sets_equal_chain(self, monkeypatch):
-        # record the dual points that planar cell builds hand to the hull
+        # record the dual points that planar cell builds hand to the hull, and those of
+        # each whole rebuild input, which the rebuild screen thins before the hull
         seen = []
         chain = _kernels.hull_chain
+        rebuild = cell._CellBuilder.rebuild
 
         def record(pts):
             seen.append(pts)
             return chain(pts)
 
+        def record_rebuild(builder, U, T, box):
+            seen.append(np.vstack([U, box[0]]) / np.concatenate([T, box[1]])[:, None])
+            rebuild(builder, U, T, box)
+
         monkeypatch.setattr(_kernels, "hull_chain", record)
+        monkeypatch.setattr(cell._CellBuilder, "rebuild", record_rebuild)
         square = geom.Polytope([[-1, -1], [1, -1], [1, 1], [-1, 1]])
         atoms = dn.Atomic.symmetrized([[1, 0], [0, 1]], [0.5, 0.5])  # many exact ties
         for body, law in ((geom.Ball([0, 0], 1.0), dn.Isotropic(2)), (square, atoms)):
@@ -107,7 +114,7 @@ class TestHullChain:
             for rep in range(3):
                 cell.cells_along_intensity(params, body, [64, 256, 1024, 4096], stream_key=KeyedStream(47, rep))
         assert len(seen) >= 20 and max(map(len, seen)) >= 100
-        # the bundled cap-starved config; its replication 237 hands the hull 82 points
+        # the bundled cap-starved config; its replication 237 rebuilds from 82 dual points
         n_iso_atomic = len(seen)
         doc = json.loads((CONFIGS / "counterexample_ball.json").read_text())
         body = geom.body_from_json(doc["body"])

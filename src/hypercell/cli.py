@@ -54,9 +54,16 @@ def _object(cfg: dict, key: str, default: dict | None = None) -> dict:
     return obj
 
 
+def _body(cfg: dict):
+    try:
+        return geom.body_from_json(_object(cfg, "body"))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config key 'body': {exc}") from exc
+
+
 def _parse_common(cfg: dict, args):
     """Body, seed and window policy of an experiment config."""
-    body = geom.body_from_json(_object(cfg, "body"))
+    body = _body(cfg)
     seed = args.seed if args.seed is not None else cfg.get("seed")
     if seed is None:
         raise ConfigError("seed must be given in the config or with --seed")
@@ -184,7 +191,7 @@ def _cmd_counterexample(args) -> int:
 
 def _cmd_mu_curve(args) -> int:
     cfg = _load_config(args.config)
-    body = geom.body_from_json(_object(cfg, "body"))
+    body = _body(cfg)
     dist = dn.distribution_from_json(_object(cfg, "distribution"))
     seed = args.seed if args.seed is not None else cfg.get("seed", 99173)
     grid_cfg = _require(cfg, "eps_grid")

@@ -19,12 +19,14 @@ d = 2 and 3 only (`UnsupportedBody` beyond).  Distances and projections
 to a polytope core go through one kernel, `_kernels.polygon_project`,
 which returns the distance and the nearest point together: in the plane
 on the core polygon itself, in R^3 on each planar face of the core in
-the face's own 2-d frame (`_Faces`).  A ball keeps its closed forms
-h = r and dist = max(0, |x| - r).
+the face's own 2-d frame (`_Faces`), its facets found by polar duality
+with the package's d >= 3 enumerator (`_facet_planes`), not scipy.  A
+ball keeps its closed forms h = r and dist = max(0, |x| - r).
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,11 +77,36 @@ def sphere_area(dim: int) -> float:
 
 
 def _dedupe_rows(arr: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    out: list[np.ndarray] = []
-    for row in arr:
-        if not any(np.linalg.norm(row - r) <= tol for r in out):
-            out.append(row)
-    return np.array(out)
+    """The rows of arr less each within tol of an earlier kept row (keep-first).
+
+    A later exact copy of a row is always dropped and drops nothing.  Any
+    other pair within tol is within tol in the first coordinate, so one
+    sort on it lists the candidate pairs, k-th sorted neighbours at step
+    k, and a vector norm flags those within 2 tol.  Only flagged rows can
+    be dropped: in order, each is checked against the kept rows before it
+    in its window by the per-pair `np.linalg.norm` of the rule.
+    """
+    order = np.lexsort(arr.T[::-1])  # by the first coordinate, equal rows together in input order
+    srt = arr[order]
+    keep = np.ones(len(arr), dtype=bool)
+    keep[order[1:][(srt[1:] == srt[:-1]).all(axis=1)]] = False
+    order = order[keep[order]]
+    x = arr[order, 0]
+    lo, hi = np.searchsorted(x, x - 2.0 * tol), np.searchsorted(x, x + 2.0 * tol, side="right")
+    near = np.zeros(len(arr), dtype=bool)
+    k = 1
+    while (live := np.flatnonzero(np.arange(len(x)) + k < hi)).size:
+        a, b = order[live], order[live + k]
+        close = np.linalg.norm(arr[a] - arr[b], axis=1) <= 2.0 * tol
+        near[a[close]] = near[b[close]] = True
+        k += 1
+    pos = np.empty(len(arr), dtype=np.int64)
+    pos[order] = np.arange(len(order))
+    for j in np.flatnonzero(near).tolist():
+        window = order[lo[pos[j]] : hi[pos[j]]]
+        earlier = window[(window < j) & keep[window]].tolist()
+        keep[j] = not any(np.linalg.norm(arr[j] - arr[i]) <= tol for i in earlier)
+    return arr[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +177,8 @@ class _CoreBody(_BodyBase):
         """(outward normal, offset, area, vertex indices) of each facet of a full-dimensional core.
 
         Planar facets are the hull edges (`_polygon_edges`); in R^3 they
-        come from qhull on first use.
+        come from `_facet_planes` on first use, each area from the facet's
+        polygon (`_Faces`).
         """
         if self.dim == 3:
             return self._face_data().facets
@@ -187,7 +215,7 @@ class Ball(_BodyBase):
         c = np.asarray(center, dtype=np.float64)
         if c.ndim != 1 or c.shape[0] < 2:
             raise ValueError("ball center must be a vector of dimension >= 2")
-        if radius <= 0:
+        if not radius > 0:  # fails on NaN
             raise ValueError(f"ball radius must be positive, got {radius}")
         self.center = np.zeros_like(c)
         self.vertices = self.center[None, :]
@@ -222,7 +250,7 @@ class BallSum(_CoreBody):
     """
 
     def __init__(self, vertices, radius: float):
-        if radius <= 0:
+        if not radius > 0:  # fails on NaN
             raise ValueError(f"ballsum radius must be positive, got {radius}")
         self._init_core(vertices, "ballsum", float(radius))
 
@@ -247,8 +275,9 @@ class _Faces:
     SVD of its centred points), the normal n = B[0] x B[1] and its CCW
     polygon in frame coordinates, so dist(x, F)^2 = dist(B (x - o),
     polygon)^2 + <x - o, n>^2: one `_kernels.polygon_project` call.  A
-    full-dimensional core has one face per facet (`facets`, from qhull),
-    its plane oriented outward through the facet's own points.  A point x
+    full-dimensional core has one face per facet (`_facet_planes`), framed
+    on the facet's vertices and oriented outward; `facets` gives each its
+    outward normal, offset, polygon area and vertex ids.  A point x
     outside the core is nearest to some p on a facet whose plane x is
     outside of (x - p lies in the normal cone at p), and x outside no facet
     plane is inside.  A lower-dimensional core is one face in a plane
@@ -256,12 +285,16 @@ class _Faces:
     """
 
     def __init__(self, V: np.ndarray, full: bool):
-        self.facets = _facets_qhull(V) if full else []
-        groups = [ids for *_, ids in self.facets] or [np.arange(len(V))]
+        planes = _facet_planes(V) if full else []
+        groups = [ids for *_, ids in planes] or [np.arange(len(V))]
         self.origins = np.array([V[ids].mean(axis=0) for ids in groups])
         self.bases = np.array([np.linalg.svd(V[ids] - o)[2][:2] for ids, o in zip(groups, self.origins)])
         frames = [(V[ids] - o) @ B.T for ids, o, B in zip(groups, self.origins, self.bases)]
         self.polygons = [Q[_kernels.convex_hull_2d(Q)] for Q in frames]
+        # a facet's area is its polygon's (shoelace)
+        self.facets = []
+        for (n, h, ids), (x, y) in zip(planes, (P.T for P in self.polygons)):
+            self.facets.append((n, h, 0.5 * float(x @ np.roll(y, -1) - np.roll(x, -1) @ y), ids))
         self.normals = np.cross(self.bases[:, 0], self.bases[:, 1])
         # the origin is interior to a full core, so an outward plane has a positive offset
         offsets = np.einsum("ij,ij->i", self.normals, self.origins)
@@ -291,32 +324,34 @@ class _Faces:
         return dist, nearest
 
 
-def _facets_qhull(V: np.ndarray):
-    """Facet (normal, offset, area, vertex indices) via the qhull wrapper."""
-    from scipy.spatial import ConvexHull
+def _facet_planes(V: np.ndarray):
+    """Outward unit normal n, offset h and vertex ids of each facet of a full core in R^3.
 
-    hull = ConvexHull(V)
-    d = V.shape[1]
-    groups: dict[tuple, list[int]] = {}
-    for si, eq in enumerate(hull.equations):
-        key = tuple(np.round(eq, 9))
-        groups.setdefault(key, []).append(si)
-    facets = []
-    for key, simplices in groups.items():
-        normal = np.array(key[:d])
-        normal /= np.linalg.norm(normal)
-        offset = float(-key[d])
-        area = 0.0
-        verts: set[int] = set()
-        for si in simplices:
-            ids = hull.simplices[si]
-            verts.update(int(i) for i in ids)
-            E = V[ids[1:]] - V[ids[0]]
-            gram = E @ E.T
-            det = float(np.linalg.det(gram))
-            area += math.sqrt(max(det, 0.0)) / math.factorial(d - 1)
-        facets.append((normal, offset, area, np.array(sorted(verts))))
-    return facets
+    By polar duality (Ziegler, *Lectures on Polytopes*, 1995, Section 2.3)
+    the facets {<n, x> = h} of conv(V), origin interior, are the vertices
+    y = n / h of {y : <v, y> <= 1}, enumerated in an axis box.  No such y
+    is nearer than 1 / max|v|, so the box starts at 2 / max|v| and grows
+    by 4x while a box plane defines a vertex (a far larger box rounds the
+    vertices past the enumerator's tolerances).  A vertex is on three
+    facets or more, each within 1e-9 (1 + h).
+    """
+    # cell imports process, which imports this module; the enumerator is
+    # called directly, as a tracer may wrap `cell.halfspace_intersection`
+    from hypercell import cell
+
+    r = np.linalg.norm(V, axis=1)
+    U, T = V[r > 0] / r[r > 0, None], 1.0 / r[r > 0]  # a point at the origin bounds nothing
+    rho = 2.0 / r.max()
+    while True:
+        inter = cell._intersect_incremental(U, T, cell._box_normals(3), np.full(6, rho))
+        if (inter.defining < len(T)).all():
+            break
+        rho *= 4.0
+    s = np.linalg.norm(inter.vertices, axis=1)
+    N, h = inter.vertices / s[:, None], 1.0 / s
+    on = np.abs(V @ N.T - h) <= 1e-9 * (1.0 + h)
+    on &= on.sum(axis=1, keepdims=True) >= 3
+    return [(n, float(t), np.flatnonzero(col)) for n, t, col in zip(N, h, on.T)]
 
 
 # ---------------------------------------------------------------------------
@@ -544,12 +579,30 @@ def body_to_json(body: Body) -> dict:
     raise TypeError(f"not a body: {body!r}")
 
 
+def _json_field(obj: dict, key: str):
+    """A body document's field, refused by name when missing or of the wrong type."""
+    if key not in obj:
+        raise ValueError(f"{key} is required")
+    value = obj[key]
+    if key == "radius":
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise TypeError(f"radius must be a number, got {value!r}")
+        return value
+    try:
+        numeric = not isinstance(value, str) and np.asarray(value).dtype.kind in "iuf"
+    except ValueError:  # a ragged nesting
+        numeric = False
+    if not numeric:
+        raise TypeError(f"{key} must be an array of numbers, got {value!r}")
+    return value
+
+
 def body_from_json(obj: dict) -> Body:
     kind = obj.get("type")
     if kind == "polytope":
-        return Polytope(obj["vertices"])
+        return Polytope(_json_field(obj, "vertices"))
     if kind == "ball":
-        return Ball(obj["center"], obj["radius"])
+        return Ball(_json_field(obj, "center"), _json_field(obj, "radius"))
     if kind == "ballsum":
-        return BallSum(obj["vertices"], obj["radius"])
+        return BallSum(_json_field(obj, "vertices"), _json_field(obj, "radius"))
     raise ValueError(f"unknown body type {kind!r}")

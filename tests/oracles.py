@@ -238,6 +238,33 @@ def cube_distance_oracle(x):
     return float(np.linalg.norm(np.maximum(np.abs(x) - 1.0, 0.0)))
 
 
+def facets_qhull(V):
+    """Facets of conv(V) in R^3 from qhull: {vertex ids: (normal, offset, area)}.
+
+    qhull triangulates each facet; its simplices are grouped by their
+    plane rounded to 9 digits, the normal and offset are the first
+    simplex's unrounded plane, and the area sums the triangles.
+    """
+    from scipy.spatial import ConvexHull
+
+    hull = ConvexHull(V)
+    groups = {}
+    for eq, ids in zip(hull.equations, hull.simplices):
+        ids_set, plane, area = groups.setdefault(tuple(np.round(eq, 9)), (set(), eq, [0.0]))
+        ids_set.update(ids.tolist())
+        area[0] += 0.5 * np.linalg.norm(np.cross(V[ids[1]] - V[ids[0]], V[ids[2]] - V[ids[0]]))
+    return {tuple(sorted(ids)): (plane[:3], -plane[3], area[0]) for ids, plane, area in groups.values()}
+
+
+def dedupe_rows_loop(arr, tol=1e-12):
+    """Keep-first row dedupe: each row is compared with every row kept before it."""
+    out = []
+    for row in arr:
+        if not any(np.linalg.norm(row - r) <= tol for r in out):
+            out.append(row)
+    return np.array(out)
+
+
 def _affine_min_norm(A):
     """Weights of the min-norm point of the affine hull of the rows of A."""
     s = A.shape[0]

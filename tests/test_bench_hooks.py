@@ -67,3 +67,23 @@ def test_tracer_counts_every_annulus_sample(monkeypatch):
         tracer.uninstall()
     assert tracer.calls["process.sample"] == cells[0].stats.rounds + 1
     assert tracer.counts["process.hyperplanes"] > 0
+
+
+def test_facets_are_not_booked_to_the_cell_intersection(monkeypatch):
+    # a 3-d core builds its facets on its first distance, with the enumerator
+    # itself: `cell.intersect` times the cells of a run and nothing else
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracer import Tracer
+
+    from hypercell import geom
+
+    cube = geom.Polytope([[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)])
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert abs(cube.distance([3.0, 0.0, 0.0]) - 2.0) <= 1e-12
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["geom.distance"] == 1
+    assert tracer.calls["cell.intersect"] == 0
+    assert len(cube.facets) == 6

@@ -70,6 +70,19 @@ class TestRateCommand:
             ("rate", {**BALL_ISO, "policy": {"growth_factor": "2"}}, "config key 'policy': growth factor must be a number, got '2'"),
             ("rate", {**BALL_ISO, "policy": {"initial_radius": True}}, "config key 'policy': initial radius must be a number, got True"),
             ("mu-curve", {**BALL_ISO, "distribution": [], "eps_grid": [0.1]}, "config key 'distribution' must be a JSON object, got list"),
+            ("rate", {**BALL_ISO, "body": {"type": "ball", "center": [0, 0], "radius": "1"}},
+             "config key 'body': radius must be a number, got '1'"),
+            ("rate", {**BALL_ISO, "body": {"type": "ball", "center": [0, 0]}}, "config key 'body': radius is required"),
+            ("tail", {**BALL_ISO, "body": {"type": "polytope", "vertices": "abc"}},
+             "config key 'body': vertices must be an array of numbers, got 'abc'"),
+            ("rate", {**BALL_ISO, "body": {"type": "polytope", "vertices": [[0, 0], [1]]}},
+             "config key 'body': vertices must be an array of numbers, got [[0, 0], [1]]"),
+            ("rate", {**BALL_ISO, "body": {"type": "ballsum", "vertices": [[0, 0], [1, 0]], "radius": float("nan")}},
+             "config key 'body': ballsum radius must be positive, got nan"),
+            ("mu-curve", {**BALL_ISO, "body": {"type": "ball", "center": [0, "a"], "radius": 1}, "eps_grid": [0.1]},
+             "config key 'body': center must be an array of numbers, got [0, 'a']"),
+            ("mu-curve", {**BALL_ISO, "body": {"type": "ballsum", "vertices": [[0, 0]]}, "eps_grid": [0.1]},
+             "config key 'body': radius is required"),
         ],
     )
     def test_config_of_wrong_type_exits_2(self, tmp_path, capsys, command, doc, message):
@@ -382,6 +395,22 @@ def test_cap_starved_3d_loads_no_scipy():
     proc = _run_child("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n") == ["True True", "[]", ""]
+
+
+def test_polytope_3d_rate_loads_no_scipy():
+    # the facets of a 3-d core come from the package's own enumerator, by polar duality
+    code = (
+        "import sys\n"
+        "from hypercell import direction as dn, experiment as ex, geom\n"
+        "cube = geom.Polytope([[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)])\n"
+        "law = dn.Atomic([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]], [1 / 6] * 6)\n"
+        "result = ex.run_rate(ex.RateRunConfig(cube, law, [64, 256], reps=2, seed=42))\n"
+        "print(len(cube.facets), all(e['median_delta'] > 0 for e in result.per_n))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    proc = _run_child("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == ["6 True", "[]", ""]
 
 
 def test_serial_run_loads_no_pool_or_quadrature_rule():

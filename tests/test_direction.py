@@ -498,3 +498,25 @@ def test_no_law_class_isinstance_outside_json_codec():
         if (lines := law_isinstance_calls(path.read_text()))
     }
     assert found == {}
+
+
+def scipy_imports(source: str) -> list:
+    """Line numbers of the `import scipy...` and `from scipy... import` statements in a module."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "scipy" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy"
+    )
+
+
+def test_scipy_guard_sees_imports():
+    source = "import numpy\ndef f():\n    from scipy.stats import kstest\n    import scipy.spatial as sp\nimport scipyx\n"
+    assert scipy_imports(source) == [3, 4]
+
+
+def test_only_validate_imports_scipy():
+    # every run path is scipy-free; the invariant battery keeps its own checkers
+    package = Path(dn.__file__).parent
+    importers = {path.name for path in package.glob("*.py") if scipy_imports(path.read_text())}
+    assert importers <= {"validate.py"}

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from hypercell.errors import ContainmentViolated, UnsupportedBody
 
 from oracles import (
     cube_distance_oracle,
+    dedupe_rows_loop,
+    facets_qhull,
     outer_parallel,
     point_at_every_piece,
     polygon_perimeter_numeric,
@@ -218,6 +221,39 @@ class TestSurfaceMeasure:
         assert len(sm.atoms) == 6
         assert sm.total_mass == pytest.approx(24.0, abs=1e-9)
 
+    def test_3d_facets_match_qhull(self, cube, monkeypatch):
+        # the facets come from the package's enumerator by polar duality; qhull
+        # is the oracle: equal vertex groups, normals and offsets to 1e-12 and
+        # areas to 1e-9 relative
+        from hypercell import cell
+
+        rng = np.random.default_rng(2024)
+        tetra = [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]
+        # points inside facets and on edges are on the core but none of its vertices
+        extra = np.vstack([cube.vertices, np.eye(3), -np.eye(3), [[1, 1, 0], [0, -1, 1], [-1, 0, 1], [0.3, 0.2, 1.0]]])
+        sphere = [rng.standard_normal((k, 3)) for k in (20, 60, 150)]
+        sphere = [P / np.linalg.norm(P, axis=1, keepdims=True) for P in sphere]
+        slab = [[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1e-3, 1e-3)]
+        clouds = [rng.standard_normal((k, 3)) for k in rng.integers(4, 61, size=30)]
+        bodies = [cube.vertices, tetra, extra, slab, *clouds, *sphere]
+        runs = []
+        enumerate_cell = cell._intersect_incremental
+        monkeypatch.setattr(cell, "_intersect_incremental", lambda *a: runs.append(a[3][0]) or enumerate_cell(*a))
+        for V in bodies:
+            body = geom.Polytope(V)
+            runs.clear()
+            facets = body.facets
+            want = facets_qhull(body.vertices)
+            got = {tuple(ids.tolist()): (n, h, area) for n, h, area, ids in facets}
+            assert got.keys() == want.keys() and len(facets) == len(want)
+            for ids, (n, h, area) in got.items():
+                n_ref, h_ref, area_ref = want[ids]
+                assert np.abs(n - n_ref).max() <= 1e-12 and abs(h - h_ref) <= 1e-12
+                assert area == pytest.approx(area_ref, rel=1e-9)
+            if V is slab:  # the polar of a thin slab is long: its box grows
+                assert len(runs) >= 3 and runs == sorted(runs)
+        assert len(extra) == 18 and sorted(len(ids) for *_, ids in geom.Polytope(extra).facets) == [4] * 6
+
     def test_ballsum_3d_unsupported(self):
         body = geom.BallSum([[0, 0, 0], [1, 0, 0]], 0.5)
         with pytest.raises(UnsupportedBody):
@@ -402,3 +438,31 @@ class TestSerialization:
         with pytest.raises(UnsupportedBody, match="d = 4"):
             geom.BallSum(simplex, 0.5)
         assert geom.Ball(np.zeros(4), 1.0).dim == 4
+
+
+class TestDedupeRows:
+    def test_equals_the_keep_first_loop(self):
+        # exact copies, near copies (1e-13 apart) and chains of rows each within
+        # tol of the last but not of the first kept one
+        rng = np.random.default_rng(77)
+        chain = np.array([[k * 0.9e-12, 0.0] for k in range(6)])
+        cases = [chain, chain[::-1], np.zeros((50, 3)), np.vstack([chain, chain + 1e-13])]
+        for trial in range(120):
+            d, n = int(rng.integers(2, 4)), int(rng.integers(1, 30))
+            base = rng.integers(-2, 3, size=(n, d)).astype(float) if trial % 2 else rng.standard_normal((n, d))
+            picks = base[rng.integers(0, n, size=(3, n))]
+            step = rng.choice([0.0, 1e-13, -1e-13, 6e-13, 9e-13, 1.1e-12], size=picks.shape)
+            rows = np.vstack([base, *(picks + step.cumsum(axis=0))])
+            cases.append(rows[rng.permutation(len(rows))])
+        for rows in cases:
+            assert np.array_equal(geom._dedupe_rows(rows), dedupe_rows_loop(rows))
+        assert len(geom._dedupe_rows(chain)) == 3
+
+    def test_large_inputs_are_quick(self):
+        # the loop compares each row with every kept row: 8.8 s on 2,000 planar points
+        rng = np.random.default_rng(5)
+        rows = [rng.standard_normal((2000, 2)), rng.standard_normal((300, 3)), np.zeros((2000, 3))]
+        start = time.perf_counter()
+        for arr in rows:
+            geom._dedupe_rows(arr)
+        assert time.perf_counter() - start < 1.0

@@ -248,12 +248,13 @@ def facets_qhull(V):
     from scipy.spatial import ConvexHull
 
     hull = ConvexHull(V)
-    groups = {}
-    for eq, ids in zip(hull.equations, hull.simplices):
-        ids_set, plane, area = groups.setdefault(tuple(np.round(eq, 9)), (set(), eq, [0.0]))
-        ids_set.update(ids.tolist())
-        area[0] += 0.5 * np.linalg.norm(np.cross(V[ids[1]] - V[ids[0]], V[ids[2]] - V[ids[0]]))
-    return {tuple(sorted(ids)): (plane[:3], -plane[3], area[0]) for ids, plane, area in groups.values()}
+    planes, ids, areas = {}, {}, {}
+    for eq, tri in zip(hull.equations, hull.simplices):
+        key = tuple(np.round(eq, 9))
+        planes.setdefault(key, eq)
+        ids.setdefault(key, set()).update(tri.tolist())
+        areas[key] = areas.get(key, 0.0) + 0.5 * np.linalg.norm(np.cross(V[tri[1]] - V[tri[0]], V[tri[2]] - V[tri[0]]))
+    return {tuple(sorted(ids[k])): (eq[:3], -eq[3], areas[k]) for k, eq in planes.items()}
 
 
 def dedupe_rows_loop(arr, tol=1e-12):

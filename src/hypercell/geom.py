@@ -26,7 +26,6 @@ ball keeps its closed forms h = r and dist = max(0, |x| - r).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,33 +78,18 @@ def sphere_area(dim: int) -> float:
 def _dedupe_rows(arr: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """The rows of arr less each within tol of an earlier kept row (keep-first).
 
-    A later exact copy of a row is always dropped and drops nothing.  Any
-    other pair within tol is within tol in the first coordinate, so one
-    sort on it lists the candidate pairs, k-th sorted neighbours at step
-    k, and a vector norm flags those within 2 tol.  Only flagged rows can
-    be dropped: in order, each is checked against the kept rows before it
-    in its window by the per-pair `np.linalg.norm` of the rule.
+    Rows within tol are so in every coordinate: a row is checked by the
+    per-pair norm only against the kept rows before it within 2 tol (for
+    rounding) in all, found in a window of one sort on the first.
     """
-    order = np.lexsort(arr.T[::-1])  # by the first coordinate, equal rows together in input order
-    srt = arr[order]
-    keep = np.ones(len(arr), dtype=bool)
-    keep[order[1:][(srt[1:] == srt[:-1]).all(axis=1)]] = False
-    order = order[keep[order]]
+    order = np.argsort(arr[:, 0], kind="stable")
     x = arr[order, 0]
     lo, hi = np.searchsorted(x, x - 2.0 * tol), np.searchsorted(x, x + 2.0 * tol, side="right")
-    near = np.zeros(len(arr), dtype=bool)
-    k = 1
-    while (live := np.flatnonzero(np.arange(len(x)) + k < hi)).size:
-        a, b = order[live], order[live + k]
-        close = np.linalg.norm(arr[a] - arr[b], axis=1) <= 2.0 * tol
-        near[a[close]] = near[b[close]] = True
-        k += 1
-    pos = np.empty(len(arr), dtype=np.int64)
-    pos[order] = np.arange(len(order))
-    for j in np.flatnonzero(near).tolist():
-        window = order[lo[pos[j]] : hi[pos[j]]]
-        earlier = window[(window < j) & keep[window]].tolist()
-        keep[j] = not any(np.linalg.norm(arr[j] - arr[i]) <= tol for i in earlier)
+    keep = np.zeros(len(arr), dtype=bool)
+    for j, a, b in sorted(zip(order.tolist(), lo.tolist(), hi.tolist())):
+        w = order[a:b][keep[order[a:b]]]
+        w = w[(np.abs(arr[w] - arr[j]) <= 2.0 * tol).all(axis=1)]
+        keep[j] = not any(np.linalg.norm(arr[j] - arr[i]) <= tol for i in w.tolist())
     return arr[keep]
 
 
@@ -291,10 +275,8 @@ class _Faces:
         self.bases = np.array([np.linalg.svd(V[ids] - o)[2][:2] for ids, o in zip(groups, self.origins)])
         frames = [(V[ids] - o) @ B.T for ids, o, B in zip(groups, self.origins, self.bases)]
         self.polygons = [Q[_kernels.convex_hull_2d(Q)] for Q in frames]
-        # a facet's area is its polygon's (shoelace)
-        self.facets = []
-        for (n, h, ids), (x, y) in zip(planes, (P.T for P in self.polygons)):
-            self.facets.append((n, h, 0.5 * float(x @ np.roll(y, -1) - np.roll(x, -1) @ y), ids))
+        shoelace = [0.5 * float(x @ np.roll(y, -1) - np.roll(x, -1) @ y) for x, y in (P.T for P in self.polygons)]
+        self.facets = [(n, h, area, ids) for (n, h, ids), area in zip(planes, shoelace)]
         self.normals = np.cross(self.bases[:, 0], self.bases[:, 1])
         # the origin is interior to a full core, so an outward plane has a positive offset
         offsets = np.einsum("ij,ij->i", self.normals, self.origins)
@@ -329,28 +311,30 @@ def _facet_planes(V: np.ndarray):
 
     By polar duality (Ziegler, *Lectures on Polytopes*, 1995, Section 2.3)
     the facets {<n, x> = h} of conv(V), origin interior, are the vertices
-    y = n / h of {y : <v, y> <= 1}, enumerated in an axis box.  No such y
-    is nearer than 1 / max|v|, so the box starts at 2 / max|v| and grows
-    by 4x while a box plane defines a vertex (a far larger box rounds the
-    vertices past the enumerator's tolerances).  A vertex is on three
-    facets or more, each within 1e-9 (1 + h).
+    y = n / h of {y : <v, y> <= 1}.  Scaled by max|v|, none is nearer than
+    1; they are enumerated in an axis box grown by 4x until no box plane
+    defines one.  A facet holds the vertices within 1e-9 of the core's
+    width along n of its plane, each on three facets or more.
     """
     # cell imports process, which imports this module; the enumerator is
     # called directly, as a tracer may wrap `cell.halfspace_intersection`
     from hypercell import cell
 
     r = np.linalg.norm(V, axis=1)
-    U, T = V[r > 0] / r[r > 0, None], 1.0 / r[r > 0]  # a point at the origin bounds nothing
-    rho = 2.0 / r.max()
+    U, T = V[r > 0] / r[r > 0, None], r.max() / r[r > 0]  # a point at the origin bounds nothing
+    rho = 2.0
     while True:
         inter = cell._intersect_incremental(U, T, cell._box_normals(3), np.full(6, rho))
         if (inter.defining < len(T)).all():
             break
         rho *= 4.0
     s = np.linalg.norm(inter.vertices, axis=1)
-    N, h = inter.vertices / s[:, None], 1.0 / s
-    on = np.abs(V @ N.T - h) <= 1e-9 * (1.0 + h)
+    N, h = inter.vertices / s[:, None], r.max() / s
+    D = V @ N.T
+    on = np.abs(D - h) <= 1e-9 * (h - D.min(axis=0))
     on &= on.sum(axis=1, keepdims=True) >= 3
+    if on.shape[1] < 4 or (on.sum(axis=0) < 3).any():  # vertices lost to the enumerator's tolerances
+        raise UnsupportedBody(f"facets of this {len(V)}-point core not found: it is too thin for the enumerator")
     return [(n, float(t), np.flatnonzero(col)) for n, t, col in zip(N, h, on.T)]
 
 
@@ -579,15 +563,9 @@ def body_to_json(body: Body) -> dict:
     raise TypeError(f"not a body: {body!r}")
 
 
-def _json_field(obj: dict, key: str):
-    """A body document's field, refused by name when missing or of the wrong type."""
-    if key not in obj:
-        raise ValueError(f"{key} is required")
-    value = obj[key]
-    if key == "radius":
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise TypeError(f"radius must be a number, got {value!r}")
-        return value
+def _array(obj: dict, key: str):
+    """A body document's array field, refused by name unless numeric."""
+    value = obj.get(key)
     try:
         numeric = not isinstance(value, str) and np.asarray(value).dtype.kind in "iuf"
     except ValueError:  # a ragged nesting
@@ -597,12 +575,20 @@ def _json_field(obj: dict, key: str):
     return value
 
 
+def _number(obj: dict, key: str):
+    """A body document's number field, refused by name unless a number."""
+    value = obj.get(key)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{key} must be a number, got {value!r}")
+    return value
+
+
 def body_from_json(obj: dict) -> Body:
     kind = obj.get("type")
     if kind == "polytope":
-        return Polytope(_json_field(obj, "vertices"))
+        return Polytope(_array(obj, "vertices"))
     if kind == "ball":
-        return Ball(_json_field(obj, "center"), _json_field(obj, "radius"))
+        return Ball(_array(obj, "center"), _number(obj, "radius"))
     if kind == "ballsum":
-        return BallSum(_json_field(obj, "vertices"), _json_field(obj, "radius"))
+        return BallSum(_array(obj, "vertices"), _number(obj, "radius"))
     raise ValueError(f"unknown body type {kind!r}")

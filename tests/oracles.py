@@ -243,10 +243,15 @@ def facets_qhull(V):
 
     qhull triangulates each facet; its simplices are grouped by their
     plane rounded to 9 digits, the normal and offset are the first
-    simplex's unrounded plane, and the area sums the triangles.
+    simplex's unrounded plane, and the area sums the triangles.  The hull
+    is taken of V scaled by a power of two to unit size, so the rounding
+    is relative and the scaling exact.
     """
     from scipy.spatial import ConvexHull
 
+    V = np.asarray(V, dtype=np.float64)
+    scale = 2.0 ** np.round(np.log2(np.abs(V).max()))
+    V = V / scale
     hull = ConvexHull(V)
     planes, ids, areas = {}, {}, {}
     for eq, tri in zip(hull.equations, hull.simplices):
@@ -254,7 +259,7 @@ def facets_qhull(V):
         planes.setdefault(key, eq)
         ids.setdefault(key, set()).update(tri.tolist())
         areas[key] = areas.get(key, 0.0) + 0.5 * np.linalg.norm(np.cross(V[tri[1]] - V[tri[0]], V[tri[2]] - V[tri[0]]))
-    return {tuple(sorted(ids[k])): (eq[:3], -eq[3], areas[k]) for k, eq in planes.items()}
+    return {tuple(sorted(ids[k])): (eq[:3], -eq[3] * scale, areas[k] * scale**2) for k, eq in planes.items()}
 
 
 def dedupe_rows_loop(arr, tol=1e-12):

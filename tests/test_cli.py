@@ -72,7 +72,7 @@ class TestRateCommand:
             ("mu-curve", {**BALL_ISO, "distribution": [], "eps_grid": [0.1]}, "config key 'distribution' must be a JSON object, got list"),
             ("rate", {**BALL_ISO, "body": {"type": "ball", "center": [0, 0], "radius": "1"}},
              "config key 'body': radius must be a number, got '1'"),
-            ("rate", {**BALL_ISO, "body": {"type": "ball", "center": [0, 0]}}, "config key 'body': radius is required"),
+            ("rate", {**BALL_ISO, "body": {"type": "ball", "center": [0, 0]}}, "config key 'body': radius must be a number, got None"),
             ("tail", {**BALL_ISO, "body": {"type": "polytope", "vertices": "abc"}},
              "config key 'body': vertices must be an array of numbers, got 'abc'"),
             ("rate", {**BALL_ISO, "body": {"type": "polytope", "vertices": [[0, 0], [1]]}},
@@ -82,7 +82,7 @@ class TestRateCommand:
             ("mu-curve", {**BALL_ISO, "body": {"type": "ball", "center": [0, "a"], "radius": 1}, "eps_grid": [0.1]},
              "config key 'body': center must be an array of numbers, got [0, 'a']"),
             ("mu-curve", {**BALL_ISO, "body": {"type": "ballsum", "vertices": [[0, 0]]}, "eps_grid": [0.1]},
-             "config key 'body': radius is required"),
+             "config key 'body': radius must be a number, got None"),
         ],
     )
     def test_config_of_wrong_type_exits_2(self, tmp_path, capsys, command, doc, message):

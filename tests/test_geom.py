@@ -223,8 +223,8 @@ class TestSurfaceMeasure:
 
     def test_3d_facets_match_qhull(self, cube, monkeypatch):
         # the facets come from the package's enumerator by polar duality; qhull
-        # is the oracle: equal vertex groups, normals and offsets to 1e-12 and
-        # areas to 1e-9 relative
+        # is the oracle: equal vertex groups, normals to 1e-12, offsets to 1e-12
+        # of the core's size and areas to 1e-9 relative, at any scale
         from hypercell import cell
 
         rng = np.random.default_rng(2024)
@@ -234,8 +234,10 @@ class TestSurfaceMeasure:
         sphere = [rng.standard_normal((k, 3)) for k in (20, 60, 150)]
         sphere = [P / np.linalg.norm(P, axis=1, keepdims=True) for P in sphere]
         slab = [[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1e-3, 1e-3)]
+        thin = [[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1e-9, 1e-9)]
         clouds = [rng.standard_normal((k, 3)) for k in rng.integers(4, 61, size=30)]
-        bodies = [cube.vertices, tetra, extra, slab, *clouds, *sphere]
+        scaled = [c * V for c in (1e-6, 1e9) for V in (cube.vertices, clouds[0])]
+        bodies = [cube.vertices, tetra, extra, slab, thin, *clouds, *sphere, *scaled]
         runs = []
         enumerate_cell = cell._intersect_incremental
         monkeypatch.setattr(cell, "_intersect_incremental", lambda *a: runs.append(a[3][0]) or enumerate_cell(*a))
@@ -246,13 +248,41 @@ class TestSurfaceMeasure:
             want = facets_qhull(body.vertices)
             got = {tuple(ids.tolist()): (n, h, area) for n, h, area, ids in facets}
             assert got.keys() == want.keys() and len(facets) == len(want)
+            size = np.abs(body.vertices).max()
             for ids, (n, h, area) in got.items():
                 n_ref, h_ref, area_ref = want[ids]
-                assert np.abs(n - n_ref).max() <= 1e-12 and abs(h - h_ref) <= 1e-12
+                assert np.abs(n - n_ref).max() <= 1e-12 and abs(h - h_ref) <= 1e-12 * size
                 assert area == pytest.approx(area_ref, rel=1e-9)
-            if V is slab:  # the polar of a thin slab is long: its box grows
+            if V is slab or V is thin:  # the polar of a thin slab is long: its box grows
                 assert len(runs) >= 3 and runs == sorted(runs)
         assert len(extra) == 18 and sorted(len(ids) for *_, ids in geom.Polytope(extra).facets) == [4] * 6
+
+    def test_3d_facets_lost_by_the_enumerator_are_refused(self, cube, monkeypatch):
+        # a core too thin for the enumerator's tolerances loses polar vertices,
+        # that is facets: its facets are qhull's or refused, never a wrong set
+        from hypercell import cell
+
+        rng = np.random.default_rng(9)
+        flat = rng.standard_normal((40, 3))
+        for width in (1e-9, 1e-10, 1e-11, 1e-12):
+            slab = [[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-width, width)]
+            for V in (slab, flat * [1, 1, width]):
+                body = geom.Polytope(V)
+                try:
+                    facets = body.facets
+                except UnsupportedBody:
+                    continue
+                assert sorted(tuple(ids.tolist()) for *_, ids in facets) == sorted(facets_qhull(body.vertices))
+        # one polar vertex dropped: the facet and its vertices' incidences go
+        enumerate_cell = cell._intersect_incremental
+
+        def drop_last(*args):
+            inter = enumerate_cell(*args)
+            return cell.Intersection(inter.vertices[:-1], inter.defining[:-1], inter.n_halfspaces)
+
+        monkeypatch.setattr(cell, "_intersect_incremental", drop_last)
+        with pytest.raises(UnsupportedBody, match="8-point core"):
+            geom.Polytope(cube.vertices).facets
 
     def test_ballsum_3d_unsupported(self):
         body = geom.BallSum([[0, 0, 0], [1, 0, 0]], 0.5)

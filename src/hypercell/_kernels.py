@@ -1,14 +1,17 @@
-"""NumPy kernels for the planar geometry hot loops.
+"""NumPy kernels for the geometry hot loops.
 
 Convex hull (the dual of the planar halfspace intersection; a monotone
 chain run on Python floats), projection of points onto a convex polygon
 (distance and nearest point, for every planar distance and projection),
 the cut filter that tests which new halfspaces reach an existing cell,
-and the row-independent matrix product `dots`.  Callers go through the
+the row-independent matrix product `dots`, and `keep_first`, the merge
+of nearly equal rows in any dimension.  Callers go through the
 module attribute (`_kernels.convex_hull_2d(...)`) so the kernels can be
 wrapped from outside, for example by a tracer.
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -123,3 +126,36 @@ def dots(Y: np.ndarray, A: np.ndarray) -> np.ndarray:
     for j in range(1, Y.shape[1]):
         out += Y[:, j : j + 1] * A[:, j]
     return out
+
+
+def keep_first(V: np.ndarray, thr, apart: int = 0) -> np.ndarray:
+    """Mask of the rows that a greedy keep-first merge keeps.
+
+    Row i goes when `np.linalg.norm(V[i] - V[j], axis=1) <= thr[j]` for a
+    kept row j < i (`thr`: one threshold per row, or one for all); the
+    first `apart` rows, known to lie apart, stay.  Such a pair projects
+    within thr[j] onto the unit vector `_screen(d)`, so only rows within
+    twice max(thr, d^2 eps max|V|) (the latter bounds the rounding) in one
+    sort of the projections are compared, in row order.
+    """
+    n, d = V.shape
+    thr = np.broadcast_to(thr, (n,))
+    p = V @ _screen(d)
+    order = np.argsort(p, kind="stable")
+    s = p[order]
+    reach = 2.0 * max(thr.max(), d * d * np.finfo(np.float64).eps * np.abs(V).max())
+    lo, hi = np.searchsorted(s, s - reach), np.searchsorted(s, s + reach, side="right")
+    keep = np.ones(n, dtype=bool)
+    crowded = np.flatnonzero((hi - lo > 1) & (order >= apart))
+    for pos in crowded[np.argsort(order[crowded])].tolist():
+        i, w = order[pos], order[lo[pos] : hi[pos]]
+        w = w[(w < i) & keep[w]]
+        keep[i] = not (np.linalg.norm(V[i] - V[w], axis=1) <= thr[w]).any()
+    return keep
+
+
+@functools.cache
+def _screen(d: int) -> np.ndarray:
+    """A fixed generic unit vector in R^d: rows that share a coordinate, as on a box face, project apart."""
+    a = np.random.default_rng(0).standard_normal(d)
+    return a / np.linalg.norm(a)

@@ -76,21 +76,8 @@ def sphere_area(dim: int) -> float:
 
 
 def _dedupe_rows(arr: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """The rows of arr less each within tol of an earlier kept row (keep-first).
-
-    Rows within tol are so in every coordinate: a row is checked by the
-    per-pair norm only against the kept rows before it within 2 tol (for
-    rounding) in all, found in a window of one sort on the first.
-    """
-    order = np.argsort(arr[:, 0], kind="stable")
-    x = arr[order, 0]
-    lo, hi = np.searchsorted(x, x - 2.0 * tol), np.searchsorted(x, x + 2.0 * tol, side="right")
-    keep = np.zeros(len(arr), dtype=bool)
-    for j, a, b in sorted(zip(order.tolist(), lo.tolist(), hi.tolist())):
-        w = order[a:b][keep[order[a:b]]]
-        w = w[(np.abs(arr[w] - arr[j]) <= 2.0 * tol).all(axis=1)]
-        keep[j] = not any(np.linalg.norm(arr[j] - arr[i]) <= tol for i in w.tolist())
-    return arr[keep]
+    """The rows of arr less each within tol of an earlier kept row (keep-first, `_kernels.keep_first`)."""
+    return arr[_kernels.keep_first(arr, tol)]
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +125,10 @@ class _CoreBody(_BodyBase):
         self.radius = radius
         self.dim = V.shape[1]
         self._rank = int(np.linalg.matrix_rank(V, tol=1e-12))
-        core_diam = float(np.sqrt(((V[:, None, :] - V[None, :, :]) ** 2).sum(-1).max()))
-        self.diameter = core_diam + 2.0 * radius
+        # row blocks of some 2^18 differences: the per-pair values of one (n, n, d) tensor, not its memory
+        step = max(1, 2**18 // V.size)
+        sq = max(((V[a : a + step, None, :] - V[None, :, :]) ** 2).sum(-1).max() for a in range(0, len(V), step))
+        self.diameter = float(np.sqrt(sq)) + 2.0 * radius
         self.circumradius = float(np.linalg.norm(V, axis=1).max()) + radius
         if self.dim == 2:
             self._hull = _kernels.convex_hull_2d(V)

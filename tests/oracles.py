@@ -392,6 +392,23 @@ def dedupe_vertices_loop(V, D, tol=1e-9):
     return V[keep], D[keep]
 
 
+def solve_subsets_loop(A, b, idx, residual_tol):
+    """Each system A[idx[k]] x = b[idx[k]] by a lone `np.linalg.solve`, NaN where it raises.
+
+    Returns the solutions and a mask of those kept: finite, with residual
+    within residual_tol * (1 + max|b|).
+    """
+    X = np.full(idx.shape, np.nan)
+    ok = np.zeros(len(idx), dtype=bool)
+    for k, rows in enumerate(idx):
+        try:
+            X[k] = np.linalg.solve(A[rows], b[rows])
+        except np.linalg.LinAlgError:
+            continue
+        ok[k] = _solve_or_none(A[rows], b[rows], residual_tol) is not None
+    return X, ok
+
+
 def _solve_or_none(M, r, residual_tol):
     try:
         x = np.linalg.solve(M, r)
@@ -552,14 +569,25 @@ def incremental_by_plane(U, T, BU, BT, start=None):
         present[i] = True
         if len(V) == 0:
             break
-    if len(V) > 1:
-        gap = np.linalg.norm(V[:, None, :] - V[None, :, :], axis=2)
-        near = np.tril(gap <= cell.MERGE_TOL * (1.0 + np.linalg.norm(V, axis=1)), -1)
-        keep = ~near.any(axis=1)
-        for k in np.flatnonzero(~keep):
-            keep[k] = not (near[k] & keep).any()
-        V, D = V[keep], D[keep]
-    return cell.Intersection(V, D, n)
+    return cell.Intersection(*dedupe_after_all_pairs(V, D, 0), n)
+
+
+def dedupe_after_all_pairs(V, D, apart):
+    """`cell._dedupe_after` through the (k - apart, k) tensor of all pair distances.
+
+    The first `apart` rows are kept.  A later row with no earlier row
+    within MERGE_TOL * (1 + |w|) is kept outright; the rest are resolved
+    in order, against the rows kept before them.
+    """
+    if len(V) <= max(apart, 1):
+        return V, D
+    gap = np.linalg.norm(V[apart:, None, :] - V[None, :, :], axis=2)
+    near = np.tril(gap <= cell.MERGE_TOL * (1.0 + np.linalg.norm(V, axis=1)), apart - 1)
+    keep = np.ones(len(V), dtype=bool)
+    keep[apart:] = ~near.any(axis=1)
+    for i in np.flatnonzero(~keep[apart:]):
+        keep[apart + i] = not (near[i] & keep).any()
+    return V[keep], D[keep]
 
 
 def intersect_dual_2d_arrays(U, T, BU, BT):

@@ -18,11 +18,13 @@ from hypercell.rng import KeyedStream
 from oracles import (
     cells_ring_by_ring,
     compact_unique,
+    dedupe_after_all_pairs,
     dedupe_vertices_loop,
     incremental_by_plane,
     incremental_vertices_loop,
     intersect_dual_2d_arrays,
     shared_subsets,
+    solve_subsets_loop,
     subset_vertices_loop,
     vertex_sets_match_loop,
 )
@@ -459,13 +461,51 @@ class TestHalfspaceIntersection:
             assert_same_intersection(cell.halfspace_intersection(U, T, *box), incremental_by_plane(U, T, *box))
         assert sum(screened) >= 10
 
-    def test_vertex_subsets_without_integer_keys(self, rng, monkeypatch):
-        # where the integer keys could overflow, the rows are sorted instead
-        incs = [rng.random((int(rng.integers(1, 6)), 9)) < 0.5 for _ in range(20)]
-        want = [cell._vertex_subsets(inc, 3) for inc in incs]
-        monkeypatch.setattr(cell, "_KEY_BITS", 11)
-        for inc, w in zip(incs, want):
-            assert np.array_equal(cell._vertex_subsets(inc, 3), w)
+    def test_vertex_subsets_equal_shared_subsets_on_wide_incidences(self, rng):
+        # up to 200 planes and up to 8 through one vertex; the rows draw their
+        # planes from a small pool, so many of their subsets repeat
+        for k in (2, 3, 4):
+            for _ in range(15):
+                m = int(rng.integers(k + 1, 201))
+                pool = rng.choice(m, size=min(m, 12), replace=False)
+                inc = np.zeros((int(rng.integers(1, 10)), m), dtype=bool)
+                for row in inc:
+                    row[rng.choice(pool, size=int(rng.integers(1, 9)), replace=False)] = True
+                got, want = cell._vertex_subsets(inc, k), shared_subsets(inc, k)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert np.array_equal(got, want)
+
+    def test_solve_subsets_equals_lone_solves(self, rng):
+        # exactly singular systems (a repeated row, a doubled row) make the
+        # stack fall back to one solve at a time; a NaN row or an overflow
+        # leaves a non-finite solution without raising
+        paths = {"stacked, all finite": 0, "stacked, some not finite": 0, "one at a time": 0}
+        for trial in range(90):
+            d = int(rng.integers(2, 5))
+            A = rng.standard_normal((12, d))
+            b = rng.uniform(0.5, 2.0, 12)
+            A[8], A[9] = A[0], 2.0 * A[1]
+            A[10, 0] = np.nan
+            A[11] = 1e-10 * A[2]
+            b[11] = 1e308
+            pool = [range(8), [*range(8), 10, 11], range(12)][trial % 3]
+            idx = np.array([rng.choice(pool, size=d, replace=False) for _ in range(int(rng.integers(1, 30)))])
+            try:
+                np.linalg.solve(A[idx], b[idx][..., None])
+                singular = False
+            except np.linalg.LinAlgError:
+                singular = True
+            X, ok = cell._solve_subsets(A, b, idx)
+            X_ref, ok_ref = solve_subsets_loop(A, b, idx, cell.SOLVE_RESIDUAL_TOL)
+            assert np.array_equal(ok, ok_ref)
+            assert np.array_equal(np.isfinite(X), np.isfinite(X_ref))
+            fin = np.isfinite(X_ref)
+            assert X[fin].tobytes() == X_ref[fin].tobytes()
+            if singular:
+                paths["one at a time"] += 1
+            else:
+                paths["stacked, all finite" if np.isfinite(X).all() else "stacked, some not finite"] += 1
+        assert min(paths.values()) >= 5, paths
 
     def test_exact_copies_equal_unique_rule(self, rng):
         # the first of equal rows is kept, as `np.unique(..., axis=0)` keeps
@@ -500,6 +540,63 @@ class TestHalfspaceIntersection:
         assert sum(apart > 0 for _, _, apart in seen) >= 50
         for V, D, apart in seen:
             got, want = dedupe(V, D, apart), dedupe_vertices_loop(V, D)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert np.array_equal(got[1], want[1])
+
+    def test_windowed_merge_equals_all_pairs(self, rng):
+        # near copies in clusters and chains, where the greedy order decides
+        # which row survives; vertices on one box face; near copies among the
+        # rows known apart, which all stay; and pairs set just inside the
+        # threshold along the screen direction, where only the window's
+        # factor 2 covers the rounding of the projections
+        cases = []
+        for d in (2, 3, 4):
+            a = _kernels._screen(d)
+            for trial in range(40):
+                base = rng.standard_normal((int(rng.integers(1, 40)), d)) * rng.choice([1e-3, 1.0, 30.0])
+                if trial % 4 == 1:
+                    base[:, 0] = 20.0  # one face of the box
+                step = cell.MERGE_TOL * (1.0 + np.linalg.norm(base, axis=1, keepdims=True))
+                picks = rng.integers(0, len(base), size=(3, len(base)))
+                dirs = rng.standard_normal((3, len(base), d))
+                dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
+                frac = rng.choice([0.0, 0.3, 0.6, 0.95, 1.05, 2.0], size=(3, len(base), 1))
+                chains = base[picks] + (frac * dirs * step[picks]).cumsum(axis=0)
+                V = np.vstack([base, *chains])[rng.permutation(4 * len(base))]
+                cases.append((V, int(rng.integers(0, len(V) + 1))))
+            w = rng.standard_normal((200, d))
+            w /= np.linalg.norm(w, axis=1, keepdims=True)
+            thr = cell.MERGE_TOL * (1.0 + np.linalg.norm(w, axis=1, keepdims=True))
+            edge = w + thr * (1.0 - 1e-7 * rng.random((200, 1))) * a
+            cases.append((np.vstack([w, edge]), 0))
+        merged = 0
+        for V, apart in cases:
+            D = np.arange(len(V) * V.shape[1]).reshape(V.shape)
+            got, want = cell._dedupe_after(V, D, apart), dedupe_after_all_pairs(V, D, apart)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert np.array_equal(got[1], want[1])
+            merged += len(want[0]) < len(V)
+        assert merged >= 100
+
+    def test_windowed_merge_equals_all_pairs_on_a_3d_ball_grid(self, monkeypatch):
+        # every merge of a 3-d ball grid up to intensity 2^14, whose last
+        # bands cut most vertices of cells of some 950
+        seen = []
+        dedupe = cell._dedupe_after
+
+        def record(V, D, apart):
+            seen.append((V, D, apart))
+            return dedupe(V, D, apart)
+
+        monkeypatch.setattr(cell, "_dedupe_after", record)
+        params = process.ProcessParams(1.0, dn.Isotropic(3), 3)
+        grid = [2.0**k for k in range(6, 15)]
+        for rep in range(3):
+            cell.cells_along_intensity(params, geom.Ball([0, 0, 0], 1.0), grid, stream_key=KeyedStream(42, rep))
+        monkeypatch.undo()
+        assert max(len(V) for V, _, _ in seen) > 900 and sum(apart > 0 for _, _, apart in seen) >= 20
+        for V, D, apart in seen:
+            got, want = dedupe(V, D, apart), dedupe_after_all_pairs(V, D, apart)
             assert got[0].tobytes() == want[0].tobytes()
             assert np.array_equal(got[1], want[1])
 

@@ -520,3 +520,49 @@ def test_only_validate_imports_scipy():
     package = Path(dn.__file__).parent
     importers = {path.name for path in package.glob("*.py") if scipy_imports(path.read_text())}
     assert importers <= {"validate.py"}
+
+
+def private_numpy_uses(source: str) -> list:
+    """Line numbers that import a private NumPy module or name, or reach one through `np.` / `numpy.`."""
+
+    def private(parts):
+        return any(p.startswith("_") and not p.endswith("__") for p in parts)
+
+    def dotted(node):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        return [node.id, *reversed(parts)] if isinstance(node, ast.Name) else []
+
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name.split(".") for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [[*(node.module or "").split("."), a.name] for a in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [dotted(node)]
+        else:
+            continue
+        if any(n and n[0] in ("numpy", "np") and private(n[1:]) for n in names):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_private_numpy_guard_sees_uses():
+    source = (
+        "import numpy as np\n"
+        "from numpy.linalg import _umath_linalg\n"
+        "import numpy._core.multiarray\n"
+        "x = np.linalg._umath_linalg.solve\n"
+        "print(np.__version__, np.linalg.solve, numpy_like._x)\n"
+        "from numpy import _core as c\n"
+    )
+    assert private_numpy_uses(source) == [2, 3, 4, 6]
+
+
+def test_package_uses_no_private_numpy():
+    # private NumPy modules (e.g. `numpy.linalg._umath_linalg`) change without notice between releases
+    package = Path(dn.__file__).parent
+    assert {path.name: lines for path in package.glob("*.py") if (lines := private_numpy_uses(path.read_text()))} == {}

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -488,6 +489,22 @@ class TestDedupeRows:
             assert np.array_equal(geom._dedupe_rows(rows), dedupe_rows_loop(rows))
         assert len(geom._dedupe_rows(chain)) == 3
 
+    def test_large_coordinates(self):
+        # next to a coordinate near 5e4, one ulp of the projection the merge
+        # sorts by is 7.3e-12: rows 4e-13 and 1e-13 apart in a small coordinate
+        # project one ulp apart, beyond a window of twice the tolerance, so
+        # the window widens with max|x|
+        pairs = [
+            ([59775.471973463085, 0.4402028504307356], [59775.471973463085, 0.44020285043083557]),
+            (
+                [0.3418773565162758, 0.8983881789114205, -48094.601824346515],
+                [0.3418773565158758, 0.8983881789114205, -48094.601824346515],
+            ),
+        ]
+        for v, w in pairs:
+            assert np.linalg.norm(np.subtract(w, v)) <= 1e-12
+            assert geom._dedupe_rows(np.array([v, w])).tolist() == [v]
+
     def test_large_inputs_are_quick(self):
         # the loop compares each row with every kept row: 8.8 s on 2,000 planar points
         rng = np.random.default_rng(5)
@@ -496,3 +513,23 @@ class TestDedupeRows:
         for arr in rows:
             geom._dedupe_rows(arr)
         assert time.perf_counter() - start < 1.0
+
+
+class TestCoreDiameter:
+    def test_blocks_equal_the_one_piece_tensor(self):
+        rng = np.random.default_rng(23)
+        for d in (2, 3):
+            body = geom.Polytope(rng.standard_normal((600, d)))
+            V = body.vertices
+            assert body.diameter == float(np.sqrt(((V[:, None, :] - V[None, :, :]) ** 2).sum(-1).max()))
+
+    def test_memory_stays_below_the_pair_tensor(self):
+        # the (n, n, d) difference tensor of 2,000 planar points alone takes 61 MiB
+        pts = np.random.default_rng(3).standard_normal((2000, 2))
+        tracemalloc.start()
+        try:
+            geom.Polytope(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20

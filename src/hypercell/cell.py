@@ -68,9 +68,10 @@ ball grid up to intensity 2^14 from 0.31 s to 4.4 ms.  Window rings inside
 the box and intensity bands insert their cutting halfspaces into the
 current cell: d >= 3 starts from its vertices, the planar path computes
 its dual hull again from the active constraints and the new ones.
-A brute-force subset enumerator is kept as the oracle for both: with
-`debug_oracle=True` every intersection a cell build computes, in any
-dimension, is checked against it.
+A brute-force subset enumerator, which shares no code with either path
+(its merge of nearly equal vertices included), is kept as the oracle for
+both: with `debug_oracle=True` every intersection a cell build computes,
+in any dimension, is checked against it.
 """
 from __future__ import annotations
 
@@ -477,18 +478,11 @@ def _solve_subsets(A: np.ndarray, b: np.ndarray, idx: np.ndarray):
     return X, ok
 
 
-def _dedupe_vertices(V: np.ndarray, D: np.ndarray):
+def _dedupe_after(V: np.ndarray, D: np.ndarray, apart: int):
     """Drop each vertex within MERGE_TOL * (1 + |w|) of an earlier kept vertex w.
 
-    Greedy keep-first in row order: `_dedupe_after` with no rows known apart.
-    """
-    return _dedupe_after(V, D, 0)
-
-
-def _dedupe_after(V: np.ndarray, D: np.ndarray, apart: int):
-    """`_dedupe_vertices` when the first `apart` rows are known to lie pairwise apart.
-
-    Those rows are all kept.  `_kernels.keep_first` compares only the
+    Greedy keep-first in row order; the first `apart` rows, known to lie
+    pairwise apart, are all kept.  `_kernels.keep_first` compares only the
     pairs that one sort along a fixed direction puts near each other, so
     the merge costs a sort where nearly equal vertices are rare, with the
     greedy result of comparing every pair.
@@ -510,9 +504,8 @@ def halfspace_intersection_bruteforce(normals, offsets, box_normals, box_offsets
     singular is skipped, a non-finite solution or one with residual above
     SOLVE_RESIDUAL_TOL * (1 + max|b|) is dropped, and a kept vertex
     satisfies A x <= b + FEAS_TOL (1 + |b|).  Later exact copies of a
-    halfspace are left out; `defining` indexes the full input.  Besides
-    the final merge of nearly equal vertices (`_kernels.keep_first`,
-    tested against an all-pairs merge), it uses nothing from
+    halfspace are left out; `defining` indexes the full input.  Nearly
+    equal vertices merge by `_merge_pairwise`.  It uses nothing from
     `_intersect_dual_2d`, `_intersect_incremental` or `_kernels`, so it
     stays an independent check of both fast paths.
     """
@@ -543,8 +536,23 @@ def halfspace_intersection_bruteforce(normals, offsets, box_normals, box_offsets
         defin.append(idx[ok])
     if not verts:  # fewer constraints than dimensions
         return Intersection(np.empty((0, d)), np.empty((0, d), dtype=np.int64), len(T))
-    V, D = _dedupe_vertices(np.concatenate(verts), np.concatenate(defin))
+    V, D = _merge_pairwise(np.concatenate(verts), np.concatenate(defin))
     return Intersection(V, rows[D], len(T))
+
+
+def _merge_pairwise(V: np.ndarray, D: np.ndarray):
+    """The oracle's merge: `_dedupe_after(V, D, 0)` by plain keep-first in row order.
+
+    Row i goes when it lies within MERGE_TOL * (1 + |w|) of a kept row w
+    before it; each row is compared with every row kept so far, so memory
+    grows with the rows kept, not with the pairs.
+    """
+    thr = MERGE_TOL * (1.0 + np.linalg.norm(V, axis=1))
+    kept = []
+    for i in range(len(V)):
+        if not (np.linalg.norm(V[i] - V[kept], axis=1) <= thr[kept]).any():
+            kept.append(i)
+    return V[kept], D[kept]
 
 
 def _solve_each(M: np.ndarray, r: np.ndarray):

@@ -36,6 +36,10 @@ class WindowOverflow(HypercellError):
         self.radius = radius
 
 
+class AnnulusOverflow(HypercellError):
+    """An annulus would hold more hyperplanes than the sampling budget allows."""
+
+
 class InvalidEpsilon(HypercellError):
     """Offset distance must be strictly positive."""
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from hypercell import direction as dn
 from hypercell import geom
-from hypercell.errors import OriginOutside
+from hypercell.errors import AnnulusOverflow, OriginOutside
 from hypercell.rng import poisson_variate
 
 __all__ = [
@@ -30,6 +30,9 @@ __all__ = [
     "phi_functional",
     "sample_annulus",
 ]
+
+# Largest Poisson mean `sample_annulus` draws; a bundled ring holds about 1e3 hyperplanes.
+MAX_ANNULUS_MEAN = 2**24
 
 
 @dataclass(frozen=True)
@@ -88,12 +91,20 @@ def sample_annulus(params: ProcessParams, body, r_in: float, r_out: float, rng):
     Returns (normals, offsets) with offsets in (h(body, u) + r_in,
     h(body, u) + r_out].  The support gap is the constant r_out - r_in,
     so the mass is 2 * gamma * (r_out - r_in) and the normals follow the
-    bare directional law.  Needs 0 <= r_in < r_out, both finite.
+    bare directional law.  Needs 0 <= r_in < r_out, both finite.  A mass
+    above MAX_ANNULUS_MEAN raises `AnnulusOverflow` before anything is
+    drawn.
     """
     if not (0.0 <= r_in < r_out < np.inf):
         raise ValueError(f"annulus radii must satisfy 0 <= r_in < r_out < inf, got {r_in}, {r_out}")
     _require_interior_origin(body)
-    n = poisson_variate(rng, 2.0 * params.gamma * (r_out - r_in))
+    mean = 2.0 * params.gamma * (r_out - r_in)
+    if mean > MAX_ANNULUS_MEAN:
+        raise AnnulusOverflow(
+            f"annulus ({r_in:g}, {r_out:g}] at intensity {params.gamma:g} has a Poisson mean of "
+            f"{mean:g} hyperplanes, above the budget of {MAX_ANNULUS_MEAN}"
+        )
+    n = poisson_variate(rng, mean)
     if n == 0:
         return np.empty((0, params.dim)), np.empty(0)
     U = params.dist.sample_batch(rng, n)

@@ -2,7 +2,11 @@
 
 Each check exercises one module's oracle identity or distributional
 property at desk scale with a fixed seed; the suite is the quick
-self-diagnosis counterpart of the full pytest run.
+self-diagnosis counterpart of the full pytest run.  The statistics of
+the distributional checks are closed forms on NumPy and `math`: the
+Kolmogorov-Smirnov distance to the uniform law over the sorted sample,
+the Poisson table by its pmf recurrence, and the chi-square tail as a
+finite sum for an integer number of degrees of freedom.
 """
 from __future__ import annotations
 
@@ -11,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hypercell import cell, direction as dn, geom, metrics, process
+from hypercell import cell, direction as dn, experiment, geom, metrics, process
 from hypercell.rng import KeyedStream, stream
 
 SEED = 1_000_003
@@ -33,11 +37,6 @@ def _bodies():
 
 def _cube():
     return geom.Polytope([[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)])
-
-
-def _cap_budget(n: int) -> float:
-    """The counterexample's budget: unbounded at n = 1, then -log(1 - n^-2)."""
-    return math.inf if n == 1 else abs(math.log1p(-(n**-2)))
 
 
 def run_all(verbose: bool = True) -> list[CheckResult]:
@@ -128,7 +127,7 @@ def _c_integrate_constants() -> CheckResult:
         dn.Isotropic(2),
         dn.Atomic.symmetrized([[1, 0], [0, 1]], [0.5, 0.5]),
         dn.from_surface_measure(stadium, 0.25),
-        dn.cap_starved([1, 0], lambda n: n**-0.25, 16, _cap_budget),
+        dn.cap_starved([1, 0], lambda n: n**-0.25, 16, experiment._default_budget),
     ]
     worst = 0.0
     for d in dists:
@@ -152,7 +151,7 @@ def _c_evenness_sign() -> CheckResult:
     for d in (
         dn.Isotropic(2),
         dn.Atomic.symmetrized([[1, 0], [0, 1]], [0.5, 0.5]),
-        dn.cap_starved([1, 0], lambda n: n**-0.5, 8, _cap_budget),
+        dn.cap_starved([1, 0], lambda n: n**-0.5, 8, experiment._default_budget),
     ):
         U = d.sample_batch(rng, 40000)
         frac = float((U @ w > 0).mean())
@@ -201,9 +200,13 @@ def _c_annulus_contract() -> CheckResult:
     )
 
 
-def _c_gap_uniformity() -> CheckResult:
-    from scipy.stats import kstest
+def _ks_uniform(x: np.ndarray) -> float:
+    """Kolmogorov-Smirnov distance of a sample in [0, 1] to the uniform law."""
+    x, n = np.sort(x), len(x)
+    return float(max((np.arange(1, n + 1) / n - x).max(), (x - np.arange(n) / n).max()))
 
+
+def _c_gap_uniformity() -> CheckResult:
     square, _, _ = _bodies()
     rng = stream(SEED, "gap")
     params = process.ProcessParams(200.0, dn.Isotropic(2), 2)
@@ -212,7 +215,7 @@ def _c_gap_uniformity() -> CheckResult:
     while len(gaps) < 20000:
         U, T = process.sample_annulus(params, square, r_in, r_out, rng)
         gaps.extend(((T - square.support_batch(U) - r_in) / (r_out - r_in)).tolist())
-    stat = kstest(np.array(gaps[:20000]), "uniform").statistic
+    stat = _ks_uniform(np.array(gaps[:20000]))
     crit = 1.63 / math.sqrt(20000)
     return CheckResult("sample_annulus gap uniformity (KS)", stat < crit, f"KS {stat:.5f} < {crit:.5f}")
 
@@ -221,7 +224,7 @@ def _c_cap_fraction() -> CheckResult:
     # the normals of an annulus follow the bare law, so each cap holds its
     # exact mass: one threshold inside the starved caps, one in the outside band
     square, _, _ = _bodies()
-    law = dn.cap_starved([1, 0], lambda n: n**-0.25, 64, _cap_budget)
+    law = dn.cap_starved([1, 0], lambda n: n**-0.25, 64, experiment._default_budget)
     params = process.ProcessParams(50.0, law, 2)
     rng = stream(SEED, "capfrac")
     thresholds = [math.cos(0.9), math.cos(0.5 * (law.cap_angles[0] + math.pi / 2))]
@@ -242,9 +245,34 @@ def _c_cap_fraction() -> CheckResult:
     )
 
 
-def _c_annulus_count() -> CheckResult:
-    from scipy.stats import chisquare, poisson
+def _poisson_table(mean: float, tail: float) -> np.ndarray:
+    """Poisson probabilities of 0, ..., top - 1 and of top or more.
 
+    The pmf follows p_{k+1} = p_k mean / (k + 1) up to the first top
+    whose upper tail 1 - (p_0 + ... + p_top) is at most `tail`.  Needs
+    exp(-mean) > 0, that is a mean below about 700.
+    """
+    p = [math.exp(-mean)]
+    while 1.0 - sum(p) > tail:
+        p.append(p[-1] * mean / len(p))
+    p[-1] = 1.0 - sum(p[:-1])
+    return np.array(p)
+
+
+def _chi2_sf(x: float, dof: int) -> float:
+    """P(chi-square with `dof` degrees of freedom > x), a finite sum (Abramowitz & Stegun 26.4.4-5).
+
+    Each term is taken in the log domain: a product recurrence from
+    exp(-x/2) underflows to 0 at large dof.
+    """
+    if x == 0:
+        return 1.0
+    h, s = 0.5 * x, 0.5 * (dof % 2)
+    head = math.erfc(math.sqrt(h)) if dof % 2 else 0.0
+    return head + sum(math.exp((k + s) * math.log(h) - h - math.lgamma(k + s + 1)) for k in range(dof // 2))
+
+
+def _c_annulus_count() -> CheckResult:
     ball = geom.Ball([0, 0], 1.0)
     params = process.ProcessParams(2.0, dn.Isotropic(2), 2)
     rng = stream(SEED, "count")
@@ -253,10 +281,10 @@ def _c_annulus_count() -> CheckResult:
     reps = 3000
     counts = np.array([len(process.sample_annulus(params, ball, r_in, r_out, rng)[1]) for _ in range(reps)])
     # one bin per count below top, one for top and above; about 10 expected beyond top
-    top = int(poisson.isf(10 / reps, mean))
+    expected = reps * _poisson_table(mean, 10 / reps)
+    top = len(expected) - 1
     observed = np.bincount(np.minimum(counts, top), minlength=top + 1)
-    expected = reps * np.append(poisson.pmf(np.arange(top), mean), poisson.sf(top - 1, mean))
-    pval = chisquare(observed, expected).pvalue
+    pval = _chi2_sf(float(((observed - expected) ** 2 / expected).sum()), top)
     return CheckResult(
         "sample_annulus count vs Poisson (chi-square)", pval > 0.001, f"mean {mean:g}, p={pval:.4f}"
     )

@@ -320,16 +320,17 @@ class TestHalfspaceIntersection:
         assert len(merged) >= 10 and len(wrapped) >= 2
 
     def test_dedupe_equals_reference_loop(self, rng, monkeypatch):
-        # record what the oracle (every d) and the 3-d fast path hand to
-        # the dedupe, then compare it on exactly those inputs
+        # record what the oracle (every d) hands to its own merge, then
+        # compare that merge, the fast paths' dedupe and the reference loop
+        # on exactly those inputs
         seen = []
-        dedupe = cell._dedupe_vertices
+        merge = cell._merge_pairwise
 
         def record(V, D):
             seen.append((V, D))
-            return dedupe(V, D)
+            return merge(V, D)
 
-        monkeypatch.setattr(cell, "_dedupe_vertices", record)
+        monkeypatch.setattr(cell, "_merge_pairwise", record)
         instances = singular_subset_instances()
         instances += [(*random_instance(rng), BOX2) for _ in range(40)]
         instances += [(*random_spatial_instance(rng), BOX3) for _ in range(15)]
@@ -343,11 +344,17 @@ class TestHalfspaceIntersection:
         # the last is kept because its only near neighbour was dropped
         chain = np.outer([0.0, 0.6e-9, 1.2e-9, 5.0], [1.0, 0.0])
         seen.append((chain, np.arange(8).reshape(4, 2)))
-        assert sum(len(dedupe(V, D)[0]) < len(V) for V, D in seen) >= 5
+        # farther apart than the threshold of the kept first row, within that
+        # of the second: both stay
+        pair = np.array([[0.0, 0.0], [1e-9 + 5e-19, 0.0]])
+        assert len(dedupe_vertices_loop(pair, pair)[0]) == 2
+        seen.append((pair, np.arange(4).reshape(2, 2)))
+        assert sum(len(merge(V, D)[0]) < len(V) for V, D in seen) >= 5
         for V, D in seen:
-            got, want = dedupe(V, D), dedupe_vertices_loop(V, D)
-            assert got[0].tobytes() == want[0].tobytes()
-            assert np.array_equal(got[1], want[1])
+            want = dedupe_vertices_loop(V, D)
+            for got in (merge(V, D), cell._dedupe_after(V, D, 0)):
+                assert got[0].tobytes() == want[0].tobytes()
+                assert np.array_equal(got[1], want[1])
 
     def test_oracle_chunks_and_fallback_agree(self, rng, monkeypatch):
         instances = singular_subset_instances()

@@ -3,11 +3,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import hypercell
 from hypercell import direction as dn
-from hypercell import geom
+from hypercell import geom, validate
 from hypercell.cli import dispatch
 
 BALL_ISO = {
@@ -120,6 +121,25 @@ class TestRateCommand:
         path.write_text(json.dumps(cfg))
         rc = dispatch(["rate", "--config", str(path), "--out", str(tmp_path / "o")])
         assert rc == 0  # overflow is recorded per replication, not fatal
+
+    def test_runaway_window_exits_3(self, tmp_path, capsys):
+        # ring 0 of a cube scaled by 1e6 at intensity 16 would hold some 5.5e7
+        # hyperplanes; the sampler refuses it before drawing any
+        cube = [[x, y, z] for x in (-1e6, 1e6) for y in (-1e6, 1e6) for z in (-1e6, 1e6)]
+        atoms = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]
+        cfg = {
+            "experiment": "rate",
+            "body": {"type": "polytope", "vertices": cube},
+            "distribution": {"type": "atomic", "atoms": atoms, "weights": [1 / 6] * 6},
+            "n_grid": [16, 32],
+            "reps": 2,
+            "seed": 1,
+        }
+        path = tmp_path / "scaled_cube.json"
+        path.write_text(json.dumps(cfg))
+        assert dispatch(["rate", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: AnnulusOverflow: annulus (0, ") and "at intensity 16" in err
 
     def test_nonpositive_initial_radius_exits_2(self, tmp_path):
         for radius in (0.0, -1.0):
@@ -357,8 +377,31 @@ class TestOtherCommands:
 def test_validate_passes(capsys):
     assert dispatch(["validate"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    n = len(lines) - 1
-    assert n > 0 and lines[-1] == f"{n}/{n} checks passed"
+    assert lines[-1] == "24/24 checks passed"
+    # the two checks whose statistics are computed in closed form, verbatim
+    assert "PASS  sample_annulus gap uniformity (KS): KS 0.00756 < 0.01153" in lines
+    assert "PASS  sample_annulus count vs Poisson (chi-square): mean 4, p=0.7893" in lines
+
+
+def test_validate_closed_forms_match_scipy():
+    from scipy import stats
+
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 17, 1000, 20000):
+        x = rng.random(n)
+        assert validate._ks_uniform(x) == stats.kstest(x, "uniform").statistic
+    for mean in (0.5, 1.0, 2.5, 4.0, 7.3, 12.0, 25.0, 50.0):
+        for tail in (1e-2, 10 / 3000, 1e-4):
+            table = validate._poisson_table(mean, tail)
+            top = len(table) - 1
+            assert top == stats.poisson.isf(tail, mean)
+            assert np.allclose(table[:-1], stats.poisson.pmf(np.arange(top), mean), rtol=1e-12, atol=0)
+            assert table[-1] == pytest.approx(stats.poisson.sf(top - 1, mean), rel=1e-9)
+    for dof in [*range(1, 41), 99, 100, 101, 500, 2000, 2001]:
+        for f in (1e-3, 0.01, 0.1, 0.5, 0.9, 1.0, 1.1, 1.5, 2.0, 3.0, 5.0):
+            want = stats.chi2.sf(f * dof, dof)
+            assert validate._chi2_sf(f * dof, dof) == pytest.approx(want, rel=1e-10, abs=0), (dof, f)
+    assert validate._chi2_sf(0.0, 3) == 1.0
 
 
 def _run_child(*args):
@@ -375,8 +418,31 @@ def test_console_script_runs():
     assert "ConfigError" in proc.stderr
 
 
+def test_runs_with_scipy_blocked(tmp_path):
+    # numpy is the only runtime dependency: `validate` and a rate run work
+    # when every scipy import fails
+    code = (
+        "import sys\n"
+        "class NoScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] == 'scipy':\n"
+        "            raise ImportError(f'{name} is blocked')\n"
+        "sys.meta_path.insert(0, NoScipy())\n"
+        "from hypercell.cli import dispatch\n"
+        "sys.exit(dispatch(sys.argv[1:]))\n"
+    )
+    proc = _run_child("-c", code, "validate")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "24/24 checks passed"
+    path = tmp_path / "ball_iso.json"
+    path.write_text(json.dumps({**BALL_ISO, "reps": 2}))
+    proc = _run_child("-c", code, "rate", "--config", str(path), "--out", str(tmp_path / "o"))
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(os.listdir(tmp_path / "o")) == ["rate.csv", "rate.json"]
+
+
 def test_import_loads_no_scipy():
-    # scipy is imported lazily where it is needed; an eager import costs set-up time and memory
+    # no module imports scipy; an import would cost set-up time and memory
     proc = _run_child("-c", "import sys, hypercell; print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

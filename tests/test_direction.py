@@ -516,10 +516,11 @@ def test_scipy_guard_sees_imports():
 
 
 def test_only_validate_imports_scipy():
-    # every run path is scipy-free; the invariant battery keeps its own checkers
+    # numpy is the only runtime dependency: no module imports scipy, the
+    # invariant battery included (its statistics are closed forms)
     package = Path(dn.__file__).parent
     importers = {path.name for path in package.glob("*.py") if scipy_imports(path.read_text())}
-    assert importers <= {"validate.py"}
+    assert importers == set()
 
 
 def private_numpy_uses(source: str) -> list:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from scipy.stats import chi2_contingency, kstest
 
 from hypercell import direction as dn
 from hypercell import geom, process
-from hypercell.errors import OriginOutside
+from hypercell.errors import AnnulusOverflow, OriginOutside
 from hypercell.rng import poisson_variate, stream
 
 from oracles import outer_parallel, sample_annulus_two_bodies, sample_hitting
@@ -236,6 +237,22 @@ class TestSampleAnnulus:
             assert np.all(np.abs(T - T_ref) <= 1e-15 * T_ref)
             drawn += len(T)
         assert drawn > 1000
+
+    def test_refuses_mean_over_budget(self, iso, ball):
+        # a mean of 3.2e7 hyperplanes is refused before anything is drawn
+        params = process.ProcessParams(16.0, iso, 2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(AnnulusOverflow) as exc:
+                process.sample_annulus(params, ball, 0.0, 1e6, stream(18, "budget"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert str(exc.value) == (
+            "annulus (0, 1e+06] at intensity 16 has a Poisson mean of 3.2e+07 hyperplanes, "
+            "above the budget of 16777216"
+        )
 
     @pytest.mark.parametrize(
         "r_in, r_out",

@@ -299,9 +299,13 @@ class CapStarved(_Continuous):
         return total
 
     def _sample_polar(self, rng, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """One polar angle per row in [lo_i, hi_i], with density proportional to sin^(d-2)."""
+        """One polar angle per row in [lo_i, hi_i], with density proportional to sin^(d-2).
+
+        A uniform angle is lo + (hi - lo) * U: the doubles and rounding of
+        `rng.uniform(lo, hi)`, without its broadcast and finiteness pass.
+        """
         if self.dim == 2:
-            return rng.uniform(lo, hi)
+            return lo + (hi - lo) * rng.random(len(lo))
         # rejection against the uniform angle, each row under its own envelope
         env = np.maximum(np.sin(lo), np.sin(hi))
         env[(lo <= math.pi / 2) & (math.pi / 2 <= hi)] = 1.0
@@ -309,7 +313,7 @@ class CapStarved(_Continuous):
         out = np.empty(len(lo))
         todo = np.arange(len(lo))
         while len(todo):
-            t = rng.uniform(lo[todo], hi[todo])
+            t = lo[todo] + (hi[todo] - lo[todo]) * rng.random(len(todo))
             ok = rng.random(len(todo)) * env[todo] <= np.sin(t) ** (self.dim - 2)
             out[todo[ok]] = t[ok]
             todo = todo[~ok]

@@ -733,6 +733,28 @@ def cap_starved_density_loop(dist, U):
     return out
 
 
+def cap_starved_polar_uniform(dist, rng, lo, hi):
+    """`CapStarved._sample_polar` drawn with the array-parameter `rng.uniform(lo, hi)`.
+
+    The reference for the package's lo + (hi - lo) * U draw: one uniform
+    angle per row in d = 2; in d >= 3 rejection against the uniform angle
+    under each row's envelope max(sin lo, sin hi)^(d-2), or 1 when the
+    band holds pi / 2.
+    """
+    if dist.dim == 2:
+        return rng.uniform(lo, hi)
+    holds_equator = (lo <= math.pi / 2) & (math.pi / 2 <= hi)
+    env = np.where(holds_equator, 1.0, np.maximum(np.sin(lo), np.sin(hi))) ** (dist.dim - 2)
+    out = np.empty(len(lo))
+    todo = np.arange(len(lo))
+    while len(todo):
+        t = rng.uniform(lo[todo], hi[todo])
+        ok = rng.random(len(todo)) * env[todo] <= np.sin(t) ** (dist.dim - 2)
+        out[todo[ok]] = t[ok]
+        todo = todo[~ok]
+    return out
+
+
 def piecewise_quad_integral(dist, f, kinks=()):
     """Integral of the batch callable f against a continuous planar law, by adaptive quadrature.
 

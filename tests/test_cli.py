@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -300,6 +301,14 @@ class TestOtherCommands:
             assert (tmp_path / "o1" / name).read_bytes() == (tmp_path / "o2" / name).read_bytes()
         for a, b in zip(docs[0]["estimates"], docs[2]["estimates"]):
             assert b["value"] == pytest.approx(a["value"], rel=1e-6)
+
+    def test_mu_curve_nan_eps_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "mu.json"
+        path.write_text(json.dumps({**BALL_ISO, "eps_grid": [math.nan, 0.1], "coarse_samples": 64}))
+        out = tmp_path / "out"
+        assert dispatch(["mu-curve", "--config", str(path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "error: InvalidEpsilon: eps grid must be positive\n"
+        assert not out.exists()
 
     def test_mu_curve_continuous_law_in_3d_exits_3(self, tmp_path, capsys):
         path = tmp_path / "mu.json"

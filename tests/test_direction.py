@@ -13,7 +13,12 @@ from hypercell import geom, process
 from hypercell.errors import InfeasibleBudget, RejectionStall, UnsupportedBody
 from hypercell.rng import stream
 
-from oracles import cap_starved_density_loop, piecewise_quad_integral, square_mean_support_oracle
+from oracles import (
+    cap_starved_density_loop,
+    cap_starved_polar_uniform,
+    piecewise_quad_integral,
+    square_mean_support_oracle,
+)
 
 
 def cap_budget(n):
@@ -365,6 +370,20 @@ class TestCapStarved:
             for lo, hi in bands:
                 want = geom.sphere_area(dim - 1) * quad(lambda t: math.sin(t) ** (dim - 2), lo, hi)[0]
                 assert law._band_sigma(lo, hi) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_polar_draw_equals_uniform_form(self, dim):
+        # 3,000 seeded batches of 1-64 rows over every piece and the outside
+        # band: the same angles, bit for bit, and the same doubles consumed
+        law = dn.cap_starved(np.eye(dim)[0], lambda n: n**-0.25, 256, cap_budget, radius=1.0)
+        pick = stream(14, "polar-rows", dim)
+        for seed in range(3000):
+            idx = pick.integers(0, len(law._draw_lo), 1 + seed % 64)
+            lo, hi = law._draw_lo[idx], law._draw_hi[idx]
+            got_rng, want_rng = stream(seed, "polar", dim), stream(seed, "polar", dim)
+            got = law._sample_polar(got_rng, lo, hi)
+            assert got.tobytes() == cap_starved_polar_uniform(law, want_rng, lo, hi).tobytes()
+            assert got_rng.random() == want_rng.random()
 
     def test_infeasible_budget(self):
         with pytest.raises(InfeasibleBudget):

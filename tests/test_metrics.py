@@ -303,8 +303,9 @@ class TestMuEstimate:
             assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_rejects_bad_eps(self, ball, iso):
-        with pytest.raises(InvalidEpsilon):
-            metrics.mu_estimate(ball, iso, 0.0)
+        for eps in (0.0, -0.1, math.nan, math.inf):
+            with pytest.raises(InvalidEpsilon, match="eps must be positive and finite"):
+                metrics.mu_estimate(ball, iso, eps)
 
     def test_paired_search_equals_sequential(self):
         def wavy(s):
@@ -350,9 +351,61 @@ class TestMuEstimate:
         assert e_flat < budget and gap_flat == math.inf
         assert e_bowl < budget and gap_bowl < tol
         assert e_slope >= budget
-        # one call for the starts, then both neighbours of every live search per call
-        assert sizes[:2] == [len(starts), 2 * len(starts)]
-        assert sorted(sizes[1:], reverse=True) == sizes[1:] and sizes[-1] == 2
+        # one call for the starts, then both neighbours of every live search
+        # in each of the next AHEAD rounds per call
+        assert sizes[:2] == [len(starts), 2 * metrics.AHEAD * len(starts)]
+        assert sorted(sizes[1:], reverse=True) == sizes[1:] and sizes[-1] == 2 * metrics.AHEAD
+
+    def test_lockstep_search_whose_every_guess_misses(self):
+        # below 2 the value falls with s and from 2 on it is high, so from 0
+        # with step 1 the search moves to 2 - 2^-k and then halves, in turn:
+        # each round's outcome differs from the last, so every call's
+        # guessed rounds past the first are wasted and a call replays one round
+        def f(s):
+            return -s if s < 2.0 else 10.0
+
+        period, min_step, budget = 2 * math.pi, 2.0**-20, 1000
+        move = _on_circle(period)
+        want = compass_search_sequential(lambda x: f(x[0]), move, (0.0,), 1.0, min_step, 0.0, budget)
+        sizes = []
+
+        def g(S):
+            sizes.append(len(S))
+            return _batched(f)(S)
+
+        got = metrics._compass_search(g, move, [(0.0,)], 1.0, min_step, 0.0, budget)
+        assert got == [want]
+        # 20 moves of one poll each and 20 halvings of two polls each, the
+        # last move by 2^-19 and the last halving down to the step floor
+        last = 2 * min_step
+        assert want == (-(2.0 - last), (2.0 - last,), 61, last)
+        assert sizes == [1] + [2 * metrics.AHEAD] * 40
+
+    @pytest.mark.parametrize(
+        "name, calls", [("mu_square_atomic", (7, 7)), ("mu_stadium_isotropic", (35, 38)), ("mu_stadium_adapted", (8, 7))]
+    )
+    def test_evaluator_calls_on_bundled_configs(self, name, calls, monkeypatch):
+        # one call per search round before guessing ahead: 40, 259 / 263 and 40
+        doc = _bundled(name)
+        body = geom.body_from_json(doc["body"])
+        dist = dn.distribution_from_json(doc["distribution"])
+        counted = []
+        batch = metrics.ExcessEvaluator.batch
+
+        def counting(ev, Y):
+            counted.append(len(Y))
+            return batch(ev, Y)
+
+        monkeypatch.setattr(metrics.ExcessEvaluator, "batch", counting)
+        got = []
+        for eps in (doc["eps_grid"]["start"], doc["eps_grid"]["stop"]):
+            counted.clear()
+            metrics.mu_estimate(body, dist, eps, metrics.MuConfig())
+            got.append(len(counted))
+            # the coarse scan, the starts, then AHEAD rounds of every live search per call
+            assert counted[0] == metrics.MuConfig().coarse_samples
+            assert all(size % (2 * metrics.AHEAD) == 0 for size in counted[2:])
+        assert tuple(got) == calls
 
     @staticmethod
     def _assert_retracted_searches_sequential(body):
@@ -459,8 +512,9 @@ class TestMuScaling:
         assert fit.slope == pytest.approx(2.0, abs=0.2)
 
     def test_grid_validation(self, ball, iso):
-        with pytest.raises(InvalidEpsilon):
-            metrics.mu_scaling(ball, iso, [0.5, 1.5])
+        for grid in ([0.5, 1.5], [0.0, 0.1], [math.nan, 0.1], [0.1, math.nan], [0.1, math.inf]):
+            with pytest.raises(InvalidEpsilon):
+                metrics.mu_scaling(ball, iso, grid)
 
     def test_unapproximable_pair_refused(self, ball):
         # the ball's surface measure is not covered by four atoms: log mu would hit log 0

@@ -14,17 +14,18 @@ reads (V, r), never the class.
 
 Constructors translate each body so the vertex centroid (or ball center)
 sits at the origin; all downstream code assumes an interior origin.
-A ball exists in every dimension; a polytope or polytope + ball sum in
-d = 2 and 3 only (`UnsupportedBody` beyond).  Distances and projections
+Every body exists in every dimension d >= 2.  Distances and projections
 to a polytope core go through one kernel, `_kernels.polygon_project`,
 which returns the distance and the nearest point together: in the plane
-on the core polygon itself, in R^3 on each planar face of the core in
-the face's own 2-d frame (`_Faces`), its facets found by polar duality
-with the package's d >= 3 enumerator (`_facet_planes`), not scipy.  A
-ball keeps its closed forms h = r and dist = max(0, |x| - r).
+on the core polygon itself, beyond it on each facet of the core in the
+facet's own frame, one dimension down until the plane (`_Faces`), the
+facets found by polar duality with the package's d >= 3 enumerator
+(`_facet_planes`), not scipy.  A ball keeps its closed forms h = r and
+dist = max(0, |x| - r).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -108,7 +109,7 @@ class _BodyBase:
 
 
 class _CoreBody(_BodyBase):
-    """`Polytope` and `BallSum`: a polytope core of rank `_rank`, d = 2 or 3."""
+    """`Polytope` and `BallSum`: a polytope core of rank `_rank`, read through its `_Faces`."""
 
     _faces: _Faces | None = None
     _inradius: float | None = None
@@ -118,8 +119,6 @@ class _CoreBody(_BodyBase):
         V = np.atleast_2d(np.asarray(vertices, dtype=np.float64))
         if V.shape[1] < 2:
             raise ValueError(f"{kind} vertices need dimension >= 2, got d = {V.shape[1]}")
-        if V.shape[1] > 3:
-            raise UnsupportedBody(f"{kind} bodies are supported in d = 2 and 3 only, got d = {V.shape[1]}")
         V = _dedupe_rows(V)
         V = self.vertices = V - V.mean(axis=0)
         self.radius = radius
@@ -130,33 +129,25 @@ class _CoreBody(_BodyBase):
         sq = max(((V[a : a + step, None, :] - V[None, :, :]) ** 2).sum(-1).max() for a in range(0, len(V), step))
         self.diameter = float(np.sqrt(sq)) + 2.0 * radius
         self.circumradius = float(np.linalg.norm(V, axis=1).max()) + radius
-        if self.dim == 2:
-            self._hull = _kernels.convex_hull_2d(V)
-            self.hull_vertices = V[self._hull]
 
     def _face_data(self) -> _Faces:
         if self._faces is None:
-            self._faces = _Faces(self.vertices, self._rank == 3)
+            self._faces = _Faces(self.vertices, self._rank)
         return self._faces
+
+    @property
+    def hull_vertices(self) -> np.ndarray:
+        """The CCW hull of a planar core."""
+        return self._face_data().polygon
 
     def _project_core(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Distance from each row of X to the core, and the nearest core point."""
-        if self.dim == 2:
-            return _kernels.polygon_project(self.hull_vertices, X)
         return self._face_data().project(X)
 
     @property
     def facets(self):
-        """(outward normal, offset, area, vertex indices) of each facet of a full-dimensional core.
-
-        Planar facets are the hull edges (`_polygon_edges`); in R^3 they
-        come from `_facet_planes` on first use, each area from the facet's
-        polygon (`_Faces`).
-        """
-        if self.dim == 3:
-            return self._face_data().facets
-        ids = np.column_stack([self._hull, np.roll(self._hull, -1)])
-        return [(n, float(a @ n), ln, i) for (a, _, n, ln), i in zip(_polygon_edges(self.hull_vertices), ids)]
+        """(outward normal, offset, (d-1)-volume, vertex ids) of each facet of the core (`_Faces`)."""
+        return self._face_data().facets
 
     def inradius_origin(self) -> float:
         # a lower-dimensional core has no interior, so only the ball is inscribed
@@ -167,7 +158,7 @@ class _CoreBody(_BodyBase):
 
 
 class Polytope(_CoreBody):
-    """Convex hull of finitely many points with nonempty interior, d = 2 or 3; radius 0."""
+    """Convex hull of finitely many points with nonempty interior; radius 0."""
 
     def __init__(self, vertices):
         self._init_core(vertices, "polytope", 0.0)
@@ -183,6 +174,8 @@ class Polytope(_CoreBody):
 
 class Ball(_BodyBase):
     """Euclidean ball in any dimension d >= 2: a point core at the origin plus radius B."""
+
+    facets = ()  # a point core has none
 
     def __init__(self, center, radius: float):
         c = np.asarray(center, dtype=np.float64)
@@ -216,7 +209,7 @@ class Ball(_BodyBase):
 
 
 class BallSum(_CoreBody):
-    """Minkowski sum of a (possibly lower-dimensional) polytope and a ball, d = 2 or 3.
+    """Minkowski sum of a (possibly lower-dimensional) polytope and a ball.
 
     Realizes bodies in which a ball of the given radius slides freely.
     The core may degenerate to a segment or a point.
@@ -238,43 +231,63 @@ Body = Polytope | Ball | BallSum
 
 
 # ---------------------------------------------------------------------------
-# exact projection onto a polytope core in R^3, one planar face at a time
+# exact projection onto a polytope core in R^k, one facet at a time down to polygons
 
 
 class _Faces:
-    """Planar faces of a polytope core in R^3, each in its own 2-d frame.
+    """A polytope core in R^k: a polygon for k = 2, else its facets, each one dimension down.
 
-    A face has an origin o, an orthonormal in-plane basis B (2 x 3, from an
-    SVD of its centred points), the normal n = B[0] x B[1] and its CCW
-    polygon in frame coordinates, so dist(x, F)^2 = dist(B (x - o),
-    polygon)^2 + <x - o, n>^2: one `_kernels.polygon_project` call.  A
-    full-dimensional core has one face per facet (`_facet_planes`), framed
-    on the facet's vertices and oriented outward; `facets` gives each its
-    outward normal, offset, polygon area and vertex ids.  A point x
-    outside the core is nearest to some p on a facet whose plane x is
-    outside of (x - p lies in the normal cone at p), and x outside no facet
-    plane is inside.  A lower-dimensional core is one face in a plane
-    that contains it.
+    A planar core is its CCW hull `polygon`, projected on by one
+    `_kernels.polygon_project` call; its facets are the hull edges and its
+    `volume` the shoelace area.  For k >= 3 a face has an origin o, an
+    orthonormal basis B ((k-1) x k, from an SVD of its centred points), a
+    normal n (B[0] x B[1] in R^3, the last right-singular vector beyond)
+    and the `_Faces` of its points in frame coordinates, so dist(x, F)^2 =
+    dist(B (x - o), F')^2 + <x - o, n>^2.  A full core has one outward face
+    per facet (`_facet_planes`); `facets` gives each its normal, offset,
+    (k-1)-volume and vertex ids, and the core's volume is sum h vol / k.
+    A point x outside the core is nearest to some p on a facet whose plane
+    x is outside of (x - p lies in the normal cone at p), and x outside no
+    facet plane is inside.  A lower-dimensional core is one face in a
+    hyperplane that contains it.
     """
 
-    def __init__(self, V: np.ndarray, full: bool):
-        planes = _facet_planes(V) if full else []
+    def __init__(self, V: np.ndarray, rank: int):
+        k = self.dim = V.shape[1]
+        if k == 2:
+            self._hull = _kernels.convex_hull_2d(V)
+            self.polygon = V[self._hull]
+            x, y = self.polygon.T
+            self.volume = 0.5 * float(x @ np.roll(y, -1) - np.roll(x, -1) @ y)
+            return
+        planes = _facet_planes(V) if rank == k else []
         groups = [ids for *_, ids in planes] or [np.arange(len(V))]
         self.origins = np.array([V[ids].mean(axis=0) for ids in groups])
-        self.bases = np.array([np.linalg.svd(V[ids] - o)[2][:2] for ids, o in zip(groups, self.origins)])
-        frames = [(V[ids] - o) @ B.T for ids, o, B in zip(groups, self.origins, self.bases)]
-        self.polygons = [Q[_kernels.convex_hull_2d(Q)] for Q in frames]
-        shoelace = [0.5 * float(x @ np.roll(y, -1) - np.roll(x, -1) @ y) for x, y in (P.T for P in self.polygons)]
-        self.facets = [(n, h, area, ids) for (n, h, ids), area in zip(planes, shoelace)]
-        self.normals = np.cross(self.bases[:, 0], self.bases[:, 1])
+        frames = np.array([np.linalg.svd(V[ids] - o)[2] for ids, o in zip(groups, self.origins)])
+        self.bases = frames[:, :-1]
+        frame_points = [(V[ids] - o) @ B.T for ids, o, B in zip(groups, self.origins, self.bases)]
+        self.faces = [_Faces(Q, min(rank, k - 1)) for Q in frame_points]
+        self.facets = [(n, h, face.volume, ids) for (n, h, ids), face in zip(planes, self.faces)]
+        self.volume = sum(h * vol for _, h, vol, _ in self.facets) / k
+        self.normals = np.cross(self.bases[:, 0], self.bases[:, 1]) if k == 3 else frames[:, -1]
         # the origin is interior to a full core, so an outward plane has a positive offset
         offsets = np.einsum("ij,ij->i", self.normals, self.origins)
         self.normals[offsets < 0] *= -1.0
         self.offsets = np.abs(offsets)
 
+    @functools.cached_property
+    def facets(self):
+        """A polygon's edges and their hull vertex ids, on first use (set at once for k >= 3)."""
+        # a point has no edges: its edge normal would divide by zero
+        edges = _polygon_edges(self.polygon) if len(self.polygon) > 1 else []
+        ids = np.column_stack([self._hull, np.roll(self._hull, -1)])
+        return [(n, float(a @ n), ln, i) for (a, _, n, ln), i in zip(edges, ids)]
+
     def project(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Distance from each row of X to the core, and the nearest core point."""
         X = np.asarray(X, dtype=np.float64)
+        if self.dim == 2:
+            return _kernels.polygon_project(self.polygon, X)
         # every product one coordinate at a time (`_kernels.dots`), so each
         # row's result is the same bits whatever rows share the call
         outside = (
@@ -286,7 +299,7 @@ class _Faces:
             rows = np.flatnonzero(outside[:, f])
             R = X[rows] - self.origins[f]
             B = self.bases[f]
-            d, p = _kernels.polygon_project(self.polygons[f], _kernels.dots(R, B))
+            d, p = self.faces[f].project(_kernels.dots(R, B))
             d = np.hypot(d, _kernels.dots(R, self.normals[f : f + 1])[:, 0])
             closer = d < dist[rows]
             rows = rows[closer]
@@ -296,24 +309,28 @@ class _Faces:
 
 
 def _facet_planes(V: np.ndarray):
-    """Outward unit normal n, offset h and vertex ids of each facet of a full core in R^3.
+    """Outward unit normal n, offset h and vertex ids of each facet of a full core in R^k, k >= 3.
 
     By polar duality (Ziegler, *Lectures on Polytopes*, 1995, Section 2.3)
     the facets {<n, x> = h} of conv(V), origin interior, are the vertices
     y = n / h of {y : <v, y> <= 1}.  Scaled by max|v|, none is nearer than
-    1; they are enumerated in an axis box grown by 4x until no box plane
-    defines one.  A facet holds the vertices within 1e-9 of the core's
-    width along n of its plane, each on three facets or more.
+    1; they are enumerated in the box [-rho, rho]^k grown by 4x until no
+    box plane defines one.  A point is a vertex when the normals of the
+    facets through it have rank k (Ziegler, Section 2.1), and the same
+    rule in the polar keeps a polar point only if the points v within
+    1e-9 of the core's width along its n span R^k.  A facet holds its
+    points within that width that are vertices.
     """
     # cell imports process, which imports this module; the enumerator is
     # called directly, as a tracer may wrap `cell.halfspace_intersection`
     from hypercell import cell
 
+    k = V.shape[1]
     r = np.linalg.norm(V, axis=1)
     U, T = V[r > 0] / r[r > 0, None], r.max() / r[r > 0]  # a point at the origin bounds nothing
     rho = 2.0
     while True:
-        inter = cell._intersect_incremental(U, T, cell._box_normals(3), np.full(6, rho))
+        inter = cell._intersect_incremental(U, T, cell._box_normals(k), np.full(2 * k, rho))
         if (inter.defining < len(T)).all():
             break
         rho *= 4.0
@@ -321,10 +338,24 @@ def _facet_planes(V: np.ndarray):
     N, h = inter.vertices / s[:, None], r.max() / s
     D = V @ N.T
     on = np.abs(D - h) <= 1e-9 * (h - D.min(axis=0))
-    on &= on.sum(axis=1, keepdims=True) >= 3
-    if on.shape[1] < 4 or (on.sum(axis=0) < 3).any():  # vertices lost to the enumerator's tolerances
+    # the one vertex rule, in the polar and then in the core: a point
+    # solved from near-singular planes through a polar edge is no vertex
+    facet = _spanning(on.T, V, k)
+    N, h, on = N[facet], h[facet], on[:, facet]
+    on[~_spanning(on, N, k)] = False
+    if on.shape[1] <= k or (on.sum(axis=0) < k).any():  # vertices lost to the enumerator's tolerances
         raise UnsupportedBody(f"facets of this {len(V)}-point core not found: it is too thin for the enumerator")
     return [(n, float(t), np.flatnonzero(col)) for n, t, col in zip(N, h, on.T)]
+
+
+def _spanning(on: np.ndarray, A: np.ndarray, k: int) -> np.ndarray:
+    """Mask of the rows of `on` whose True columns pick rows of A of rank k (stacked by their count)."""
+    count = on.sum(axis=1)
+    full = np.zeros(len(on), dtype=bool)
+    for c in set(count[count >= k].tolist()):
+        rows = np.flatnonzero(count == c)
+        full[rows] = np.linalg.matrix_rank(A[on[rows].nonzero()[1].reshape(len(rows), c)]) == k
+    return full
 
 
 # ---------------------------------------------------------------------------
@@ -370,10 +401,7 @@ def kink_angles(body: Body) -> np.ndarray:
 
     Empty for a point core (a ball).
     """
-    hull = body.hull_vertices
-    if len(hull) < 2:
-        return np.empty(0)
-    normals = np.array([n for _, _, n, _ in _polygon_edges(hull)])
+    normals = np.array([n for n, *_ in body.facets]).reshape(-1, 2)
     return np.arctan2(normals[:, 1], normals[:, 0])
 
 
@@ -405,20 +433,14 @@ class SurfaceMeasure:
 def surface_measure(body: Body) -> SurfaceMeasure:
     """Surface area measure of conv(V) + rB: the core's facet atoms and the density r^(d-1).
 
-    Planar atoms are the core's hull edges (a segment counts both sides,
-    a point none).  In R^3 a ball over a segment or polytope core also
-    carries mass on the normal arcs of its edges, which neither part
-    holds, so it is refused.
+    The atoms are the core's `facets`: in the plane its hull edges (a
+    segment counts both sides, a point none).  For d >= 3 a ball over a
+    segment or polytope core also carries mass on the normal cones of its
+    lower faces, which neither part holds, so it is refused.
     """
-    if body.dim == 2:
-        hull = body.hull_vertices
-        atoms = [] if len(hull) == 1 else [(n.copy(), ln) for _, _, n, ln in _polygon_edges(hull)]
-    elif not body.radius:
-        atoms = [(n.copy(), float(area)) for n, _, area, _ in body.facets]
-    elif len(body.vertices) == 1:
-        atoms = []
-    else:
+    if body.dim > 2 and body.radius and len(body.vertices) > 1:
         raise UnsupportedBody("surface measure of polytope+ball sums is only available in d = 2")
+    atoms = [(n.copy(), float(area)) for n, _, area, _ in body.facets]
     return SurfaceMeasure(atoms=atoms, sphere_density=body.radius ** (body.dim - 1), dim=body.dim)
 
 

@@ -66,13 +66,10 @@ class MuConfig:
     """
 
     coarse_samples: int = 4096
-    refine_tol: float = 1e-10
-    max_refine: int = 4000
-    restarts: int = 5
     seed: int = 99173
 
     def __post_init__(self):
-        for name, least in (("coarse_samples", 1), ("max_refine", 0), ("restarts", 1), ("seed", 0)):
+        for name, least in (("coarse_samples", 1), ("seed", 0)):
             value = getattr(self, name)
             if not is_count(value, least):
                 raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
@@ -129,6 +126,10 @@ _PANEL_BLOCK = 512
 # 29,018 / 29,062 / 29,222 / 29,422 / 30,110 / 31,518 rows; at 8 under 2%
 # of the rows are wasted guesses.
 AHEAD = 8
+# `mu_estimate`: RESTARTS searches share MAX_REFINE evaluations (`_compass_search`)
+REFINE_TOL = 1e-10
+MAX_REFINE = 4000
+RESTARTS = 5
 
 
 class ExcessEvaluator:
@@ -281,10 +282,10 @@ def excess(body, dist, y) -> float:
 def mu_estimate(body, dist, eps: float, cfg: MuConfig | None = None) -> MuEstimate:
     """Minimal excess over the boundary of the eps-parallel body.
 
-    A coarse scan of the offset boundary picks up to `cfg.restarts`
-    starts, and one compass search (`_compass_search`) refines them in
-    lockstep, with an equal share of `cfg.max_refine`.  A planar boundary
-    is scanned on an even arclength grid and searched in arclength, from
+    A coarse scan of the offset boundary picks up to RESTARTS starts, and
+    one compass search (`_compass_search`) refines them in lockstep, with
+    an equal share of MAX_REFINE evaluations.  A planar boundary is
+    scanned on an even arclength grid and searched in arclength, from
     well-separated scan minima.  In d >= 3 (atomic laws only) the coarse
     points are the retractions (`geom.retract`) of 2 (circumradius + eps) u
     for `cfg.coarse_samples` uniform directions u: from that far out every
@@ -303,33 +304,18 @@ def mu_estimate(body, dist, eps: float, cfg: MuConfig | None = None) -> MuEstima
         path = geom.boundary_path(body, eps)
         s_grid = (np.arange(m) + 0.5) * (path.total / m)
         coarse = evaluator.batch(path.point_at(s_grid))
-        starts = _separated_minima(coarse, s_grid, path.total, cfg.restarts)
-        searches = _compass_search(
-            lambda S: evaluator.batch(path.point_at(S[:, 0])),
-            lambda S: S % path.total,
-            starts,
-            path.total / m,
-            path.total * 1e-15,
-            cfg.refine_tol,
-            cfg.max_refine // len(starts),
-        )
-        to_point = path.point_at
+        starts = _separated_minima(coarse, s_grid, path.total, RESTARTS)
+        f, move, to_point = lambda S: evaluator.batch(path.point_at(S[:, 0])), lambda S: S % path.total, path.point_at
+        step, min_step = path.total / m, path.total * 1e-15
     else:
         U = stream(cfg.seed, "mu-coarse").standard_normal((m, body.dim))
         U /= np.linalg.norm(U, axis=1, keepdims=True)
         Y = geom.retract(body, 2.0 * (body.circumradius + eps) * U, eps)
         coarse = evaluator.batch(Y)
-        starts = Y[np.argsort(coarse)[: cfg.restarts]]
-        searches = _compass_search(
-            evaluator.batch,
-            lambda X: geom.retract(body, X, eps),
-            starts,
-            0.5 * eps,
-            eps * 1e-12,
-            cfg.refine_tol,
-            cfg.max_refine // len(starts),
-        )
-        to_point = np.atleast_2d
+        starts = Y[np.argsort(coarse)[:RESTARTS]]
+        f, move, to_point = evaluator.batch, lambda X: geom.retract(body, X, eps), np.atleast_2d
+        step, min_step = 0.5 * eps, eps * 1e-12
+    searches = _compass_search(f, move, starts, step, min_step, REFINE_TOL, MAX_REFINE // len(starts))
     value, x, _, gap = min(searches, key=lambda run: run[0])
     return MuEstimate(value, to_point(x)[0], m + sum(run[2] for run in searches), gap)
 

@@ -10,6 +10,7 @@ finite sum for an integer number of degrees of freedom.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -35,8 +36,8 @@ def _bodies():
     return square, ball, stadium
 
 
-def _cube():
-    return geom.Polytope([[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)])
+def _cube(d: int = 3):
+    return geom.Polytope(list(itertools.product((-1, 1), repeat=d)))
 
 
 def run_all(verbose: bool = True) -> list[CheckResult]:
@@ -358,28 +359,29 @@ def _c_coupled_grid_oracle_3d() -> CheckResult:
 
 def _c_polytope_distance_3d() -> CheckResult:
     # the facet-by-facet kernel against max(|max(|x| - 1, 0)| - r, 0) for
-    # the cube [-1, 1]^3 (r = 0) and the cube + 0.25 B
-    cube = _cube()
-    X = stream(SEED, "distance3d").uniform(-3, 3, size=(400, 3))
-    outside = np.linalg.norm(np.maximum(np.abs(X) - 1.0, 0.0), axis=1)
+    # the cube [-1, 1]^3 (r = 0), the cube + 0.25 B and the 4-cube
     worst = 0.0
-    for body, r in ((cube, 0.0), (geom.BallSum(cube.vertices, 0.25), 0.25)):
+    for body, r in ((_cube(), 0.0), (geom.BallSum(_cube().vertices, 0.25), 0.25), (_cube(4), 0.0)):
+        X = stream(SEED, f"distance{body.dim}d").uniform(-3, 3, size=(400, body.dim))
+        outside = np.linalg.norm(np.maximum(np.abs(X) - 1.0, 0.0), axis=1)
         worst = max(worst, float(np.abs(body.distance_batch(X) - np.maximum(outside - r, 0.0)).max()))
-    return CheckResult("3-d polytope distance vs closed form", worst <= 1e-12, f"max |d err| {worst:.2e}")
+    return CheckResult("3-d and 4-d polytope distance vs closed form", worst <= 1e-12, f"max |d err| {worst:.2e}")
 
 
 def _c_mu_closed_form_3d() -> CheckResult:
-    # the cube's minimum lies on its facet pieces; the regular tetrahedron's
-    # on its edge pieces, where one of two atoms 109.47 deg apart stops seeing y
+    # the cube's minimum lies on its facet pieces, and the 4-cube's; the
+    # regular tetrahedron's on its edge pieces, where one of two atoms
+    # 109.47 deg apart stops seeing y
     eps = 2.0**-4
     cube = _cube()
     tet = geom.Polytope([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
     cases = [
         (cube, dn.Atomic.symmetrized(np.eye(3), [1 / 3] * 3), eps / 6),
         (tet, dn.from_surface_measure(tet), math.sqrt(2) / 12 * eps),
+        (_cube(4), dn.Atomic.symmetrized(np.eye(4), [1 / 4] * 4), eps / 8),
     ]
     worst = max(abs(metrics.mu_estimate(body, law, eps).value / want - 1.0) for body, law, want in cases)
-    return CheckResult("3-d minimal excess vs closed form", worst <= 1e-6, f"max rel err {worst:.2e}")
+    return CheckResult("3-d and 4-d minimal excess vs closed form", worst <= 1e-6, f"max rel err {worst:.2e}")
 
 
 def _c_cell_contains_body() -> CheckResult:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -33,6 +35,11 @@ def stadium():
 @pytest.fixture
 def cube():
     return geom.Polytope([[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)])
+
+
+@pytest.fixture
+def cube4():
+    return geom.Polytope(list(itertools.product((-1, 1), repeat=4)))
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from hypercell import _kernels, cell, geom, process
+from hypercell import _kernels, cell, geom, metrics, process
 from hypercell import direction as dn
 from hypercell.errors import WindowOverflow
 from hypercell.rng import categorical_cdf, categorical_variates, poisson_variate
@@ -192,7 +192,7 @@ def mu_planar_sequential(evaluator, path, cfg):
     total, m = path.total, cfg.coarse_samples
     s_grid = (np.arange(m) + 0.5) * (total / m)
     coarse = evaluator.batch(path.point_at(s_grid))
-    starts = separated_minima_loop(coarse, s_grid, total, cfg.restarts)
+    starts = separated_minima_loop(coarse, s_grid, total, metrics.RESTARTS)
     runs = [
         compass_search_sequential(
             lambda x: evaluator.precise(path.point_at(x)[0]),
@@ -200,8 +200,8 @@ def mu_planar_sequential(evaluator, path, cfg):
             s0,
             total / m,
             total * 1e-15,
-            cfg.refine_tol,
-            cfg.max_refine // len(starts),
+            metrics.REFINE_TOL,
+            metrics.MAX_REFINE // len(starts),
         )
         for s0 in starts
     ]
@@ -233,7 +233,7 @@ def _circ_dist(a, b, period):
 
 
 def cube_distance_oracle(x):
-    """Distance from a point to [-1,1]^3 in closed form."""
+    """Distance from a point to [-1,1]^d in closed form."""
     x = np.asarray(x, dtype=np.float64)
     return float(np.linalg.norm(np.maximum(np.abs(x) - 1.0, 0.0)))
 
@@ -260,6 +260,31 @@ def facets_qhull(V):
         ids.setdefault(key, set()).update(tri.tolist())
         areas[key] = areas.get(key, 0.0) + 0.5 * np.linalg.norm(np.cross(V[tri[1]] - V[tri[0]], V[tri[2]] - V[tri[0]]))
     return {tuple(sorted(ids[k])): (eq[:3], -eq[3] * scale, areas[k] * scale**2) for k, eq in planes.items()}
+
+
+def facet_volumes_qhull(V):
+    """Facets of conv(V) in any R^d from qhull: {vertex ids: (d-1)-volume}.
+
+    The simplices of qhull's triangulation are grouped by their plane
+    rounded to 9 digits, as in `facets_qhull`, and a facet's volume sums
+    sqrt(det(E E^T)) / (d-1)! over its simplices, E the edge vectors from
+    the simplex's first vertex.
+    """
+    from scipy.spatial import ConvexHull
+
+    V = np.asarray(V, dtype=np.float64)
+    scale = 2.0 ** np.round(np.log2(np.abs(V).max()))
+    V = V / scale
+    d = V.shape[1]
+    hull = ConvexHull(V)
+    ids, volumes = {}, {}
+    for eq, simplex in zip(hull.equations, hull.simplices):
+        key = tuple(np.round(eq, 9))
+        ids.setdefault(key, set()).update(simplex.tolist())
+        E = V[simplex[1:]] - V[simplex[0]]
+        volume = math.sqrt(max(np.linalg.det(E @ E.T), 0.0)) / math.factorial(d - 1)
+        volumes[key] = volumes.get(key, 0.0) + volume
+    return {tuple(sorted(ids[k])): volumes[k] * scale ** (d - 1) for k in ids}
 
 
 def dedupe_rows_loop(arr, tol=1e-12):

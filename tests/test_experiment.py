@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from hypercell import direction as dn
@@ -128,6 +129,23 @@ class TestRunRate:
         # the result document cannot echo the law; the run would fail after every replication
         with pytest.raises(ConfigError, match="DensityOnSphere"):
             ex.RateRunConfig(ball, _density_law(wrap), [4, 16], reps=3, seed=1)
+
+    def test_4d_polytope_cells_contain_the_body_and_nest(self, cube4, monkeypatch):
+        # the 4-cube under the law on its facet normals +-e_i and under the
+        # isotropic law: every cell holds the body strictly and the next cell
+        built = []
+        along = ex.cells_along_intensity
+        monkeypatch.setattr(ex, "cells_along_intensity", lambda *a, **k: built.append(along(*a, **k)) or built[-1])
+        for law in (dn.Atomic.symmetrized(np.eye(4), [1 / 4] * 4), dn.Isotropic(4)):
+            result = ex.run_rate(ex.RateRunConfig(cube4, law, [16, 64, 256], reps=2, seed=42))
+            deltas = [e["median_delta"] for e in result.per_n]
+            assert 0 < deltas[-1] < deltas[0] and math.isfinite(result.fit.slope)
+        assert len(built) == 4
+        for cells in built:
+            for z in cells:
+                assert np.all(z.offsets > cube4.support_batch(z.normals))
+            for za, zb in zip(cells, cells[1:]):
+                assert np.all(zb.vertices @ za.normals.T <= za.offsets + 1e-9)
 
 
 class TestRunTail:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 import tracemalloc
@@ -14,6 +15,7 @@ from hypercell.errors import ContainmentViolated, UnsupportedBody
 from oracles import (
     cube_distance_oracle,
     dedupe_rows_loop,
+    facet_volumes_qhull,
     facets_qhull,
     outer_parallel,
     point_at_every_piece,
@@ -438,6 +440,96 @@ class TestOneBodyModel:
             assert np.abs(geom.retract(ball, outside, 0.2) - geom.retract(point, outside, 0.2)).max() <= 1e-15
 
 
+class TestCoresBeyond3D:
+    """Polytope cores in d = 4 and 5: each facet in its own frame, one dimension down to polygons."""
+
+    @pytest.mark.parametrize("dim", [4, 5])
+    def test_faces_match_wolfe_oracle(self, dim, cube4):
+        # full cores, cores of rank 1, 2 and 3 and a ball over a full core;
+        # points uniform in [-3, 3]^d, on facets and at the vertices
+        rng = np.random.default_rng(4100 + dim)
+        cloud = rng.standard_normal((12, dim))
+        bodies = [geom.Polytope(cloud), geom.BallSum(cloud, 0.3)]
+        bodies += [geom.BallSum(rng.standard_normal((m, dim)), 0.4) for m in (2, 3, 4)]
+        if dim == 4:
+            bodies += [geom.Polytope(rng.standard_normal((30, dim))), cube4]
+        for body in bodies:
+            V = body.vertices
+            faces = [ids for *_, ids in body.facets] or [np.arange(len(V))]
+            on_faces = [rng.dirichlet(np.ones(len(ids))) @ V[ids] for ids in faces[:20]]
+            X = np.vstack([rng.uniform(-3, 3, size=(60, dim)), on_faces, V])
+            d, P = body._project_core(X)
+            for x, dx, px in zip(X, d, P):
+                d_ref, p_ref = wolfe_project_loop(V, x)
+                assert abs(dx - d_ref) <= 1e-12
+                assert np.abs(px - p_ref).max() <= 1e-12
+            # each row alone is the same bits as in the batch
+            alone = [body._project_core(X[i : i + 1]) for i in range(len(X))]
+            assert np.concatenate([a for a, _ in alone]).tobytes() == d.tobytes()
+            assert np.vstack([p for _, p in alone]).tobytes() == P.tobytes()
+            core = np.maximum(0.0, d - body.radius)
+            assert np.array_equal(body.distance_batch(X), core)
+            assert np.abs(geom.project(body, X)[0] - core).max() <= 1e-12
+
+    def test_cube4_distance_closed_form(self, cube4, rng):
+        X = rng.uniform(-3, 3, size=(200, 4))
+        want = np.array([cube_distance_oracle(x) for x in X])
+        assert np.abs(cube4.distance_batch(X) - want).max() <= 1e-12
+
+    def test_regular_facets(self, cube4):
+        facets = cube4.facets
+        assert len(facets) == 8 and all(len(ids) == 8 for *_, ids in facets)
+        normals = sorted(map(tuple, np.round([n for n, *_ in facets], 12)))
+        assert normals == sorted(map(tuple, np.vstack([np.eye(4), -np.eye(4)])))
+        for _, h, vol, _ in facets:
+            assert h == pytest.approx(1.0, abs=1e-12) and vol == pytest.approx(8.0, rel=1e-12)
+        assert geom.surface_measure(cube4).total_mass == pytest.approx(64.0, rel=1e-12)
+        simplex = geom.Polytope(np.vstack([np.zeros(4), np.eye(4)]))
+        assert sorted(len(ids) for *_, ids in simplex.facets) == [4] * 5
+        cross = geom.Polytope(np.vstack([np.eye(4), -np.eye(4)]))
+        assert sorted(len(ids) for *_, ids in cross.facets) == [4] * 16
+        # each facet of the 5-cube is a 4-cube in a rotated frame, whose polar
+        # has vertices on 8 planes: points solved on its edges are dropped
+        cube5 = geom.Polytope(list(itertools.product((-1, 1), repeat=5)))
+        assert len(cube5.facets) == 10 and all(vol == pytest.approx(16.0, rel=1e-12) for _, _, vol, _ in cube5.facets)
+
+    def test_4d_facets_match_qhull(self, cube4):
+        # vertex groups equal and volumes to 1e-9 relative.  Points inside
+        # 2-faces and edges are no vertices: the midpoint of an edge of the
+        # cross-polytope lies on four facets, whose normals have rank 3
+        rng = np.random.default_rng(4004)
+        extra = np.vstack([cube4.vertices, [[1, 1, 0, 0], [1, 1, 1, 0], [-1, 0, 1, 0.5], [0, 0, 0, 1]]])
+        cross = np.vstack([np.eye(4), -np.eye(4), [[0.5, 0.5, 0, 0], [0, -0.5, 0, 0.5]]])
+        clouds = [rng.standard_normal((k, 4)) for k in (6, 9, 15, 25)]
+        for V in (extra, cross, *clouds):
+            body = geom.Polytope(V)
+            want = facet_volumes_qhull(body.vertices)
+            got = {tuple(ids.tolist()): vol for *_, vol, ids in body.facets}
+            assert got.keys() == want.keys() and len(body.facets) == len(want)
+            for ids, vol in got.items():
+                assert vol == pytest.approx(want[ids], rel=1e-9)
+        assert sorted(len(ids) for *_, ids in geom.Polytope(extra).facets) == [8] * 8
+        assert sorted(len(ids) for *_, ids in geom.Polytope(cross).facets) == [4] * 16
+
+    def test_surface_measure_beyond_3d(self, cube4):
+        point = geom.surface_measure(geom.BallSum([[0.2, 0.1, 0.0, -0.3]], 0.5))
+        assert point.atoms == [] and point.sphere_density == 0.5**3
+        with pytest.raises(UnsupportedBody):
+            geom.surface_measure(geom.BallSum([[0, 0, 0, 0], [1, 0, 0, 0]], 0.5))
+        with pytest.raises(UnsupportedBody):
+            geom.surface_measure(geom.BallSum(cube4.vertices, 0.5))
+
+    def test_bodies_beyond_3d(self, cube4):
+        assert geom.Ball(np.zeros(4), 1.0).dim == 4
+        assert cube4.inradius_origin() == pytest.approx(1.0, abs=1e-12)
+        assert geom.BallSum(cube4.vertices, 0.5).inradius_origin() == pytest.approx(1.5, abs=1e-12)
+        assert geom.BallSum([[0, 0, 0, 0], [1, 0, 0, 0]], 0.5).inradius_origin() == 0.5
+        with pytest.raises(ValueError, match="span"):
+            geom.Polytope(np.eye(4))  # a tetrahedron in a hyperplane
+        back = geom.body_from_json(geom.body_to_json(cube4))
+        assert np.array_equal(back.vertices, cube4.vertices)
+
+
 class TestSerialization:
     def test_round_trip(self, square, ball, stadium):
         for body in (square, ball, stadium):
@@ -461,14 +553,6 @@ class TestSerialization:
             for V in ([[0.0]], [[0.0], [1.0]], []):
                 with pytest.raises(ValueError, match="dimension >= 2"):
                     make(V)
-
-    def test_polytope_bodies_beyond_3d_refused(self):
-        simplex = np.vstack([np.zeros(4), np.eye(4)])
-        with pytest.raises(UnsupportedBody, match="d = 4"):
-            geom.Polytope(simplex)
-        with pytest.raises(UnsupportedBody, match="d = 4"):
-            geom.BallSum(simplex, 0.5)
-        assert geom.Ball(np.zeros(4), 1.0).dim == 4
 
 
 class TestDedupeRows:

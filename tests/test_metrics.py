@@ -585,8 +585,9 @@ class TestHigherDimensions:
         batches = []
         batch = metrics.ExcessEvaluator.batch
         monkeypatch.setattr(metrics.ExcessEvaluator, "batch", lambda ev, Y: batches.append(Y) or batch(ev, Y))
-        metrics.mu_estimate(cube, dn.Atomic.symmetrized(np.eye(3), [1 / 3] * 3), eps, metrics.MuConfig(max_refine=0))
-        coarse = batches[0]  # then the starts, and no search round at max_refine = 0
+        monkeypatch.setattr(metrics, "MAX_REFINE", 0)
+        metrics.mu_estimate(cube, dn.Atomic.symmetrized(np.eye(3), [1 / 3] * 3), eps)
+        coarse = batches[0]  # then the starts, and no search round at MAX_REFINE = 0
         assert coarse.shape == (4096, 3)
         kind = (np.abs(coarse) > 1.0).sum(axis=1)
         share = np.bincount(kind, minlength=4) / len(coarse)
@@ -600,20 +601,31 @@ class TestHigherDimensions:
         assert est.value == pytest.approx(eps / 6, abs=1e-15)
         assert cube.distance(est.argmin_point) == pytest.approx(eps, abs=1e-12)
 
+    def test_cube4_axis_atoms_exact(self, cube4):
+        # the d = 3 argument one dimension up: on a facet's offset only that
+        # facet's two atoms see y, one of them by eps, with weight 1/8
+        law = dn.Atomic.symmetrized(np.eye(4), [1 / 4] * 4)
+        grid = [2.0**-2, 2.0**-4, 2.0**-6]
+        fit = metrics.mu_scaling(cube4, law, grid)
+        for eps, est in zip(grid, fit.estimates):
+            assert est.value == pytest.approx(eps / 8, rel=1e-12)
+            assert cube4.distance(est.argmin_point) == pytest.approx(eps, abs=1e-12)
+        assert fit.slope == pytest.approx(1.0, abs=1e-12)
+
 
 class TestMuConfig:
     @pytest.mark.parametrize(
         "field, value",
         [("coarse_samples", 0), ("coarse_samples", -3), ("coarse_samples", 2.5), ("coarse_samples", math.nan),
-         ("restarts", 0), ("restarts", 1.0), ("restarts", True), ("max_refine", -1), ("max_refine", 0.5),
          ("seed", 7.9), ("seed", -1)],
     )
     def test_bad_counts_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
             metrics.MuConfig(**{field: value})
 
-    def test_zero_refinement_allowed(self, square, facet_atoms):
-        est = metrics.mu_estimate(square, facet_atoms, 0.1, metrics.MuConfig(coarse_samples=64, max_refine=0))
+    def test_zero_refinement_allowed(self, square, facet_atoms, monkeypatch):
+        monkeypatch.setattr(metrics, "MAX_REFINE", 0)
+        est = metrics.mu_estimate(square, facet_atoms, 0.1, metrics.MuConfig(coarse_samples=64))
         assert est.value == pytest.approx(0.025, abs=1e-12)
 
 

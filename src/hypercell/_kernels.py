@@ -103,9 +103,9 @@ def polygon_project(poly: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def cut_mask(normals: np.ndarray, offsets: np.ndarray, vertices: np.ndarray) -> np.ndarray:
-    """For each halfplane <u,x> <= t, whether it cuts the polygon.
+    """For each halfspace <u,x> <= t, whether it cuts the polytope with these vertices, in any dimension.
 
-    A halfplane cuts iff some vertex violates it strictly.
+    A halfspace cuts iff some vertex violates it strictly.
     """
     normals = np.ascontiguousarray(normals, dtype=np.float64)
     offsets = np.ascontiguousarray(offsets, dtype=np.float64)

@@ -55,19 +55,17 @@ subsets are listed from each cut vertex's incidence row: the
 `itertools.combinations` of its planes, simple and degenerate vertices
 alike, go into one Python set, and its sorted tuples come in
 `itertools.combinations` order.  So an insertion costs by its cut
-vertices, not by the planes of the cell.  An insertion whose stack meets
-an exactly singular system (both box planes +e_j and -e_j, listed only
-in a box thinner than about 2 FEAS_TOL) solves its subsets one at a time
-and drops the singular ones.  The final merge of nearly equal vertices
-compares only the vertices the insertions added (those of a given start
-cell already lie apart), and of those only the pairs that one sort along
-a fixed direction puts within reach of each other.  Against integer keys
-and an all-pairs merge, that took `rate3d` wall_s from 0.236 s to 0.205 s
-(medians of 10 alternating pairs, 2-core host) and the 27 merges of a 3-d
-ball grid up to intensity 2^14 from 0.31 s to 4.4 ms.  Window rings inside
-the box and intensity bands insert their cutting halfspaces into the
-current cell: d >= 3 starts from its vertices, the planar path computes
-its dual hull again from the active constraints and the new ones.
+vertices, not by the planes of the cell.  A stack that holds exactly
+singular systems (planes through a degenerate vertex, or both box planes
++e_j and -e_j of a thin box) is solved again without them, in one stacked
+call, the rows masked by the sign of their determinant.  The final merge
+of nearly equal vertices compares only the vertices the insertions added
+(those of a given start cell already lie apart), and of those only the
+pairs that one sort along a fixed direction puts within reach of each
+other, so it costs a sort where nearly equal vertices are rare.  Window
+rings inside the box and intensity bands insert their cutting halfspaces
+into the current cell: d >= 3 starts from its vertices, the planar path
+computes its dual hull again from the active constraints and the new ones.
 A brute-force subset enumerator, which shares no code with either path
 (its merge of nearly equal vertices included), is kept as the oracle for
 both: with `debug_oracle=True` every intersection a cell build computes,
@@ -206,12 +204,12 @@ class CellPolytope:
 
 @dataclass
 class Intersection:
-    """Vertex description of an intersection of halfspaces and a box.
+    """Vertex description of an intersection of halfspaces and an axis box.
 
-    `defining` indexes the concatenated constraint array (halfspaces
-    first, then box planes); `n_halfspaces` marks the split.  A vertex
-    supported by a box plane signals that the bare halfspace intersection
-    recedes there (unbounded without the box).
+    `defining` indexes the concatenated constraint array: the halfspaces,
+    then the box planes e_1, ..., e_d, -e_1, ..., -e_d; `n_halfspaces`
+    marks the split.  A vertex supported by a box plane signals that the
+    bare halfspace intersection recedes there (unbounded without the box).
     """
 
     vertices: np.ndarray
@@ -219,38 +217,32 @@ class Intersection:
     n_halfspaces: int
 
 
-def _axis_box(body, rho: float):
-    """Axis-aligned bounding halfspaces of the window body + rho*B."""
-    d = body.dim
-    U = np.vstack([np.eye(d), -np.eye(d)])
-    T = body.support_batch(U) + rho
-    return U, T
+def _axis_box(body, rho: float) -> np.ndarray:
+    """Offsets of the axis box of the window body + rho*B, along `_box_normals`."""
+    return body.support_batch(_box_normals(body.dim)) + rho
 
 
-def halfspace_intersection(
-    normals, offsets, box_normals, box_offsets, start: Intersection | None = None
-) -> Intersection:
-    """Vertices of the intersection of halfspaces {<u,x> <= t} with a box.
+def halfspace_intersection(normals, offsets, box_offsets, start: Intersection | None = None) -> Intersection:
+    """Vertices of the intersection of halfspaces {<u,x> <= t} with an axis box.
 
-    All offsets must be positive (origin interior), and every halfspace
-    normal and offset finite.  The planar path uses polar duality.  Higher
-    dimensions run the incremental enumerator: halfspaces are inserted by
-    increasing offset, exact copies of an earlier halfspace are skipped,
-    and each insertion that cuts a vertex solves, in one stacked solve,
-    the (d-1)-subsets of the planes through a cut vertex (its defining
-    planes and those with slack at most FEAS_TOL (1 + |t|), t the
-    plane's offset), in `itertools.combinations` order.  They are listed
-    per cut vertex, the combinations of its row of incident planes, into
-    one set that sorts them, so the cost of an insertion grows with its
-    cut vertices, not with the planes of the cell.  If the stack raises
-    on an exactly singular system, as one holding a box pair +e_j, -e_j,
-    that insertion solves its subsets one at a time.  Subsets whose
-    solve fails or leaves a residual above SOLVE_RESIDUAL_TOL are
-    skipped.  The final merge compares only the pairs of vertices that a
-    sort along a fixed direction puts within reach of each other
-    (`_kernels.keep_first`).  Box normals must be
-    [e_1, ..., e_d, -e_1, ..., -e_d] for d >= 3, in this order, else
-    ValueError: the corner plane ids depend on it.
+    The box is {<e_j, x> <= box_offsets[j], <-e_j, x> <= box_offsets[d + j]},
+    its 2d planes `_box_normals(d)`, so d = len(box_offsets) // 2; an odd
+    count or fewer than 4 offsets raises ValueError.  All offsets must be
+    positive (origin interior), and every halfspace normal and offset
+    finite.  The planar path uses polar duality.  Higher dimensions run
+    the incremental enumerator: halfspaces are inserted by increasing
+    offset, exact copies of an earlier halfspace are skipped, and each
+    insertion that cuts a vertex solves, in one stacked solve
+    (`_solve_subsets`), the (d-1)-subsets of the planes through a cut
+    vertex (its defining planes and those with slack at most FEAS_TOL
+    (1 + |t|), t the plane's offset), in `itertools.combinations` order.
+    They are listed per cut vertex, the combinations of its row of
+    incident planes, into one set that sorts them, so the cost of an
+    insertion grows with its cut vertices, not with the planes of the
+    cell.  Subsets whose system is singular or whose solution leaves a
+    residual above SOLVE_RESIDUAL_TOL are skipped.  The final merge
+    compares only the pairs of vertices that a sort along a fixed
+    direction puts within reach of each other (`_kernels.keep_first`).
 
     `start`, the intersection of the first `start.n_halfspaces`
     halfspaces with the same box, as this function returned it, lets
@@ -261,22 +253,26 @@ def halfspace_intersection(
     """
     U = np.atleast_2d(np.asarray(normals, dtype=np.float64))
     T = np.asarray(offsets, dtype=np.float64)
-    BU = np.atleast_2d(np.asarray(box_normals, dtype=np.float64))
     BT = np.asarray(box_offsets, dtype=np.float64)
+    d = _box_dim(BT)
     if not (np.isfinite(U).all() and np.isfinite(T).all()):
         raise ValueError("halfspace normals and offsets must be finite")
     if U.shape[0] and T.min() <= 0 or not BT.min() > 0:  # a NaN box offset fails too
         raise ValueError("halfspace offsets must be positive (origin interior)")
-    d = BU.shape[1]
     if d == 2:
-        return _intersect_dual_2d(U, T, BU, BT)
-    if not np.array_equal(BU, _box_normals(d)):
-        raise ValueError("box normals must be [e_1, ..., e_d, -e_1, ..., -e_d] for d >= 3")
-    return _intersect_incremental(U, T, BU, BT, start)
+        return _intersect_dual_2d(U, T, BT)
+    return _intersect_incremental(U, T, BT, start)
 
 
-def _intersect_dual_2d(U, T, BU, BT) -> Intersection:
-    A = np.vstack([U, BU])
+def _box_dim(BT: np.ndarray) -> int:
+    """The dimension d of an axis box given by its 2d offsets, d >= 2."""
+    if BT.ndim != 1 or len(BT) % 2 or len(BT) < 4:
+        raise ValueError(f"a box takes 2d >= 4 offsets, for e_1, ..., e_d, -e_1, ..., -e_d; got shape {BT.shape}")
+    return len(BT) // 2
+
+
+def _intersect_dual_2d(U, T, BT) -> Intersection:
+    A = np.vstack([U, _box_normals(2)])
     b = np.concatenate([T, BT])
     D = A / b[:, None]
     hull, xs, ys = _kernels.hull_chain(D)
@@ -334,10 +330,10 @@ def _merge_adjacent(V: np.ndarray, D: np.ndarray):
     return V[~dup], D[~dup]
 
 
-def _intersect_incremental(U, T, BU, BT, start: Intersection | None = None) -> Intersection:
-    d = BU.shape[1]
+def _intersect_incremental(U, T, BT, start: Intersection | None = None) -> Intersection:
+    d = len(BT) // 2
     n = len(T)
-    A = np.vstack([U, BU])
+    A = np.vstack([U, _box_normals(d)])
     b = np.concatenate([T, BT])
     touch = FEAS_TOL * (1.0 + np.abs(b))  # the slack within which a plane passes through a vertex
     if start is None:
@@ -438,10 +434,12 @@ def _solve_subsets(A: np.ndarray, b: np.ndarray, idx: np.ndarray):
     """Solve A[idx[k]] x = b[idx[k]] for every row k.
 
     One stacked `np.linalg.solve` covers all rows; it runs the same LAPACK
-    routine per system as a lone solve, so the solutions are the same.
-    One exactly singular system makes the stack raise, and then the rows
-    are solved one at a time, a singular one left NaN.  Returns the
-    solutions and a mask of those kept (finite, residual within
+    routine per system as a lone solve, so the solutions are the same.  An
+    exactly singular system makes the stack raise; then the sign of
+    `np.linalg.slogdet`, from the same LU factorization, is 0 (a zero
+    pivot) exactly for the systems a lone solve refuses, and one stacked
+    solve of the others cannot raise.  A refused row stays NaN.  Returns
+    the solutions and a mask of those kept (finite, residual within
     SOLVE_RESIDUAL_TOL * (1 + max|b|)); the residual runs on the whole
     stack unless some solution is not finite.
     """
@@ -449,12 +447,10 @@ def _solve_subsets(A: np.ndarray, b: np.ndarray, idx: np.ndarray):
     try:
         X = np.linalg.solve(M, r[..., None])[..., 0]
     except np.linalg.LinAlgError:
+        with np.errstate(invalid="ignore"):  # a NaN pivot warns, and gives sign 0 or NaN
+            regular = np.abs(np.linalg.slogdet(M)[0]) == 1.0
         X = np.full(r.shape, np.nan)
-        for k in range(len(idx)):
-            try:
-                X[k] = np.linalg.solve(M[k], r[k])
-            except np.linalg.LinAlgError:
-                pass
+        X[regular] = np.linalg.solve(M[regular], r[regular][..., None])[..., 0]
     ok = np.isfinite(X).all(axis=1)
     rows = slice(None) if ok.all() else ok
     residual = np.abs(np.matmul(M[rows], X[rows][..., None])[..., 0] - r[rows]).max(axis=1)
@@ -477,9 +473,10 @@ def _dedupe_after(V: np.ndarray, D: np.ndarray, apart: int):
     return V[keep], D[keep]
 
 
-def halfspace_intersection_bruteforce(normals, offsets, box_normals, box_offsets) -> Intersection:
+def halfspace_intersection_bruteforce(normals, offsets, box_offsets) -> Intersection:
     """Oracle: enumerate every d-subset, solve, filter by feasibility.
 
+    The box is that of `halfspace_intersection`, its normals spelled here.
     Every d-subset of the halfspace and box planes is enumerated, in
     `itertools.combinations` order and in chunks of ORACLE_CHUNK: each
     chunk is solved by one stacked `np.linalg.solve` and filtered for
@@ -495,8 +492,9 @@ def halfspace_intersection_bruteforce(normals, offsets, box_normals, box_offsets
     """
     U = np.atleast_2d(np.asarray(normals, dtype=np.float64))
     T = np.asarray(offsets, dtype=np.float64)
-    BU = np.atleast_2d(np.asarray(box_normals, dtype=np.float64))
     BT = np.asarray(box_offsets, dtype=np.float64)
+    d = _box_dim(BT)
+    BU = np.vstack([np.eye(d), -np.eye(d)])
     # only the first of exact copies of a halfspace takes part: the system of
     # two copies is singular only up to rounding, and its solution can be a
     # feasible point inside an edge
@@ -504,7 +502,6 @@ def halfspace_intersection_bruteforce(normals, offsets, box_normals, box_offsets
     rows = np.concatenate([first, len(T) + np.arange(len(BT))])
     A = np.vstack([U, BU])[rows]
     b = np.concatenate([T, BT])[rows]
-    d = A.shape[1]
     bound = b + FEAS_TOL * (1.0 + np.abs(b))
     combos = itertools.combinations(range(len(b)), d)
     verts = []
@@ -594,7 +591,7 @@ class _CellBuilder:
         self._margins: np.ndarray | None = None  # of `inter`, once computed
 
     def rebuild(self, U, T, box):
-        """Build the cell of constraints U, T from scratch inside `box` (normals, offsets).
+        """Build the cell of constraints U, T from scratch inside the axis box of offsets `box`.
 
         In the plane, more than 2 * SCREEN_NEAR lines are screened first:
         the lines with the SCREEN_NEAR smallest offsets, ties included,
@@ -605,10 +602,7 @@ class _CellBuilder:
         relies on), so the hull, its vertices and the active constraints
         are those of the unscreened call.  A `rate` rebuild at intensity
         2^8 has on average 512 (ball) or 724 (square) lines and its cell
-        keeps about 30.  The screen took the mean rows per intersection
-        from 126.9 to 49.1 on a traced `rate` pass (seed 1), and the
-        untraced `rate` `wall_s` from 0.387 s to 0.328 s (medians of 10
-        pairs, 2-core host).
+        keeps about 30, so most lines never reach the hull.
         """
         self._box = box
         if self.dim == 2 and len(T) > 2 * SCREEN_NEAR:
@@ -642,13 +636,13 @@ class _CellBuilder:
 
     def _checked(self, U, T, start: Intersection | None) -> Intersection:
         """`halfspace_intersection` of U, T in the current box, checked against the oracle if asked."""
-        inter = halfspace_intersection(U, T, *self._box, start)
+        inter = halfspace_intersection(U, T, self._box, start)
         if self.debug_oracle:
             self._cross_check(inter, U, T)
         return inter
 
     def _cross_check(self, inter: Intersection, U, T):
-        oracle = halfspace_intersection_bruteforce(U, T, *self._box)
+        oracle = halfspace_intersection_bruteforce(U, T, self._box)
         if not _vertex_sets_match(inter.vertices, oracle.vertices, 1e-7):
             raise AssertionError("fast-path intersection deviates from the subset oracle")
 

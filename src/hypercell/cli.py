@@ -193,13 +193,15 @@ def _cmd_mu_curve(args) -> int:
     cfg = _load_config(args.config)
     body = _body(cfg)
     dist = dn.distribution_from_json(_object(cfg, "distribution"))
-    seed = args.seed if args.seed is not None else cfg.get("seed", 99173)
     grid_cfg = _require(cfg, "eps_grid")
     if isinstance(grid_cfg, dict):
         grid = np.geomspace(grid_cfg["start"], grid_cfg["stop"], grid_cfg["count"]).tolist()
     else:
         grid = [float(e) for e in grid_cfg]
-    mu_cfg = metrics.MuConfig(coarse_samples=cfg.get("coarse_samples", 4096), seed=seed)
+    given = {k: cfg[k] for k in ("coarse_samples", "seed") if k in cfg}
+    if args.seed is not None:
+        given["seed"] = args.seed
+    mu_cfg = metrics.MuConfig(**given)
     fit = metrics.mu_scaling(body, dist, grid, mu_cfg)
     ests = fit.estimates
     csv_path = _out_path(args, "mu.csv")
@@ -214,7 +216,7 @@ def _cmd_mu_curve(args) -> int:
                     "body": geom.body_to_json(body),
                     "distribution": dn.distribution_to_json(dist),
                     "eps_grid": grid,
-                    "seed": seed,
+                    "seed": mu_cfg.seed,
                 },
                 "estimates": [est.to_json() for est in ests],
                 "fit": fit.to_json(),

@@ -270,8 +270,6 @@ class CapStarved(_Continuous):
     # -- geometry of polar pieces -------------------------------------
     def _band_sigma(self, lo: float, hi: float) -> float:
         """Spherical Lebesgue measure of one polar band {lo <= theta <= hi}."""
-        if self.dim == 2:
-            return 2.0 * (hi - lo)
         return sphere_area(self.dim - 1) * _sin_power_integral(self.dim - 2, lo, hi)
 
     def density(self, U: np.ndarray) -> np.ndarray:

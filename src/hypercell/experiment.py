@@ -204,11 +204,8 @@ def _policy_to_json(policy: WindowPolicy) -> dict:
 
 
 def policy_from_json(obj: dict) -> WindowPolicy:
-    return WindowPolicy(
-        initial_radius=obj.get("initial_radius"),
-        growth_factor=obj.get("growth_factor", 2.0),
-        max_rounds=obj.get("max_rounds", 40),
-    )
+    """The policy's fields that `obj` holds; `WindowPolicy` supplies the others."""
+    return WindowPolicy(**{k: obj[k] for k in ("initial_radius", "growth_factor", "max_rounds") if k in obj})
 
 
 @dataclass

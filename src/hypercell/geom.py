@@ -241,15 +241,15 @@ class _Faces:
     `_kernels.polygon_project` call; its facets are the hull edges and its
     `volume` the shoelace area.  For k >= 3 a face has an origin o, an
     orthonormal basis B ((k-1) x k, from an SVD of its centred points), a
-    normal n (B[0] x B[1] in R^3, the last right-singular vector beyond)
-    and the `_Faces` of its points in frame coordinates, so dist(x, F)^2 =
-    dist(B (x - o), F')^2 + <x - o, n>^2.  A full core has one outward face
-    per facet (`_facet_planes`); `facets` gives each its normal, offset,
-    (k-1)-volume and vertex ids, and the core's volume is sum h vol / k.
-    A point x outside the core is nearest to some p on a facet whose plane
-    x is outside of (x - p lies in the normal cone at p), and x outside no
-    facet plane is inside.  A lower-dimensional core is one face in a
-    hyperplane that contains it.
+    unit normal n and the `_Faces` of its points in frame coordinates, so
+    dist(x, F)^2 = dist(B (x - o), F')^2 + <x - o, n>^2.  A full core has
+    one face per facet (`_facet_planes`), n its outward normal; `facets`
+    gives each its normal, offset, (k-1)-volume and vertex ids, and the
+    core's volume is sum h vol / k.  A point x outside the core is nearest
+    to some p on a facet whose plane x is outside of (x - p lies in the
+    normal cone at p), and x outside no facet plane is inside.  A
+    lower-dimensional core is one face in a hyperplane that contains it,
+    n the last right-singular vector of its points.
     """
 
     def __init__(self, V: np.ndarray, rank: int):
@@ -269,11 +269,8 @@ class _Faces:
         self.faces = [_Faces(Q, min(rank, k - 1)) for Q in frame_points]
         self.facets = [(n, h, face.volume, ids) for (n, h, ids), face in zip(planes, self.faces)]
         self.volume = sum(h * vol for _, h, vol, _ in self.facets) / k
-        self.normals = np.cross(self.bases[:, 0], self.bases[:, 1]) if k == 3 else frames[:, -1]
-        # the origin is interior to a full core, so an outward plane has a positive offset
-        offsets = np.einsum("ij,ij->i", self.normals, self.origins)
-        self.normals[offsets < 0] *= -1.0
-        self.offsets = np.abs(offsets)
+        self.normals = np.array([n for n, *_ in planes]) if planes else frames[:, -1]
+        self.offsets = np.einsum("ij,ij->i", self.normals, self.origins)
 
     @functools.cached_property
     def facets(self):
@@ -330,7 +327,7 @@ def _facet_planes(V: np.ndarray):
     U, T = V[r > 0] / r[r > 0, None], r.max() / r[r > 0]  # a point at the origin bounds nothing
     rho = 2.0
     while True:
-        inter = cell._intersect_incremental(U, T, cell._box_normals(k), np.full(2 * k, rho))
+        inter = cell._intersect_incremental(U, T, np.full(2 * k, rho))
         if (inter.defining < len(T)).all():
             break
         rho *= 4.0

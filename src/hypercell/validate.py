@@ -307,7 +307,6 @@ def _oracle_mismatches(label: str, d: int, count: int, n_max: int, box: float) -
     normalised Gaussians; offsets are uniform on [0.3, 2).
     """
     rng = stream(SEED, label)
-    BU = np.vstack([np.eye(d), -np.eye(d)])
     BT = np.full(2 * d, box)
     bad = 0
     for _ in range(count):
@@ -319,8 +318,8 @@ def _oracle_mismatches(label: str, d: int, count: int, n_max: int, box: float) -
             U = rng.standard_normal((n, d))
             U /= np.linalg.norm(U, axis=1, keepdims=True)
         T = rng.uniform(0.3, 2.0, n)
-        fast = cell.halfspace_intersection(U, T, BU, BT)
-        slow = cell.halfspace_intersection_bruteforce(U, T, BU, BT)
+        fast = cell.halfspace_intersection(U, T, BT)
+        slow = cell.halfspace_intersection_bruteforce(U, T, BT)
         if not cell._vertex_sets_match(fast.vertices, slow.vertices, 1e-7):
             bad += 1
     return bad

@@ -446,21 +446,21 @@ def _solve_or_none(M, r, residual_tol):
     return x
 
 
-def incremental_vertices_loop(U, T, BU, BT, feas_tol, residual_tol, merge_tol=1e-9):
-    """Vertices of {U x <= T} inside a box {BU x <= BT}, one solve per plane subset.
+def incremental_vertices_loop(U, T, BT, feas_tol, residual_tol, merge_tol=1e-9):
+    """Vertices of {U x <= T} inside the axis box of offsets BT, one solve per plane subset.
 
     The per-combination insertion loop the batched d >= 3 enumerator of
-    the cell module must reproduce: seed with the box corners (BU is
-    [e_1..e_d, -e_1..-e_d]), insert halfspaces by increasing offset, and
-    for each one that cuts a vertex, solve it together with every
-    (d-1)-subset of the planes still defining vertices.  Unlike the cell
+    the cell module must reproduce: seed with the box corners, insert
+    halfspaces by increasing offset, and for each one that cuts a vertex,
+    solve it together with every (d-1)-subset of the planes still
+    defining vertices.  Unlike the cell
     module, it also inserts exact copies of an earlier halfspace.
     Returns (vertices, defining) as arrays.
     """
-    U, T, BU, BT = (np.asarray(z, dtype=np.float64) for z in (U, T, BU, BT))
-    d = BU.shape[1]
+    U, T, BT = (np.asarray(z, dtype=np.float64) for z in (U, T, BT))
+    d = len(BT) // 2
     n = len(T)
-    A = np.vstack([U, BU])
+    A = np.vstack([U, np.eye(d), -np.eye(d)])
     b = np.concatenate([T, BT])
     corners = np.array(list(itertools.product(*[(-1.0, 1.0)] * d)))
     verts = []
@@ -545,7 +545,7 @@ def _solve_stack(A, b, idx):
     return X, ok
 
 
-def incremental_by_plane(U, T, BU, BT, start=None):
+def incremental_by_plane(U, T, BT, start=None):
     """The d >= 3 incremental enumerator that lists subsets by active plane.
 
     The reference for `cell._intersect_incremental`, with the same
@@ -557,9 +557,9 @@ def incremental_by_plane(U, T, BU, BT, start=None):
     subsets come from `shared_subsets`' products over every plane of the
     cell, and exact copies from `np.unique`.
     """
-    d = BU.shape[1]
+    d = len(BT) // 2
     n = len(T)
-    A = np.vstack([U, BU])
+    A = np.vstack([U, np.eye(d), -np.eye(d)])
     b = np.concatenate([T, BT])
     if start is None:
         corners = n + np.arange(d) + d * np.array(list(itertools.product((1, 0), repeat=d)))
@@ -615,7 +615,7 @@ def dedupe_after_all_pairs(V, D, apart):
     return V[keep], D[keep]
 
 
-def intersect_dual_2d_arrays(U, T, BU, BT):
+def intersect_dual_2d_arrays(U, T, BT):
     """The planar dual-hull intersection with every step on whole arrays.
 
     The reference for the Python-float vertex loop of
@@ -623,7 +623,7 @@ def intersect_dual_2d_arrays(U, T, BU, BT):
     the vertex formula run as NumPy expressions, and `cell._merge_adjacent`
     runs on every result.
     """
-    A = np.vstack([U, BU])
+    A = np.vstack([U, np.eye(2), -np.eye(2)])
     b = np.concatenate([T, BT])
     D = A / b[:, None]
     hull = _kernels.convex_hull_2d(D)
@@ -891,7 +891,7 @@ def cells_ring_by_ring(params_base, body, gamma_grid, policy, key):
     box_normals = np.vstack([np.eye(d), -np.eye(d)])
 
     def build(U, T, rho):
-        inter = cell.halfspace_intersection(U, T, box_normals, body.support_batch(box_normals) + rho)
+        inter = cell.halfspace_intersection(U, T, body.support_batch(box_normals) + rho)
         act = np.unique(inter.defining)
         act = act[act < len(T)]
         return U[act], T[act], inter.vertices

@@ -52,7 +52,7 @@ RATE_GRID = [2**k for k in range(8, 16)]
 
 def test_criterion_01_geometry_oracle():
     rng = stream(101, "accept-oracle")
-    box = (np.vstack([np.eye(2), -np.eye(2)]), np.full(4, 50.0))
+    box = np.full(4, 50.0)
     t0 = time.time()
     mismatches = 0
     for _ in range(1000):
@@ -60,8 +60,8 @@ def test_criterion_01_geometry_oracle():
         th = rng.uniform(0, 2 * math.pi, n)
         U = np.column_stack([np.cos(th), np.sin(th)])
         T = rng.uniform(0.3, 2.0, n)
-        fast = cell.halfspace_intersection(U, T, *box)
-        slow = cell.halfspace_intersection_bruteforce(U, T, *box)
+        fast = cell.halfspace_intersection(U, T, box)
+        slow = cell.halfspace_intersection_bruteforce(U, T, box)
         if not cell._vertex_sets_match(fast.vertices, slow.vertices, 1e-7):
             mismatches += 1
     elapsed = time.time() - t0

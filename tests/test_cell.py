@@ -30,9 +30,14 @@ from oracles import (
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-BOX2 = (np.vstack([np.eye(2), -np.eye(2)]), np.full(4, 50.0))
-BOX3 = (np.vstack([np.eye(3), -np.eye(3)]), np.full(6, 20.0))
-BOX4 = (np.vstack([np.eye(4), -np.eye(4)]), np.full(8, 20.0))
+# axis boxes by their offsets along e_1, ..., e_d, -e_1, ..., -e_d
+BOX2 = np.full(4, 50.0)
+BOX3 = np.full(6, 20.0)
+BOX4 = np.full(8, 20.0)
+
+
+def box_normals(box):
+    return np.vstack([np.eye(len(box) // 2), -np.eye(len(box) // 2)])
 
 
 def random_instance(rng, max_n=40):
@@ -87,10 +92,10 @@ def recorded_planar_calls(monkeypatch, reps):
     seen = []
     inner = cell.halfspace_intersection
 
-    def record(U, T, BU, BT, start=None):
-        if BU.shape[1] == 2:
-            seen.append((U, T, (BU, BT)))
-        return inner(U, T, BU, BT, start)
+    def record(U, T, BT, start=None):
+        if len(BT) == 4:
+            seen.append((U, T, BT))
+        return inner(U, T, BT, start)
 
     monkeypatch.setattr(cell, "halfspace_intersection", record)
     for name in ("tail_ball_isotropic", "rate_ball_isotropic", "rate_square_atomic", "counterexample_ball"):
@@ -109,7 +114,7 @@ def recorded_planar_calls(monkeypatch, reps):
 
 def assert_planar_path_equals_arrays(U, T, box):
     """The planar intersection and its compaction equal the whole-array reference, bit for bit."""
-    ref = intersect_dual_2d_arrays(U, T, *box)
+    ref = intersect_dual_2d_arrays(U, T, box)
     ref_U, ref_T, ref_D = compact_unique(U, T, ref, 2)
     builder = cell._CellBuilder(None, 2)
     builder.rebuild(U, T, box)
@@ -185,14 +190,14 @@ def concurrent_integer_instances():
 
 
 def assert_matches_incremental_loop(inter, U, T, box):
-    V, D = incremental_vertices_loop(U, T, *box, cell.FEAS_TOL, cell.SOLVE_RESIDUAL_TOL)
+    V, D = incremental_vertices_loop(U, T, box, cell.FEAS_TOL, cell.SOLVE_RESIDUAL_TOL)
     assert inter.vertices.tobytes() == V.tobytes()
     assert np.array_equal(inter.defining, D)
 
 
 def assert_matches_subset_loop(inter, U, T, box):
     V, D = subset_vertices_loop(
-        np.vstack([U, box[0]]), np.concatenate([T, box[1]]),
+        np.vstack([U, box_normals(box)]), np.concatenate([T, box]),
         cell.FEAS_TOL, cell.SOLVE_RESIDUAL_TOL,
     )
     assert inter.vertices.tobytes() == V.tobytes()
@@ -209,7 +214,7 @@ def continued_insertion(U, T, box, k):
     This is the path a coupled grid takes in d >= 3 for each band and for
     each window ring inside the box of the last build.
     """
-    builder = cell._CellBuilder(None, box[0].shape[1])
+    builder = cell._CellBuilder(None, len(box) // 2)
     builder.rebuild(U[:k], T[:k], box)
     builder.add_incremental(U[k:], T[k:])
     return builder
@@ -225,7 +230,7 @@ class TestHalfspaceIntersection:
     def test_unit_box(self):
         U = np.array([[1.0, 0], [-1, 0], [0, 1], [0, -1]])
         T = np.ones(4)
-        inter = cell.halfspace_intersection(U, T, *BOX2)
+        inter = cell.halfspace_intersection(U, T, BOX2)
         got = sorted(map(tuple, np.round(inter.vertices, 9)))
         assert got == [(-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0)]
 
@@ -233,7 +238,7 @@ class TestHalfspaceIntersection:
         th = np.array([0.0, 2 * math.pi / 3, 4 * math.pi / 3])
         U = np.column_stack([np.cos(th), np.sin(th)])
         T = np.ones(3)
-        inter = cell.halfspace_intersection(U, T, *BOX2)
+        inter = cell.halfspace_intersection(U, T, BOX2)
         assert len(inter.vertices) == 3
         for row in inter.defining:
             assert len(set(row.tolist())) == 2
@@ -242,9 +247,9 @@ class TestHalfspaceIntersection:
     def test_vertices_feasible_and_defining_tight(self, rng):
         for _ in range(50):
             U, T = random_instance(rng)
-            inter = cell.halfspace_intersection(U, T, *BOX2)
-            A = np.vstack([U, BOX2[0]])
-            b = np.concatenate([T, BOX2[1]])
+            inter = cell.halfspace_intersection(U, T, BOX2)
+            A = np.vstack([U, box_normals(BOX2)])
+            b = np.concatenate([T, BOX2])
             for v, d in zip(inter.vertices, inter.defining):
                 assert np.all(A @ v <= b + 1e-9)
                 assert np.abs(A[d] @ v - b[d]).max() < 1e-9
@@ -254,28 +259,28 @@ class TestHalfspaceIntersection:
         mismatches = 0
         for _ in range(1000):
             U, T = random_instance(rng)
-            fast = cell.halfspace_intersection(U, T, *BOX2)
-            slow = cell.halfspace_intersection_bruteforce(U, T, *BOX2)
+            fast = cell.halfspace_intersection(U, T, BOX2)
+            slow = cell.halfspace_intersection_bruteforce(U, T, BOX2)
             if not cell._vertex_sets_match(fast.vertices, slow.vertices, 1e-7):
                 mismatches += 1
         assert mismatches == 0
         assert time.time() - t0 < 10.0
 
     def test_incremental_3d_matches_oracle(self, rng):
-        box3 = (np.vstack([np.eye(3), -np.eye(3)]), np.full(6, 20.0))
+        box3 = np.full(6, 20.0)
         for _ in range(40):
             n = int(rng.integers(4, 14))
             U = rng.standard_normal((n, 3))
             U /= np.linalg.norm(U, axis=1, keepdims=True)
             T = rng.uniform(0.3, 2.0, n)
-            fast = cell.halfspace_intersection(U, T, *box3)
-            slow = cell.halfspace_intersection_bruteforce(U, T, *box3)
+            fast = cell.halfspace_intersection(U, T, box3)
+            slow = cell.halfspace_intersection_bruteforce(U, T, box3)
             assert cell._vertex_sets_match(fast.vertices, slow.vertices, 1e-7)
 
     @pytest.mark.parametrize("U, T, box", singular_subset_instances())
     def test_oracle_skips_singular_subsets(self, U, T, box):
-        slow = cell.halfspace_intersection_bruteforce(U, T, *box)
-        fast = cell.halfspace_intersection(U, T, *box)
+        slow = cell.halfspace_intersection_bruteforce(U, T, box)
+        fast = cell.halfspace_intersection(U, T, box)
         assert cell._vertex_sets_match(fast.vertices, slow.vertices, 1e-7)
         assert_matches_subset_loop(slow, U, T, box)
 
@@ -285,7 +290,7 @@ class TestHalfspaceIntersection:
         instances = [(*random_instance(rng), BOX2) for _ in range(40)]
         instances += [(*random_spatial_instance(rng), BOX3) for _ in range(15)]
         for U, T, box in instances:
-            slow = cell.halfspace_intersection_bruteforce(U, T, *box)
+            slow = cell.halfspace_intersection_bruteforce(U, T, box)
             assert_matches_subset_loop(slow, U, T, box)
 
     def test_planar_merge_wraps_around(self):
@@ -338,8 +343,8 @@ class TestHalfspaceIntersection:
         # from several subsets, so the dedupe merges
         instances += concurrent_integer_instances()
         for U, T, box in instances:
-            cell.halfspace_intersection_bruteforce(U, T, *box)
-            cell.halfspace_intersection(U, T, *box)
+            cell.halfspace_intersection_bruteforce(U, T, box)
+            cell.halfspace_intersection(U, T, box)
         # a chain 0.6 tol apart: the middle point merges into the first,
         # the last is kept because its only near neighbour was dropped
         chain = np.outer([0.0, 0.6e-9, 1.2e-9, 5.0], [1.0, 0.0])
@@ -360,16 +365,16 @@ class TestHalfspaceIntersection:
         instances = singular_subset_instances()
         instances += [(*random_instance(rng), BOX2) for _ in range(5)]
         instances += [(*random_spatial_instance(rng), BOX3) for _ in range(5)]
-        want = [cell.halfspace_intersection_bruteforce(U, T, *box) for U, T, box in instances]
+        want = [cell.halfspace_intersection_bruteforce(U, T, box) for U, T, box in instances]
         # small chunks split the subsets across many stacked solves
         monkeypatch.setattr(cell, "ORACLE_CHUNK", 7)
         for (U, T, box), w in zip(instances, want):
-            assert_same_intersection(cell.halfspace_intersection_bruteforce(U, T, *box), w)
+            assert_same_intersection(cell.halfspace_intersection_bruteforce(U, T, box), w)
         # no system looks singular up front, so every stacked solve raises
         # on the box's +-e_i pairs and falls back to one solve per subset
         monkeypatch.setattr(cell.np.linalg, "det", lambda M: np.ones(len(M)))
         for (U, T, box), w in zip(instances, want):
-            assert_same_intersection(cell.halfspace_intersection_bruteforce(U, T, *box), w)
+            assert_same_intersection(cell.halfspace_intersection_bruteforce(U, T, box), w)
 
     def test_incremental_batched_equals_loop(self, rng):
         # one stacked solve per inserted halfspace must reproduce the
@@ -379,30 +384,36 @@ class TestHalfspaceIntersection:
         instances += [(*random_spatial_instance(rng, d=4, max_n=11), BOX4) for _ in range(15)]
         instances += concurrent_integer_instances()
         for U, T, box in instances:
-            assert_matches_incremental_loop(cell.halfspace_intersection(U, T, *box), U, T, box)
+            assert_matches_incremental_loop(cell.halfspace_intersection(U, T, box), U, T, box)
 
-    def test_incremental_fallback_equals_loop(self, rng, monkeypatch):
-        instances = [inst for inst in singular_subset_instances() if inst[2] is BOX3]
-        instances += [(*random_spatial_instance(rng), BOX3) for _ in range(5)]
-        instances += [(*random_spatial_instance(rng, d=4, max_n=9), BOX4) for _ in range(3)]
-        want = [cell.halfspace_intersection(U, T, *box) for U, T, box in instances]
+    def test_singular_stacks_masked_equal_loop(self, rng, monkeypatch):
+        # stacks that hold exactly singular systems: both z planes of a box
+        # 2e-12 thick, the antipodal polar planes of the 4-cube and the
+        # singular subsets of the instances above.  Each must give the loop's
+        # vertices, defining rows and order, with every solve a stacked one
+        thin = np.array([20.0, 20, 1e-12, 20, 20, 1e-12])
+        cube4 = np.array(list(itertools.product((-1.0, 1.0), repeat=4))) / 2.0
+        instances = [(*random_spatial_instance(rng), thin) for _ in range(10)]
+        instances += [(cube4, np.ones(16), np.full(8, 2.0))]
+        instances += [inst for inst in singular_subset_instances() if inst[2] is BOX3]
         solve = np.linalg.solve
-        raised = []
+        calls = []
 
-        def unstackable(M, r):
-            if np.ndim(M) > 2:
-                raised.append(len(M))
-                raise np.linalg.LinAlgError("stacked solve refused")
+        def record(M, r):
+            calls.append((np.ndim(M), M))
             return solve(M, r)
 
-        # every stacked solve raises, so every insertion solves one combination at a time
-        monkeypatch.setattr(cell.np.linalg, "solve", unstackable)
-        for (U, T, box), w in zip(instances, want):
-            assert_same_intersection(cell.halfspace_intersection(U, T, *box), w)
-        monkeypatch.undo()
-        assert len(raised) >= 3 * len(instances)
-        for (U, T, box), w in zip(instances, want):
-            assert_matches_incremental_loop(w, U, T, box)
+        singular = []
+        for U, T, box in instances:
+            calls.clear()
+            monkeypatch.setattr(cell.np.linalg, "solve", record)
+            got = cell.halfspace_intersection(U, T, box)
+            monkeypatch.undo()
+            assert [ndim for ndim, _ in calls] == [3] * len(calls)
+            with np.errstate(invalid="ignore"):
+                singular.append(any((np.linalg.slogdet(M)[0] == 0).any() for _, M in calls))
+            assert_matches_incremental_loop(got, U, T, box)
+        assert all(singular[:11]) and sum(singular[11:]) >= 2
 
     def test_shared_subsets_equal_filtered_combinations(self, rng):
         # the combinations of all columns, less those with no common row,
@@ -432,12 +443,12 @@ class TestHalfspaceIntersection:
         instances += [(*random_spatial_instance(rng, d=4, max_n=11), BOX4) for _ in range(15)]
         instances += concurrent_integer_instances() + [pyramid]
         for U, T, box in instances:
-            cell.halfspace_intersection(U, T, *box)
+            cell.halfspace_intersection(U, T, box)
         # a cut through the top corner of each integer instance, where d + 3
         # or more planes meet; inserted into a compacted cell, which keeps
         # every plane through a vertex, it cuts those degenerate vertices
         for U, T, box in concurrent_integer_instances():
-            top = cell.halfspace_intersection(U, T, *box).vertices.sum(axis=1).max()
+            top = cell.halfspace_intersection(U, T, box).vertices.sum(axis=1).max()
             U, T = np.vstack([U, np.ones(U.shape[1])]), np.append(T, top - 0.5)
             for k in range(1, len(T)):
                 continued_insertion(U, T, box, k)
@@ -453,11 +464,11 @@ class TestHalfspaceIntersection:
     def test_thin_box_screens_box_pairs(self, rng):
         # a box 2e-12 thick in z: its vertices lie within FEAS_TOL of both
         # z planes, so subsets holding both are listed; exactly singular,
-        # they are solved one at a time and dropped
-        box = (BOX3[0], np.array([20.0, 20, 1e-12, 20, 20, 1e-12]))
+        # they are masked out of the stacked solve and dropped
+        box = np.array([20.0, 20, 1e-12, 20, 20, 1e-12])
         for _ in range(10):
             U, T = random_spatial_instance(rng)
-            assert_same_intersection(cell.halfspace_intersection(U, T, *box), incremental_by_plane(U, T, *box))
+            assert_same_intersection(cell.halfspace_intersection(U, T, box), incremental_by_plane(U, T, box))
 
     def test_vertex_subsets_equal_shared_subsets_on_wide_incidences(self, rng):
         # up to 200 planes and up to 8 through one vertex; the rows draw their
@@ -475,9 +486,9 @@ class TestHalfspaceIntersection:
 
     def test_solve_subsets_equals_lone_solves(self, rng):
         # exactly singular systems (a repeated row, a doubled row) make the
-        # stack fall back to one solve at a time; a NaN row or an overflow
-        # leaves a non-finite solution without raising
-        paths = {"stacked, all finite": 0, "stacked, some not finite": 0, "one at a time": 0}
+        # stack raise, and are masked out of a second stacked solve; a NaN
+        # row or an overflow leaves a non-finite solution without raising
+        paths = {"stacked, all finite": 0, "stacked, some not finite": 0, "singular rows masked": 0}
         for trial in range(90):
             d = int(rng.integers(2, 5))
             A = rng.standard_normal((12, d))
@@ -500,7 +511,7 @@ class TestHalfspaceIntersection:
             fin = np.isfinite(X_ref)
             assert X[fin].tobytes() == X_ref[fin].tobytes()
             if singular:
-                paths["one at a time"] += 1
+                paths["singular rows masked"] += 1
             else:
                 paths["stacked, all finite" if np.isfinite(X).all() else "stacked, some not finite"] += 1
         assert min(paths.values()) >= 5, paths
@@ -607,7 +618,7 @@ class TestHalfspaceIntersection:
         instances += [(*random_spatial_instance(rng, d=4, max_n=11), BOX4) for _ in range(15)]
         instances += concurrent_integer_instances()
         for U, T, box in instances:
-            want = sorted_rows(cell.halfspace_intersection(U, T, *box).vertices)
+            want = sorted_rows(cell.halfspace_intersection(U, T, box).vertices)
             for k in range(1, len(T)):
                 got = continued_insertion(U, T, box, k).inter.vertices
                 assert sorted_rows(got).tobytes() == want.tobytes()
@@ -626,7 +637,7 @@ class TestHalfspaceIntersection:
             builder.add_incremental(U_new, T_new)
         U_all = np.vstack([U, *(u for u, _ in cuts)])
         T_all = np.concatenate([T, *(t for _, t in cuts)])
-        oracle = cell.halfspace_intersection_bruteforce(U_all, T_all, *BOX3)
+        oracle = cell.halfspace_intersection_bruteforce(U_all, T_all, BOX3)
         assert len(oracle.vertices) == 8
         assert cell._vertex_sets_match(builder.inter.vertices, oracle.vertices, 1e-7)
 
@@ -636,19 +647,19 @@ class TestHalfspaceIntersection:
         # inside them, so only its `defining` row names the planes of its
         # edges, and the cut through (1, 1, 1) must still find three vertices
         U, T = np.vstack([np.eye(3), -np.eye(3)]), np.ones(6)
-        cube = cell.halfspace_intersection(U, T, *BOX3)
+        cube = cell.halfspace_intersection(U, T, BOX3)
         start = cell.Intersection(cube.vertices * (1 - 5e-9), cube.defining, len(T))
         U, T = np.vstack([U, [1.0, 1, 1]]), np.append(T, 2.5)
-        got = cell.halfspace_intersection(U, T, *BOX3, start)
-        assert_same_intersection(got, incremental_by_plane(U, T, *BOX3, start))
+        got = cell.halfspace_intersection(U, T, BOX3, start)
+        assert_same_intersection(got, incremental_by_plane(U, T, BOX3, start))
         assert len(got.vertices) == 10 and (got.defining[-3:, 0] == 6).all()
 
     def test_start_leaves_planar_path_unchanged(self, rng):
         for _ in range(20):
             U, T = random_instance(rng)
-            want = cell.halfspace_intersection(U, T, *BOX2)
-            start = cell.halfspace_intersection(U[:3], T[:3], *BOX2)
-            assert_same_intersection(cell.halfspace_intersection(U, T, *BOX2, start), want)
+            want = cell.halfspace_intersection(U, T, BOX2)
+            start = cell.halfspace_intersection(U[:3], T[:3], BOX2)
+            assert_same_intersection(cell.halfspace_intersection(U, T, BOX2, start), want)
 
     def test_incremental_ignores_exact_copies(self, rng):
         # an exact copy of a halfspace leaves the set unchanged, and so the
@@ -656,10 +667,10 @@ class TestHalfspaceIntersection:
         # added points inside an edge, solved from both copies
         for _ in range(40):
             U, T = random_spatial_instance(rng)
-            want = cell.halfspace_intersection(U, T, *BOX3)
+            want = cell.halfspace_intersection(U, T, BOX3)
             box_shifted = want.defining + (want.defining >= len(T))  # the copy comes before the box
             for k in range(len(T)):
-                got = cell.halfspace_intersection(np.vstack([U, U[k]]), np.append(T, T[k]), *BOX3)
+                got = cell.halfspace_intersection(np.vstack([U, U[k]]), np.append(T, T[k]), BOX3)
                 assert got.vertices.tobytes() == want.vertices.tobytes()
                 assert np.array_equal(got.defining, box_shifted)
 
@@ -670,12 +681,12 @@ class TestHalfspaceIntersection:
         th = np.arange(4) * math.pi / 2
         U = np.column_stack([np.cos(th), np.sin(th)])
         U, T = np.vstack([U, U[3]]), np.ones(5)
-        slow = cell.halfspace_intersection_bruteforce(U, T, *BOX2)
-        fast = cell.halfspace_intersection(U, T, *BOX2)
+        slow = cell.halfspace_intersection_bruteforce(U, T, BOX2)
+        fast = cell.halfspace_intersection(U, T, BOX2)
         assert len(slow.vertices) == 4 and slow.n_halfspaces == 5
         assert (slow.defining != 4).all()
         assert cell._vertex_sets_match(fast.vertices, slow.vertices, 1e-7)
-        want = cell.halfspace_intersection_bruteforce(U[:4], T[:4], *BOX2)
+        want = cell.halfspace_intersection_bruteforce(U[:4], T[:4], BOX2)
         assert want.vertices.tobytes() == slow.vertices.tobytes()
         assert np.array_equal(slow.defining, want.defining + (want.defining >= 4))
 
@@ -695,8 +706,8 @@ class TestHalfspaceIntersection:
         params3 = process.ProcessParams(2.0, dn.Isotropic(3), 3)
         cell.k_cell(params3, geom.Ball([0, 0, 0], 1.0), stream_key=KeyedStream(46, 1), debug_oracle=True)
         for U, T, box in singular_subset_instances():
-            fast = cell.halfspace_intersection(U, T, *box)
-            seen.append((fast.vertices, cell.halfspace_intersection_bruteforce(U, T, *box).vertices, 1e-7))
+            fast = cell.halfspace_intersection(U, T, box)
+            seen.append((fast.vertices, cell.halfspace_intersection_bruteforce(U, T, box).vertices, 1e-7))
         cases = []
         for A, B, tol in seen:
             perm = rng.permutation(len(B))
@@ -712,20 +723,20 @@ class TestHalfspaceIntersection:
         assert got == [vertex_sets_match_loop(A, B, tol) for A, B, tol in cases]
         assert len(seen) >= 10 and True in got and False in got
 
-    @pytest.mark.parametrize("perm", [[1, 0, 2, 3, 4, 5], [3, 4, 5, 0, 1, 2], [0, 1, 2, 3, 5, 4]])
-    def test_permuted_box_rejected(self, perm):
-        # the corner ids and the box-pair screen read +e_j as plane n + j
-        # and -e_j as plane n + d + j
+    @pytest.mark.parametrize("count", [0, 2, 3, 5, 7])
+    def test_box_offset_count_checked(self, count):
+        # a box is 2d >= 4 offsets, along e_1, ..., e_d, then -e_1, ..., -e_d
         U, T = random_spatial_instance(np.random.default_rng(3))
-        cell.halfspace_intersection(U, T, *BOX3)
-        with pytest.raises(ValueError, match="box normals"):
-            cell.halfspace_intersection(U, T, BOX3[0][perm], BOX3[1])
-        with pytest.raises(ValueError, match="box normals"):
-            cell.halfspace_intersection(U, T, BOX3[0][:5], BOX3[1][:5])
+        for intersect in (cell.halfspace_intersection, cell.halfspace_intersection_bruteforce):
+            intersect(U, T, BOX3)
+            with pytest.raises(ValueError, match="box takes 2d >= 4 offsets"):
+                intersect(U, T, np.full(count, 20.0))
+        with pytest.raises(ValueError, match="box takes 2d >= 4 offsets"):
+            cell.halfspace_intersection(U, T, np.full((6, 1), 20.0))
 
     def test_offsets_must_be_positive(self):
         with pytest.raises(ValueError):
-            cell.halfspace_intersection(np.array([[1.0, 0]]), np.array([-0.5]), *BOX2)
+            cell.halfspace_intersection(np.array([[1.0, 0]]), np.array([-0.5]), BOX2)
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("where", ["offset", "normal"])
@@ -734,14 +745,14 @@ class TestHalfspaceIntersection:
         # a NaN offset once passed the sign test and dropped its halfspace:
         # the unit cube came back reaching the box, max x = 5
         U, T = np.vstack([np.eye(d), -np.eye(d)]), np.ones(2 * d)
-        BU, BT = np.vstack([np.eye(d), -np.eye(d)]), np.full(2 * d, 5.0)
-        assert cell.halfspace_intersection(U, T, BU, BT).vertices.max() == 1.0
+        BT = np.full(2 * d, 5.0)
+        assert cell.halfspace_intersection(U, T, BT).vertices.max() == 1.0
         {"offset": T, "normal": U[0]}[where][0] = bad
         with pytest.raises(ValueError, match="finite"):
-            cell.halfspace_intersection(U, T, BU, BT)
+            cell.halfspace_intersection(U, T, BT)
         BT[0] = np.nan
         with pytest.raises(ValueError):
-            cell.halfspace_intersection(np.eye(d), np.ones(d), BU, BT)
+            cell.halfspace_intersection(np.eye(d), np.ones(d), BT)
 
 
 @st.composite
@@ -779,8 +790,8 @@ class TestIntersectionProperties:
     @given(parallel_pair_instances())
     def test_fast_path_matches_oracle_on_parallel_pairs(self, inst):
         U, T, box = inst
-        fast = cell.halfspace_intersection(U, T, *box)
-        slow = cell.halfspace_intersection_bruteforce(U, T, *box)
+        fast = cell.halfspace_intersection(U, T, box)
+        slow = cell.halfspace_intersection_bruteforce(U, T, box)
         assert cell._vertex_sets_match(fast.vertices, slow.vertices, 1e-7)
 
 
@@ -810,15 +821,15 @@ class TestKCell:
         # a window too small to certify, so box planes define vertices
         builder = cell._CellBuilder(ball, 2)
         r = 1 / math.sqrt(2)
-        BU, BT = cell._axis_box(ball, 0.1)
+        BT = cell._axis_box(ball, 0.1)
 
         def assert_defining_tight():
-            A, b = np.vstack([builder.U, BU]), np.concatenate([builder.T, BT])
+            A, b = np.vstack([builder.U, box_normals(BT)]), np.concatenate([builder.T, BT])
             assert (builder.inter.defining >= len(builder.T)).any()
             for v, d in zip(builder.inter.vertices, builder.inter.defining):
                 assert np.abs(A[d] @ v - b[d]).max() < 1e-12
 
-        builder.rebuild(np.array([[r, r], [1.0, 0.0]]), np.array([1.2, 5.0]), (BU, BT))
+        builder.rebuild(np.array([[r, r], [1.0, 0.0]]), np.array([1.2, 5.0]), BT)
         assert_defining_tight()
         builder.add_incremental(np.array([[-r, r]]), np.array([1.2]))
         assert_defining_tight()
@@ -1048,7 +1059,7 @@ class TestCellsAlongIntensity:
             cells = cell.cells_along_intensity(params, body, grid, stream_key=KeyedStream(47, 0))
             assert len(cells[-1].offsets) > 2 * len(cells[0].offsets)
             for z in cells:
-                full = cell.halfspace_intersection(z.normals, z.offsets, *cell._axis_box(body, z.window_radius))
+                full = cell.halfspace_intersection(z.normals, z.offsets, cell._axis_box(body, z.window_radius))
                 assert sorted_rows(z.vertices).tobytes() == sorted_rows(full.vertices).tobytes()
 
     @pytest.mark.parametrize("initial_radius", [None, 0.02], ids=["default", "small_window"])
@@ -1139,8 +1150,8 @@ class TestRebuildScreen:
         seen = []
         inner = cell.halfspace_intersection
 
-        def record(U, T, BU, BT, start=None):
-            seen.append(inner(U, T, BU, BT, start))
+        def record(U, T, BT, start=None):
+            seen.append(inner(U, T, BT, start))
             return seen[-1]
 
         monkeypatch.setattr(cell, "halfspace_intersection", record)

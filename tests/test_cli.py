@@ -9,7 +9,7 @@ import pytest
 
 import hypercell
 from hypercell import direction as dn
-from hypercell import geom, validate
+from hypercell import geom, metrics, validate
 from hypercell.cli import dispatch
 
 BALL_ISO = {
@@ -281,6 +281,24 @@ class TestOtherCommands:
         for name in ("mu.csv", "mu.json"):
             b1, b2 = (open(os.path.join(out, name), "rb").read() for out in outs)
             assert b1 == b2
+
+    def test_mu_curve_defaults_come_from_mu_config(self, tmp_path):
+        # a config without seed and coarse_samples writes what one with the
+        # defaults spelled out writes; the seed matters in 3-d only
+        tet = [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]
+        cfg = {
+            "body": {"type": "polytope", "vertices": tet},
+            "distribution": dn.distribution_to_json(dn.from_surface_measure(geom.Polytope(tet))),
+            "eps_grid": [0.125, 0.25],
+        }
+        defaults = metrics.MuConfig()
+        spelled = {**cfg, "seed": defaults.seed, "coarse_samples": defaults.coarse_samples}
+        for name, doc in (("bare", cfg), ("spelled", spelled)):
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+            assert dispatch(["mu-curve", "--config", str(tmp_path / f"{name}.json"), "--out", str(tmp_path / name)]) == 0
+        for name in ("mu.csv", "mu.json"):
+            assert (tmp_path / "bare" / name).read_bytes() == (tmp_path / "spelled" / name).read_bytes()
+        assert json.loads((tmp_path / "bare" / "mu.json").read_text())["config"]["seed"] == defaults.seed
 
     def test_mu_curve_3d_tetrahedron(self, tmp_path):
         # mu = sqrt(2)/12 eps on the regular tetrahedron under its own law

@@ -371,6 +371,13 @@ class TestCapStarved:
                 want = geom.sphere_area(dim - 1) * quad(lambda t: math.sin(t) ** (dim - 2), lo, hi)[0]
                 assert law._band_sigma(lo, hi) == pytest.approx(want, rel=1e-12, abs=0.0)
 
+    def test_planar_band_sigma_is_twice_the_width(self, starved):
+        # sphere_area(1) is exactly 2 and the sin^0 integral is hi - lo, so
+        # the general formula gives the doubles of 2 (hi - lo) in the plane
+        assert geom.sphere_area(1) == 2.0
+        bands = np.sort(stream(13, "planar bands").uniform(0.0, math.pi, (100_000, 2)), axis=1).tolist()
+        assert all(starved._band_sigma(lo, hi) == 2.0 * (hi - lo) for lo, hi in bands)
+
     @pytest.mark.parametrize("dim", [2, 3])
     def test_polar_draw_equals_uniform_form(self, dim):
         # 3,000 seeded batches of 1-64 rows over every piece and the outside

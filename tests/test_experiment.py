@@ -259,6 +259,14 @@ class TestRunCounterexample:
         assert all(e["exceed_freq"] > 0.9 for e in res.per_n)
 
 
+def test_policy_defaults_come_from_the_policy():
+    from hypercell.cell import WindowPolicy
+
+    assert ex.policy_from_json({}) == WindowPolicy()
+    assert ex.policy_from_json({"max_rounds": 3}) == WindowPolicy(max_rounds=3)
+    assert ex.policy_from_json({"initial_radius": 0.5, "growth_factor": 3.0}) == WindowPolicy(0.5, 3.0)
+
+
 @pytest.mark.parametrize("kind", ["rate", "tail", "counterexample"])
 def test_nan_reps_rejected(ball, iso, kind):
     # NaN passes `reps < 1`; the run would fail on range(nan)

@@ -243,7 +243,7 @@ class TestSurfaceMeasure:
         bodies = [cube.vertices, tetra, extra, slab, thin, *clouds, *sphere, *scaled]
         runs = []
         enumerate_cell = cell._intersect_incremental
-        monkeypatch.setattr(cell, "_intersect_incremental", lambda *a: runs.append(a[3][0]) or enumerate_cell(*a))
+        monkeypatch.setattr(cell, "_intersect_incremental", lambda *a: runs.append(a[2][0]) or enumerate_cell(*a))
         for V in bodies:
             body = geom.Polytope(V)
             runs.clear()
@@ -492,6 +492,27 @@ class TestCoresBeyond3D:
         # has vertices on 8 planes: points solved on its edges are dropped
         cube5 = geom.Polytope(list(itertools.product((-1, 1), repeat=5)))
         assert len(cube5.facets) == 10 and all(vol == pytest.approx(16.0, rel=1e-12) for _, _, vol, _ in cube5.facets)
+
+    def test_5_cube_facets_solve_only_stacks(self, monkeypatch):
+        # the polars of its facets, 4-cubes, have vertices on 8 planes, so
+        # most insertion stacks hold exactly singular systems; they are
+        # masked out of one stacked solve, never solved one at a time
+        solve = np.linalg.solve
+        ndims = []
+        monkeypatch.setattr(np.linalg, "solve", lambda M, r: ndims.append(np.ndim(M)) or solve(M, r))
+        cube5 = geom.Polytope(list(itertools.product((-1, 1), repeat=5)))
+        assert len(cube5.facets) == 10
+        assert ndims and ndims.count(2) == 0
+
+    def test_face_normals_are_facet_normals(self, cube, cube4, rng):
+        # a full core projects along each facet's own outward normal
+        tetra = [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]
+        cores = [cube.vertices, tetra, rng.standard_normal((30, 3)), cube4.vertices, rng.standard_normal((15, 4))]
+        cores += [np.vstack([np.eye(5), -np.eye(5)]), rng.standard_normal((12, 5))]
+        for V in cores:
+            faces = geom.Polytope(V)._face_data()
+            assert faces.normals.tobytes() == np.array([n for n, *_ in faces.facets]).tobytes()
+            assert (faces.offsets > 0).all()
 
     def test_4d_facets_match_qhull(self, cube4):
         # vertex groups equal and volumes to 1e-9 relative.  Points inside

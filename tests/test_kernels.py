@@ -102,7 +102,7 @@ class TestHullChain:
             return chain(pts)
 
         def record_rebuild(builder, U, T, box):
-            seen.append(np.vstack([U, box[0]]) / np.concatenate([T, box[1]])[:, None])
+            seen.append(np.vstack([U, np.eye(2), -np.eye(2)]) / np.concatenate([T, box])[:, None])
             rebuild(builder, U, T, box)
 
         monkeypatch.setattr(_kernels, "hull_chain", record)
